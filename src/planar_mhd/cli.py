@@ -27,7 +27,7 @@ from .initial import (
     regularize,
     scenario,
 )
-from .model import Grid, State
+from .model import Grid
 from .solver import SimulationError, run
 from .tables import format_float, read_state_table, write_state_table
 from .verification import MMS_CASES, continuation_study, embedding_check, mms_convergence
@@ -99,20 +99,22 @@ def _write(path, text):
         fh.write(text)
 
 
-def _parse_float_list(text, what):
-    try:
-        values = tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse {what} list {text!r}") from None
-    return values
+def _write_records(path, records):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(diagnostics.csv_header() + "\n")
+        for rec in records:
+            fh.write(diagnostics.csv_row(rec) + "\n")
 
 
-def _parse_int_list(text, what):
+def _parse_list(text, what, kind=float):
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"cannot parse {what} list {text!r}") from None
-    return values
+
+
+def _snapshot_name(time):
+    return f"snapshot_t{time:.6f}.dat"
 
 
 def _resolve_scenario(name, n_cells):
@@ -130,10 +132,20 @@ def _resolve_scenario(name, n_cells):
         f"unknown scenario {name!r}; known scenarios: {known}, or a path to a state table")
 
 
-def _write_summary(path, cfg, grid, records, totals, compat):
+def _ledger_drifts(records):
+    """(largest mass drift, relative energy drift, whether the cumulative
+    entropy production never decreases) over a run's records."""
     first, last = records[0], records[-1]
     mass_drift = max(abs(r.mass - first.mass) for r in records)
     energy_drift = abs(last.energy - first.energy) / max(abs(first.energy), 1e-300)
+    entropy_ok = all(b.entropy_prod_cum >= a.entropy_prod_cum
+                     for a, b in zip(records, records[1:]))
+    return mass_drift, energy_drift, entropy_ok
+
+
+def _write_summary(path, cfg, grid, records, totals, compat):
+    first, last = records[0], records[-1]
+    mass_drift, energy_drift, entropy_ok = _ledger_drifts(records)
     monitor_drift = 0.0
     running = float("inf")
     for r in records:
@@ -143,8 +155,6 @@ def _write_summary(path, cfg, grid, records, totals, compat):
             monitor_drift = max(monitor_drift, r.rho_F_max / running - 1.0)
         elif not np.isfinite(r.rho_F_max):
             monitor_drift = float("inf")
-    entropy_ok = all(b.entropy_prod_cum >= a.entropy_prod_cum
-                     for a, b in zip(records, records[1:]))
     lines = [
         f"scenario = {cfg.scenario}",
         f"n_cells = {grid.n_cells}",
@@ -183,6 +193,13 @@ def _write_summary(path, cfg, grid, records, totals, compat):
 
 def _simulate(cfg, args, outdir, logger):
     grid, init = _resolve_scenario(cfg.scenario, cfg.n_cells)
+    # distinct snapshot times must not share a file name
+    named = {}
+    for t in sorted({float(t) for t in cfg.snapshot_times if t <= cfg.t_end}):
+        first = named.setdefault(_snapshot_name(t), t)
+        if first != t:
+            raise ConfigError(f"snapshot_times {first!r} and {t!r} would both be written"
+                              f" to {_snapshot_name(t)}")
     params = cfg.phys_params()
     scheme = cfg.scheme_config()
     alpha = cfg.resolved_alpha()
@@ -213,7 +230,7 @@ def _simulate(cfg, args, outdir, logger):
         totals["max_div_residual"] = max(totals["max_div_residual"], report.max_div_residual)
 
     def snapshot_sink(state):
-        path = os.path.join(outdir, f"snapshot_t{state.time:.6f}.dat")
+        path = os.path.join(outdir, _snapshot_name(state.time))
         write_state_table(path, grid, state)
         logger.info("wrote %s", path)
 
@@ -224,10 +241,7 @@ def _simulate(cfg, args, outdir, logger):
         check_compat=False, on_step=on_step)
 
     csv_path = os.path.join(outdir, "diagnostics.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(diagnostics.csv_header() + "\n")
-        for rec in records:
-            fh.write(diagnostics.csv_row(rec) + "\n")
+    _write_records(csv_path, records)
 
     summary_path = os.path.join(outdir, "run-summary.txt")
     mass_drift, energy_drift, monitor_drift = _write_summary(
@@ -243,10 +257,8 @@ def _simulate(cfg, args, outdir, logger):
 def _continuation(cfg, args, outdir, logger):
     name = args.scenario or cfg.scenario
     grid, base = _resolve_scenario(name, cfg.n_cells)
-    deltas = _parse_float_list(args.deltas, "--deltas")
+    deltas = _parse_list(args.deltas, "--deltas")
     t_end = cfg.t_end if args.t_end is None else args.t_end
-    if t_end < 0.0:
-        raise ConfigError(f"t_end must be nonnegative, got {t_end!r}")
     logger.info("continuation scenario=%s deltas=%s t_end=%s",
                 name, args.deltas, format_float(t_end))
     try:
@@ -266,7 +278,7 @@ def _mms(cfg, args, outdir, logger):
     if args.case not in MMS_CASES:
         known = ", ".join(sorted(MMS_CASES))
         raise ConfigError(f"unknown manufactured case {args.case!r}; known cases: {known}")
-    resolutions = _parse_int_list(args.resolutions, "--resolutions")
+    resolutions = _parse_list(args.resolutions, "--resolutions", kind=int)
     logger.info("mms case=%s resolutions=%s", args.case, args.resolutions)
     try:
         report = mms_convergence(args.case, resolutions, cfg.phys_params(),
@@ -282,16 +294,6 @@ def _mms(cfg, args, outdir, logger):
     return EXIT_OK
 
 
-def _read_snapshot(path):
-    time, x, fields = read_state_table(path)
-    grid = Grid.uniform(x.shape[0])
-    if not np.allclose(x, grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):
-        raise ValueError("x column is not the uniform cell-center grid on [0, 1]")
-    w = np.column_stack([fields["w1"], fields["w2"]])
-    b = np.column_stack([fields["b1"], fields["b2"]])
-    return grid, State(time, fields["rho"], fields["u"], w, b, fields["theta"])
-
-
 def _audit(cfg, args, outdir, logger):
     indir = args.input
     if not os.path.isdir(indir):
@@ -304,7 +306,7 @@ def _audit(cfg, args, outdir, logger):
     snaps = []
     for path in paths:
         try:
-            g, state = _read_snapshot(path)
+            _, g, state = read_state_table(path)
         except ValueError as err:
             raise ConfigError(f"cannot read snapshot {path}: {err}") from None
         if grid is None:
@@ -333,18 +335,11 @@ def _audit(cfg, args, outdir, logger):
               for state in snaps]
 
     csv_path = os.path.join(outdir, "audit.csv")
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write(diagnostics.csv_header() + "\n")
-        for rec in records:
-            fh.write(diagnostics.csv_row(rec) + "\n")
+    _write_records(csv_path, records)
 
     bound = 1.0 + 10.0 * grid.dx
     worst = max(ratios)
-    mass_drift = max(abs(r.mass - records[0].mass) for r in records)
-    energy_drift = (abs(records[-1].energy - records[0].energy)
-                    / max(abs(records[0].energy), 1e-300))
-    entropy_ok = all(b.entropy_prod_cum >= a.entropy_prod_cum
-                     for a, b in zip(records, records[1:]))
+    mass_drift, energy_drift, entropy_ok = _ledger_drifts(records)
     lines = [
         "# cumulative columns are re-integrated snapshot to snapshot (coarse)",
         f"snapshots = {len(snaps)}",

@@ -8,6 +8,7 @@ exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .diagnostics import check_alpha, default_alpha
@@ -85,39 +86,24 @@ def _parse_value(key, raw, lineno):
 
 
 def _validate(cfg):
-    if cfg.q_exp <= 0.0:
-        raise ConfigError(
-            f"q_exp must be > 0 (conductivity growth hypothesis), got {cfg.q_exp!r}")
-    if cfg.alpha is not None:
-        upper = min(1.0, cfg.q_exp)
-        if not 0.0 < cfg.alpha < upper:
-            raise ConfigError(
-                "alpha must lie in the open interval (0, min(1, q_exp)) = "
-                f"(0, {upper:g}); got alpha = {cfg.alpha!r} with q_exp = {cfg.q_exp!r}")
-    if cfg.t_end < 0.0:
-        raise ConfigError(f"t_end must be nonnegative, got {cfg.t_end!r}")
+    """Check the run-level rules here; the physical, scheme and weight
+    rules are checked (and worded) by PhysParams, SchemeConfig and
+    check_alpha."""
+    try:
+        cfg.resolved_alpha()
+        cfg.scheme_config()
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    for name in ("t_end", "delta"):
+        value = getattr(cfg, name)
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"{name} must be nonnegative and finite, got {value!r}")
     if cfg.n_cells < 4:
         raise ConfigError(f"n_cells must be at least 4, got {cfg.n_cells!r}")
-    if not 0.0 < cfg.cfl <= 1.0:
-        raise ConfigError(f"cfl must lie in (0, 1], got {cfg.cfl!r}")
-    if cfg.dt_max <= 0.0:
-        raise ConfigError(f"dt_max must be positive, got {cfg.dt_max!r}")
-    if cfg.delta < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {cfg.delta!r}")
     if cfg.record_every < 1:
         raise ConfigError(f"record_every must be at least 1, got {cfg.record_every!r}")
-    if any(t < 0.0 for t in cfg.snapshot_times):
-        raise ConfigError("snapshot_times must all be nonnegative")
-    if cfg.picard_tol <= 0.0:
-        raise ConfigError(f"picard_tol must be positive, got {cfg.picard_tol!r}")
-    if cfg.picard_max_iters < 1:
-        raise ConfigError("picard_max_iters must be at least 1")
-    if cfg.theta_floor_tol < 0.0:
-        raise ConfigError("theta_floor_tol must be nonnegative")
-    for name in ("lambda_visc", "mu_visc", "nu_mag", "gas_R", "c_v",
-                 "kappa_a", "kappa_b"):
-        if getattr(cfg, name) <= 0.0:
-            raise ConfigError(f"{name} must be positive, got {getattr(cfg, name)!r}")
+    if not all(0.0 <= t < math.inf for t in cfg.snapshot_times):
+        raise ConfigError("snapshot_times must all be nonnegative and finite")
     return cfg
 
 

@@ -57,36 +57,6 @@ def entropy_functional(state, grid):
     return float(np.sum(out) * grid.dx)
 
 
-def dissipation_increment(state_before, state_after, dt, grid, params):
-    """dt-weighted dissipation integrals, evaluated at state_after.
-
-    Returns (viscous, shear, magnetic, heat) with
-    heat = dt * integral of kappa(theta) * (theta_x / theta)^2.
-    """
-    dx = grid.dx
-    s = state_after
-    visc = params.lambda_visc * np.sum(_grad_sq(s.u, dx, ODD)) * dx
-    shear = params.mu_visc * np.sum(_grad_sq(s.w, dx, ODD)) * dx
-    mag = params.nu_mag * np.sum(_grad_sq(s.b, dx, ODD)) * dx
-    ratio = cell_grad(s.theta, dx, EVEN) / np.maximum(s.theta, THETA_FLOOR)
-    heat = float(np.sum(kappa(s.theta, params) * ratio * ratio) * dx)
-    return (dt * float(visc), dt * float(shear), dt * float(mag), dt * heat)
-
-
-def entropy_production_increment(state_before, state_after, dt, grid, params):
-    """dt-weighted entropy production: the dissipation integrals divided by
-    theta (and theta^2 for the conductive part).  Nonnegative by construction."""
-    dx = grid.dx
-    s = state_after
-    theta_safe = np.maximum(s.theta, THETA_FLOOR)
-    mech = (params.lambda_visc * _grad_sq(s.u, dx, ODD)
-            + params.mu_visc * _grad_sq(s.w, dx, ODD)
-            + params.nu_mag * _grad_sq(s.b, dx, ODD)) / theta_safe
-    ratio = cell_grad(s.theta, dx, EVEN) / theta_safe
-    cond = kappa(s.theta, params) * ratio * ratio
-    return dt * float(np.sum(mech + cond) * dx)
-
-
 def default_alpha(params):
     """Midpoint of the admissible weight interval (0, min(1, q_exp))."""
     return 0.5 * min(1.0, params.q_exp)
@@ -101,23 +71,40 @@ def check_alpha(alpha, params):
     return float(alpha)
 
 
-def weighted_dissipation_increment(state_before, state_after, dt, grid, params, alpha):
-    """dt-weighted degenerate-dissipation integral
+def dissipation_ledger(state, dt, grid, params, alpha):
+    """dt-weighted dissipation family at one state, in one pass.
+
+    Returns (viscous, shear, magnetic, heat, weighted, entropy_production):
+
+    - the dissipation integrals of lambda*u_x^2, mu*|w_x|^2, nu*|b_x|^2 and
+      kappa(theta) * (theta_x / theta)^2;
+    - the degenerate dissipation for a weight exponent alpha in
+      (0, min(1, q_exp)),
 
         (lambda u_x^2 + mu |w_x|^2 + nu |b_x|^2) / theta^alpha
-            + (1 + theta^q) theta_x^2 / theta^(1+alpha)
+            + (1 + theta^q) theta_x^2 / theta^(1+alpha);
 
-    for a weight exponent alpha in (0, min(1, q_exp))."""
+    - the entropy production: the mechanical dissipation divided by theta
+      plus the conductive part.  Nonnegative by construction.
+    """
     alpha = check_alpha(alpha, params)
     dx = grid.dx
-    s = state_after
-    theta_safe = np.maximum(s.theta, THETA_FLOOR)
-    mech = (params.lambda_visc * _grad_sq(s.u, dx, ODD)
-            + params.mu_visc * _grad_sq(s.w, dx, ODD)
-            + params.nu_mag * _grad_sq(s.b, dx, ODD)) / theta_safe ** alpha
-    tx = cell_grad(s.theta, dx, EVEN)
-    cond = (1.0 + theta_safe ** params.q_exp) * tx * tx / theta_safe ** (1.0 + alpha)
-    return dt * float(np.sum(mech + cond) * dx)
+    ux2 = _grad_sq(state.u, dx, ODD)
+    wx2 = _grad_sq(state.w, dx, ODD)
+    bx2 = _grad_sq(state.b, dx, ODD)
+    tx = cell_grad(state.theta, dx, EVEN)
+    theta_safe = np.maximum(state.theta, THETA_FLOOR)
+    ratio = tx / theta_safe
+    heat = kappa(state.theta, params) * ratio * ratio
+    mech = params.lambda_visc * ux2 + params.mu_visc * wx2 + params.nu_mag * bx2
+    weighted = (mech / theta_safe ** alpha
+                + (1.0 + theta_safe ** params.q_exp) * tx * tx / theta_safe ** (1.0 + alpha))
+    return (dt * float(params.lambda_visc * np.sum(ux2) * dx),
+            dt * float(params.mu_visc * np.sum(wx2) * dx),
+            dt * float(params.nu_mag * np.sum(bx2) * dx),
+            dt * float(np.sum(heat) * dx),
+            dt * float(np.sum(weighted) * dx),
+            dt * float(np.sum(mech / theta_safe + heat) * dx))
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +270,11 @@ class DiagnosticsAccumulator:
         self._pair = None
 
     def update(self, state_before, state_after, dt):
-        inc = dissipation_increment(state_before, state_after, dt, self.grid, self.params)
+        ledger = dissipation_ledger(state_after, dt, self.grid, self.params, self.alpha)
         for i in range(4):
-            self.diss[i] += inc[i]
-        self.weighted += weighted_dissipation_increment(
-            state_before, state_after, dt, self.grid, self.params, self.alpha)
-        self.entropy_prod += entropy_production_increment(
-            state_before, state_after, dt, self.grid, self.params)
+            self.diss[i] += ledger[i]
+        self.weighted += ledger[4]
+        self.entropy_prod += ledger[5]
         power = self.params.q_exp - self.alpha + 1.0
         self.theta_sup += dt * float(state_after.theta.max(initial=0.0)) ** power
         self.phi = update_phi(self.phi, state_before, state_after, dt, self.grid, self.params)

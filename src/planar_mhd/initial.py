@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, State, VACUUM_RHO, kappa, pressure
+from .model import State, VACUUM_RHO, _frozen_array, kappa, pressure
 from .operators import (
     EVEN,
     ODD,
@@ -31,12 +31,6 @@ from .operators import (
     second_diff,
 )
 from .tables import read_state_table
-
-
-def _frozen(arr):
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,18 +48,12 @@ class InitialData:
         n = np.asarray(self.rho0).shape[0]
         for name, shape in (("rho0", (n,)), ("u0", (n,)), ("w0", (n, 2)),
                             ("b0", (n, 2)), ("theta0", (n,))):
-            arr = np.array(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, _frozen(arr))
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+            object.__setattr__(self, name, _frozen_array(
+                getattr(self, name), shape, name, nonnegative=name == "theta0"))
+        if not self.delta >= 0.0:
+            raise ValueError(f"delta must be nonnegative, got {self.delta!r}")
         if np.any(self.rho0 < self.delta):
             raise ValueError("rho0 must dominate the regularization shift delta")
-        if np.any(self.theta0 < 0.0):
-            raise ValueError("theta0 must be nonnegative")
 
     @property
     def n_cells(self):
@@ -218,17 +206,6 @@ def scenario(name, grid):
 
 
 def load_initial_table(path):
-    """Import initial data from a plain-text state table.
-
-    The row count fixes the grid; the x column must match the uniform cell
-    centers of (0, 1).
-    """
-    _, x, fields = read_state_table(path)
-    n = x.shape[0]
-    grid = Grid.uniform(n)
-    if not np.allclose(x, grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):
-        raise ValueError(f"{path}: x column does not match uniform cell centers for n={n}")
-    w0 = np.column_stack([fields["w1"], fields["w2"]])
-    b0 = np.column_stack([fields["b1"], fields["b2"]])
-    data = InitialData(fields["rho"], fields["u"], w0, b0, fields["theta"])
-    return grid, data
+    """Import initial data from a plain-text state table (see read_state_table)."""
+    _, grid, state = read_state_table(path)
+    return grid, InitialData(state.rho, state.u, state.w, state.b, state.theta)

@@ -47,8 +47,10 @@ class PhysParams:
     def __post_init__(self):
         for name in _PARAM_NAMES:
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a finite positive real, got {value!r}")
+            if not 0.0 < value < np.inf:
+                rule = ("> 0 and finite (conductivity growth hypothesis)"
+                        if name == "q_exp" else "positive and finite")
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -85,14 +85,15 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl!r}")
-        if not self.dt_max > 0.0:
-            raise ValueError(f"dt_max must be positive, got {self.dt_max!r}")
-        if not self.picard_tol > 0.0:
-            raise ValueError(f"picard_tol must be positive, got {self.picard_tol!r}")
+        for name in ("dt_max", "picard_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be at least 1")
-        if self.theta_floor_tol < 0.0:
-            raise ValueError("theta_floor_tol must be nonnegative")
+        if not 0.0 <= self.theta_floor_tol < np.inf:
+            raise ValueError(
+                f"theta_floor_tol must be nonnegative and finite, got {self.theta_floor_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -347,8 +348,8 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     from .diagnostics import DiagnosticsAccumulator
     from .initial import compatibility_residuals
 
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if cfg is None:
         cfg = SchemeConfig()
     if check_compat:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import Grid, State
+
 COLUMNS = ("x", "rho", "u", "w1", "w2", "b1", "b2", "theta")
 
 
@@ -36,7 +38,11 @@ def write_state_table(path, grid, state):
 
 
 def read_state_table(path):
-    """Read a state table; returns (time, x, fields dict)."""
+    """Read a state table; returns (time, grid, state).
+
+    The row count fixes the grid; the x column must match the uniform cell
+    centers of (0, 1).
+    """
     time = 0.0
     rows = []
     with open(path) as fh:
@@ -58,6 +64,9 @@ def read_state_table(path):
     if not rows:
         raise ValueError(f"{path}: table contains no data rows")
     data = np.asarray(rows, dtype=float)
-    fields = {name: data[:, j].copy() for j, name in enumerate(COLUMNS)}
-    x = fields.pop("x")
-    return time, x, fields
+    n = data.shape[0]
+    grid = Grid.uniform(n)
+    if not np.allclose(data[:, 0], grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):
+        raise ValueError(f"{path}: x column does not match uniform cell centers for n={n}")
+    state = State(time, data[:, 1], data[:, 2], data[:, 3:5], data[:, 5:7], data[:, 7])
+    return time, grid, state

@@ -51,6 +51,21 @@ def test_config_round_trip():
     ("n_cells = sixteen", "cannot parse value"),
     ("just some words", "expected 'key = value'"),
     ("t_end = 0.1\nt_end = 0.2", "duplicate key"),
+    ("q_exp = nan", "q_exp must be > 0"),
+    ("q_exp = inf", "q_exp must be > 0"),
+    ("alpha = nan", "open interval"),
+    ("cfl = nan", "cfl must lie in (0, 1]"),
+    ("dt_max = nan", "dt_max must be positive"),
+    ("dt_max = inf", "dt_max must be positive"),
+    ("picard_tol = nan", "picard_tol must be positive"),
+    ("lambda_visc = inf", "lambda_visc must be positive"),
+    ("t_end = nan", "t_end must be nonnegative"),
+    ("t_end = inf", "t_end must be nonnegative"),
+    ("delta = nan", "delta must be nonnegative"),
+    ("theta_floor_tol = nan", "theta_floor_tol must be nonnegative"),
+    ("theta_floor_tol = inf", "theta_floor_tol must be nonnegative"),
+    ("snapshot_times = 0.1,nan", "snapshot_times"),
+    ("snapshot_times = inf", "snapshot_times"),
 ])
 def test_config_rejections_name_the_constraint(text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -126,12 +141,26 @@ def test_audit_without_snapshots_fails(tmp_path, capsys):
     "alpha = 0.9\nq_exp = 0.5\n",
     "t_end = -1\n",
     "nonsense = 1\n",
+    "q_exp = nan\n",
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, body):
     cfgfile = write_config(tmp_path, body)
     code = main(["--config", cfgfile, "--out", str(tmp_path / "o"), "simulate"])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_colliding_snapshot_names_exit_2(tmp_path, capsys):
+    # both instants round to snapshot_t0.005000.dat
+    cfgfile = write_config(
+        tmp_path, "scenario = uniform-rest\nn_cells = 16\nt_end = 0.01\n"
+                  "snapshot_times = 0.0050001,0.0050004\n")
+    outdir = tmp_path / "o"
+    code = main(["--config", cfgfile, "--out", str(outdir), "simulate"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "0.0050001" in err and "0.0050004" in err
+    assert not list(outdir.glob("snapshot_t*.dat"))
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -254,3 +283,8 @@ def test_continuation_subcommand(tmp_path, capsys):
                  "continuation", "--deltas", "1e-2,1e-1"])
     assert code == EXIT_CONFIG
     assert "strictly decreasing" in capsys.readouterr().err
+
+    code = main(["--config", cfgfile, "--out", str(outdir),
+                 "continuation", "--t-end", "nan"])
+    assert code == EXIT_CONFIG
+    assert "t_end must be nonnegative" in capsys.readouterr().err

@@ -13,16 +13,14 @@ from planar_mhd.diagnostics import (
     csv_row,
     default_alpha,
     density_bound_monitor,
-    dissipation_increment,
+    dissipation_ledger,
     entropy_functional,
-    entropy_production_increment,
     initial_phi,
     norm_suite,
     phi_momentum_residual,
     total_energy,
     total_mass,
     update_phi,
-    weighted_dissipation_increment,
     PhiField,
 )
 from planar_mhd.initial import scenario
@@ -84,9 +82,9 @@ def test_dissipation_vanishes_at_equilibrium():
     n = 16
     grid = Grid.uniform(n)
     s = flat_state(n)
-    inc = dissipation_increment(s, s, 0.01, grid, PhysParams())
-    assert inc == (0.0, 0.0, 0.0, 0.0)
-    assert entropy_production_increment(s, s, 0.01, grid, PhysParams()) == 0.0
+    ledger = dissipation_ledger(s, 0.01, grid, PhysParams(), 0.5)
+    assert ledger[:4] == (0.0, 0.0, 0.0, 0.0)
+    assert ledger[5] == 0.0
 
 
 def test_dissipation_of_tent_profile():
@@ -99,7 +97,7 @@ def test_dissipation_of_tent_profile():
     u = slope * np.minimum(grid.cell_centers, 1.0 - grid.cell_centers)
     s = State(0.0, np.ones(n), u, np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n))
     dt = 0.02
-    visc, shear, mag, heat = dissipation_increment(s, s, dt, grid, PhysParams())
+    visc, shear, mag, heat = dissipation_ledger(s, dt, grid, PhysParams(), 0.5)[:4]
     expected = dt * slope**2 * (1.0 - 1.5 * grid.dx)
     assert visc == pytest.approx(expected, rel=1e-12)
     assert visc == pytest.approx(dt * slope**2, rel=2e-2)
@@ -126,7 +124,7 @@ def test_transverse_energy_balance_is_first_order():
         while state.time < 0.1 - 1e-14:
             dt = min(stable_dt(state, grid, params, cfg), 0.1 - state.time)
             new, _ = step(state, dt, grid, params, cfg)
-            inc = dissipation_increment(state, new, dt, grid, params)
+            inc = dissipation_ledger(new, dt, grid, params, 0.5)
             diss += inc[1] + inc[2]
             state = new
         drop = e0 - transverse(state)
@@ -164,8 +162,7 @@ def test_weighted_dissipation_reduces_at_unit_temperature():
     b = np.column_stack([np.zeros(n), 0.1 * np.sin(2.0 * np.pi * x) ** 2])
     s = State(0.0, np.ones(n), u, w, b, np.ones(n))
     dt = 0.01
-    visc, shear, mag, _ = dissipation_increment(s, s, dt, grid, params)
-    weighted = weighted_dissipation_increment(s, s, dt, grid, params, 0.5)
+    visc, shear, mag, _, weighted, _ = dissipation_ledger(s, dt, grid, params, 0.5)
     assert weighted == pytest.approx(visc + shear + mag, rel=1e-13)
 
 
@@ -178,7 +175,7 @@ def test_weighted_dissipation_heat_term_against_quadrature():
               np.zeros((n, 2)), theta)
     dt = 0.02
     alpha = 0.5
-    got = weighted_dissipation_increment(s, s, dt, grid, params, alpha)
+    got = dissipation_ledger(s, dt, grid, params, alpha)[4]
 
     # independent evaluation with the same ghost convention
     ghosted = np.concatenate([[theta[0]], theta, [theta[-1]]])

@@ -1,0 +1,80 @@
+"""Golden outputs: a small fixed sequence of CLI commands must reproduce the
+committed files in tests/golden/ byte for byte.
+
+The sequence covers simulate with snapshots, simulate on vacuum data with a
+non-default weight exponent, audit of the snapshots, the MMS ladder, and
+continuation from a library scenario and from a snapshot table.  Commands
+run with relative output directories so run.log holds no absolute paths.
+
+To regenerate the golden files after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import os
+import shutil
+import sys
+from pathlib import Path
+
+from planar_mhd.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CONFIGS = {
+    "pulse.cfg": "scenario = magnetic-pulse\nn_cells = 64\nt_end = 0.05\n"
+                 "snapshot_times = 0.0,0.01,0.02,0.03,0.05\n",
+    "pocket.cfg": "scenario = vacuum-pocket\nn_cells = 64\nt_end = 0.05\nalpha = 0.3\n",
+    "table.cfg": "scenario = pulse/snapshot_t0.050000.dat\n",
+}
+
+COMMANDS = [
+    ["--config", "pulse.cfg", "--out", "pulse", "simulate"],
+    ["--config", "pocket.cfg", "--out", "pocket", "simulate"],
+    ["--seed", "3", "--out", "audit", "audit", "--input", "pulse"],
+    ["--out", "mms", "mms", "--resolutions", "32,64"],
+    ["--config", "pocket.cfg", "--out", "cont-pocket", "continuation",
+     "--t-end", "0.02"],
+    ["--config", "table.cfg", "--out", "cont-table", "continuation",
+     "--t-end", "0.02"],
+]
+
+
+def run_sequence(workdir):
+    """Run the command sequence inside workdir; return its output files as
+    {relative path: bytes} (configs excluded)."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for name, text in CONFIGS.items():
+            Path(name).write_text(text)
+        for argv in COMMANDS:
+            assert main(argv) == EXIT_OK, argv
+    finally:
+        os.chdir(cwd)
+    return {p.relative_to(workdir).as_posix(): p.read_bytes()
+            for p in sorted(Path(workdir).rglob("*"))
+            if p.is_file() and p.name not in CONFIGS}
+
+
+def golden_files():
+    return {p.relative_to(GOLDEN).as_posix(): p.read_bytes()
+            for p in sorted(GOLDEN.rglob("*")) if p.is_file()}
+
+
+def test_outputs_match_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.delenv("PLANAR_MHD_OUT", raising=False)
+    got = run_sequence(tmp_path)
+    want = golden_files()
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"outputs differ from tests/golden: {changed}"
+
+
+if __name__ == "__main__":
+    os.environ.pop("PLANAR_MHD_OUT", None)
+    shutil.rmtree(GOLDEN, ignore_errors=True)
+    GOLDEN.mkdir()
+    files = run_sequence(GOLDEN)
+    for name in CONFIGS:
+        (GOLDEN / name).unlink()
+    print(f"wrote {len(files)} files, {sum(map(len, files.values()))} bytes", file=sys.stderr)
