@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import kappa, pressure
-from .operators import EVEN, ODD, cell_grad, second_diff_onesided
+from .operators import EVEN, ODD, cell_grad, l2, second_diff_onesided
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
@@ -138,8 +138,7 @@ def update_phi(phi, state_before, state_after, dt, grid, params):
 
 def phi_momentum_residual(phi, state, grid):
     """L2 defect of the defining relation phi_x = rho*u."""
-    r = cell_grad(phi.phi, grid.dx, EVEN) - state.rho * state.u
-    return float(np.sqrt(np.sum(r * r) * grid.dx))
+    return l2(cell_grad(phi.phi, grid.dx, EVEN) - state.rho * state.u, grid.dx)
 
 
 def density_bound_monitor(phi, state):
@@ -165,11 +164,6 @@ def norm_suite(state_before, state_after, dt, grid, params):
     sa, sb = state_after, state_before
     sqrt_rho = np.sqrt(sa.rho)
 
-    def l2(values):
-        if values.ndim == 2:
-            values = np.sqrt(np.sum(values * values, axis=1))
-        return float(np.sqrt(np.sum(values * values) * dx))
-
     def d_dt(fa, fb):
         if dt == 0.0:
             return np.zeros_like(fa)
@@ -183,22 +177,22 @@ def norm_suite(state_before, state_after, dt, grid, params):
 
     theta_x = cell_grad(sa.theta, dx, EVEN)
     norms = {
-        "b_t": l2(d_dt(sa.b, sb.b)),
-        "b_x": l2(cell_grad(sa.b, dx, ODD)),
-        "b_xx": l2(second(sa.b)),
-        "kappa_theta_x": l2(kappa(sa.theta, params) * theta_x),
-        "p_l2": l2(pressure(sa.rho, sa.theta, params)),
-        "rho_t": l2(d_dt(sa.rho, sb.rho)),
+        "b_t": l2(d_dt(sa.b, sb.b), dx),
+        "b_x": l2(cell_grad(sa.b, dx, ODD), dx),
+        "b_xx": l2(second(sa.b), dx),
+        "kappa_theta_x": l2(kappa(sa.theta, params) * theta_x, dx),
+        "p_l2": l2(pressure(sa.rho, sa.theta, params), dx),
+        "rho_t": l2(d_dt(sa.rho, sb.rho), dx),
         "rho_theta_q2": float(np.sum(sa.rho * sa.theta ** (params.q_exp + 2.0)) * dx),
-        "rho_x": l2(np.gradient(sa.rho, dx)),
-        "sqrt_rho_theta_t": l2(sqrt_rho * d_dt(sa.theta, sb.theta)),
-        "sqrt_rho_u_t": l2(sqrt_rho * d_dt(sa.u, sb.u)),
-        "sqrt_rho_w_t": l2(sqrt_rho[:, None] * d_dt(sa.w, sb.w)),
-        "theta_xx": l2(second(sa.theta)),
-        "u_x": l2(cell_grad(sa.u, dx, ODD)),
-        "u_xx": l2(second(sa.u)),
-        "w_x": l2(cell_grad(sa.w, dx, ODD)),
-        "w_xx": l2(second(sa.w)),
+        "rho_x": l2(np.gradient(sa.rho, dx), dx),
+        "sqrt_rho_theta_t": l2(sqrt_rho * d_dt(sa.theta, sb.theta), dx),
+        "sqrt_rho_u_t": l2(sqrt_rho * d_dt(sa.u, sb.u), dx),
+        "sqrt_rho_w_t": l2(sqrt_rho[:, None] * d_dt(sa.w, sb.w), dx),
+        "theta_xx": l2(second(sa.theta), dx),
+        "u_x": l2(cell_grad(sa.u, dx, ODD), dx),
+        "u_xx": l2(second(sa.u), dx),
+        "w_x": l2(cell_grad(sa.w, dx, ODD), dx),
+        "w_xx": l2(second(sa.w), dx),
     }
     return norms
 

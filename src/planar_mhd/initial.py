@@ -59,8 +59,8 @@ class InitialData:
     def n_cells(self):
         return self.rho0.shape[0]
 
-    def to_state(self, time=0.0):
-        return State(time, self.rho0, self.u0, self.w0, self.b0, self.theta0)
+    def to_state(self):
+        return State(0.0, self.rho0, self.u0, self.w0, self.b0, self.theta0)
 
 
 def regularize(data, delta):

@@ -77,6 +77,13 @@ def div_faces(flux, dx):
     return (flux[1:] - flux[:-1]) / dx
 
 
+def l2(values, dx):
+    """Discrete L2 norm; (n, 2) fields use the pointwise Euclidean length."""
+    if values.ndim == 2:
+        values = np.sqrt(np.sum(values * values, axis=1))
+    return float(np.sqrt(np.sum(values * values) * dx))
+
+
 def upwind_face_flux(vel_face, q):
     """First-order upwind flux of cell quantity q through each interface.
 

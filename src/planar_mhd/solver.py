@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import DiagnosticsAccumulator
+from .initial import compatibility_residuals
 from .model import State, VACUUM_RHO, kappa, pressure
 from .operators import (
     EVEN,
@@ -43,6 +45,7 @@ from .operators import (
     face_couplings,
     face_diff,
     flux_laplacian,
+    l2,
     solve_flux_system,
     upwind_face_flux,
 )
@@ -98,9 +101,11 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class StepReport:
+    """One step: dt_used is its size, picard_iters its conduction passes, and
+    clipped_cells the cells whose convected temperature was clipped to zero."""
+
     dt_used: float
     picard_iters: int
-    max_div_residual: float
     clipped_cells: int
 
 
@@ -138,15 +143,28 @@ def advect_density(rho, u, dt, grid):
     return rho - dt * div_faces(upwind_face_flux(uf, rho), grid.dx)
 
 
-def _require_nonnegative(arr, floor_tol, what, clip_to_zero=True):
+def _require_nonnegative(arr, floor_tol, what):
     """Clip roundoff-level undershoots to zero; fail on genuine ones."""
     low = float(arr.min(initial=0.0))
     if low < -floor_tol:
         raise PositivityError(f"{what} reached {low:.6g}, beyond the allowed undershoot"
                               f" {floor_tol:.3g}; the step size is too large for this data")
-    if clip_to_zero and low < 0.0:
+    if low < 0.0:
         arr = np.maximum(arr, 0.0)
     return arr
+
+
+def _vacuum_faces(vac):
+    """Faces touching a vacuum cell: stress-free and insulated."""
+    faces = np.zeros(vac.shape[0] + 1, dtype=bool)
+    faces[:-1] |= vac
+    faces[1:] |= vac
+    return faces
+
+
+def _implicit(cap, off, tilde):
+    """Increment-form backward Euler: tilde + (diag(cap) - L)^-1 L tilde."""
+    return tilde + solve_flux_system(cap, off, flux_laplacian(off, tilde))
 
 
 def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
@@ -162,12 +180,10 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
 
     Returns (theta_new, picard_iterations).
     """
-    n = theta_tilde.shape[0]
     dx = grid.dx
     vac = rho <= VACUUM_RHO
-    face_insulated = np.zeros(n + 1, dtype=bool)
-    face_insulated[0] = face_insulated[-1] = True
-    face_insulated[1:-1] = vac[:-1] | vac[1:]
+    face_insulated = _vacuum_faces(vac)
+    face_insulated[[0, -1]] = True  # insulated walls
 
     cap = np.where(vac, 1.0, params.c_v * rho / dt)
     theta_k = theta_tilde
@@ -176,10 +192,9 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
         off = kf / (dx * dx)
         off[face_insulated] = 0.0
         try:
-            delta = solve_flux_system(cap, off, flux_laplacian(off, theta_tilde))
+            theta_next = _implicit(cap, off, theta_tilde)
         except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
             raise NumericalError(f"conduction solve failed: {err}") from err
-        theta_next = theta_tilde + delta
         change = float(np.max(np.abs(theta_next - theta_k)))
         scale = float(np.max(np.abs(theta_k))) + 1e-30
         theta_k = theta_next
@@ -207,6 +222,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(rho0.max(initial=0.0)))
 
     uf = face_average(u0, ODD)
+    bf = face_average(b0, ODD)
 
     # stage 1: continuity
     rho1 = advect_density(rho0, u0, dt, grid)
@@ -215,10 +231,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     rho1 = _require_nonnegative(rho1, scale_tol, "density")
     vac = rho1 <= VACUUM_RHO
     rho_safe = np.maximum(rho1, VACUUM_RHO)
-    # faces touching a vacuum cell are stress-free and insulated
-    vac_face = np.zeros(grid.n_cells + 1, dtype=bool)
-    vac_face[:-1] |= vac
-    vac_face[1:] |= vac
+    vac_face = _vacuum_faces(vac)
     cap_gas = np.where(vac, 1.0, rho1 / dt)
 
     # stage 2: longitudinal momentum
@@ -231,27 +244,27 @@ def step(state, dt, grid, params, cfg, forcing=None):
     u_tilde = np.where(vac, 0.0, m_star / rho_safe)
     off_u = face_couplings(grid.n_cells, params.lambda_visc, dx, ODD)
     off_u[vac_face] = 0.0
-    u1 = u_tilde + solve_flux_system(cap_gas, off_u, flux_laplacian(off_u, u_tilde))
+    u1 = _implicit(cap_gas, off_u, u_tilde)
 
     # stage 3: transverse momentum (the -b part rides in the same flux)
-    flux_w = upwind_face_flux(uf, rho0[:, None] * w0) - face_average(b0, ODD)
+    flux_w = upwind_face_flux(uf, rho0[:, None] * w0) - bf
     mw_star = rho0[:, None] * w0 - dt * div_faces(flux_w, dx)
     if forcing is not None and forcing.w is not None:
         mw_star = mw_star + dt * forcing.w(x, t_new)
     w_tilde = np.where(vac[:, None], 0.0, mw_star / rho_safe[:, None])
     off_w = face_couplings(grid.n_cells, params.mu_visc, dx, ODD)
     off_w[vac_face] = 0.0
-    w1 = w_tilde + solve_flux_system(cap_gas, off_w, flux_laplacian(off_w, w_tilde))
+    w1 = _implicit(cap_gas, off_w, w_tilde)
 
     # stage 4: induction, with the freshest velocities (valid in vacuum too)
     uf1 = face_average(u1, ODD)
-    flux_b = uf1[:, None] * face_average(b0, ODD) - face_average(w1, ODD)
+    flux_b = uf1[:, None] * bf - face_average(w1, ODD)
     b_star = b0 - dt * div_faces(flux_b, dx)
     if forcing is not None and forcing.b is not None:
         b_star = b_star + dt * forcing.b(x, t_new)
     off_b = face_couplings(grid.n_cells, params.nu_mag, dx, ODD)
     cap_b = np.full(grid.n_cells, 1.0 / dt)
-    b1 = b_star + solve_flux_system(cap_b, off_b, flux_laplacian(off_b, b_star))
+    b1 = _implicit(cap_b, off_b, b_star)
 
     # stage 5: internal energy
     energy0 = params.c_v * rho0 * th0
@@ -277,11 +290,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     theta1, iters = conduction_update(theta_tilde, rho1, dt, grid, params, cfg)
     theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)")
 
-    new_state = State(t_new, rho1, u1, w1, b1, theta1)
-    residuals = consistency_residuals(state, new_state, dt, grid, params)
-    report = StepReport(dt_used=dt, picard_iters=iters,
-                        max_div_residual=max(residuals), clipped_cells=clipped)
-    return new_state, report
+    return State(t_new, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
 
 
 def consistency_residuals(state_before, state_after, dt, grid, params):
@@ -325,11 +334,7 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     src = r_over_cv * (lam * ux * ux + mu * np.sum(wx * wx, axis=1)
                        + nu * bx_sq - p_after * ux)
     r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
-
-    def l2(r):
-        return float(np.sqrt(np.sum(r * r) * dx))
-
-    return l2(r_mag), l2(r_pre)
+    return l2(r_mag, dx), l2(r_pre, dx)
 
 
 def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
@@ -344,10 +349,11 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     annotated with the step index and time.  check_compat=False waives the
     admissibility precondition (regularized continuation runs and forced
     manufactured-solution runs do this deliberately).
-    """
-    from .diagnostics import DiagnosticsAccumulator
-    from .initial import compatibility_residuals
 
+    After each accepted step, on_step(before, after, report) gets the state
+    the step started from (the previous call's after), the state it made and
+    its StepReport, with after.time == before.time + report.dt_used.
+    """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if cfg is None:
@@ -365,12 +371,12 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     if sink is not None:
         sink(acc.record(state))
 
-    snaps = sorted({float(t) for t in snapshot_times if 0.0 <= t <= t_end})
-    if snapshot_sink is not None and snaps and snaps[0] == 0.0:
-        snapshot_sink(state)
-        snaps.pop(0)
-    if snapshot_sink is None:
-        snaps = []
+    snaps = []
+    if snapshot_sink is not None:
+        snaps = sorted({float(t) for t in snapshot_times if 0.0 <= t <= t_end})
+        if snaps and snaps[0] == 0.0:
+            snapshot_sink(state)
+            snaps.pop(0)
 
     eps_end = 1e-14 * max(1.0, t_end)
     step_idx = 0
@@ -386,9 +392,9 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
         step_idx += 1
         if acc is not None:
             acc.update(state, new_state, dt)
-        state = new_state
         if on_step is not None:
-            on_step(report)
+            on_step(state, new_state, report)
+        state = new_state
         if snaps and state.time >= snaps[0] - 1e-12 * max(1.0, snaps[0]):
             snapshot_sink(state)
             snaps.pop(0)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .initial import InitialData, regularize
 from .model import Grid, kappa, pressure
-from .solver import Forcing, SchemeConfig, SimulationError, run
+from .operators import l2
+from .solver import Forcing, SimulationError, run
 
 _H = 5e-4  # differentiation step for the forcing stencils
 
@@ -208,13 +209,7 @@ def _field_error(state, case, grid, t):
         "rho": case.rho(x, t), "u": case.u(x, t), "w": case.w(x, t),
         "b": case.b(x, t), "theta": case.theta(x, t),
     }
-    out = {}
-    for name in _MMS_FIELDS:
-        diff = getattr(state, name) - exact[name]
-        if diff.ndim == 2:
-            diff = np.sqrt(np.sum(diff * diff, axis=1))
-        out[name] = float(np.sqrt(np.sum(diff * diff) * grid.dx))
-    return out
+    return {name: l2(getattr(state, name) - exact[name], grid.dx) for name in _MMS_FIELDS}
 
 
 def mms_convergence(case, resolutions, params, cfg=None, t_end=None):
@@ -228,8 +223,6 @@ def mms_convergence(case, resolutions, params, cfg=None, t_end=None):
     ratios = [resolutions[i + 1] / resolutions[i] for i in range(len(resolutions) - 1)]
     if any(r <= 1.0 for r in ratios) or any(abs(r - ratios[0]) > 1e-12 for r in ratios):
         raise ValueError("resolutions must form an increasing geometric sequence")
-    if cfg is None:
-        cfg = SchemeConfig()
     if t_end is None:
         t_end = case.t_end
 
@@ -311,8 +304,6 @@ def continuation_study(base, deltas, t_end, grid, params, cfg=None):
         raise ValueError("all regularization shifts must be positive")
     if any(deltas[i + 1] >= deltas[i] for i in range(len(deltas) - 1)):
         raise ValueError("regularization shifts must be strictly decreasing")
-    if cfg is None:
-        cfg = SchemeConfig()
 
     finals = {}
     failures = {}
@@ -363,8 +354,7 @@ def embedding_check(state, grid, trials=100, seed=0, exponents=(1.0,)):
         for r in exponents:
             vr = v if r == 1.0 else np.abs(v) ** r
             sup = float(np.max(np.abs(vr)))
-            slope = np.diff(vr) / dx
-            seminorm = float(np.sqrt(np.sum(slope * slope) * dx))
+            seminorm = l2(np.diff(vr) / dx, dx)
             average = abs(float(np.sum(state.rho * vr) * dx)) / mass
             denom = seminorm + average
             if denom == 0.0:

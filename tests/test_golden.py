@@ -3,7 +3,9 @@ committed files in tests/golden/ byte for byte.
 
 The sequence covers simulate with snapshots, simulate on vacuum data with a
 non-default weight exponent, audit of the snapshots, the MMS ladder, and
-continuation from a library scenario and from a snapshot table.  Commands
+continuation from a library scenario and from a snapshot table.  One more
+case reruns simulate and the MMS ladder with every physical coefficient away
+from one, so a swapped or dropped coefficient changes some output digit.  Commands
 run with relative output directories so run.log holds no absolute paths.
 
 To regenerate the golden files after an intended output change:
@@ -25,6 +27,9 @@ CONFIGS = {
                  "snapshot_times = 0.0,0.01,0.02,0.03,0.05\n",
     "pocket.cfg": "scenario = vacuum-pocket\nn_cells = 64\nt_end = 0.05\nalpha = 0.3\n",
     "table.cfg": "scenario = pulse/snapshot_t0.050000.dat\n",
+    "coeffs.cfg": "scenario = vacuum-pocket\nn_cells = 64\nt_end = 0.05\n"
+                  "lambda_visc = 0.7\nmu_visc = 1.3\nnu_mag = 0.9\ngas_R = 0.6\n"
+                  "c_v = 1.5\nkappa_a = 0.8\nkappa_b = 1.7\nq_exp = 1.5\n",
 }
 
 COMMANDS = [
@@ -36,6 +41,8 @@ COMMANDS = [
      "--t-end", "0.02"],
     ["--config", "table.cfg", "--out", "cont-table", "continuation",
      "--t-end", "0.02"],
+    ["--config", "coeffs.cfg", "--out", "coeffs", "simulate"],
+    ["--config", "coeffs.cfg", "--out", "mms-coeffs", "mms", "--resolutions", "32,64"],
 ]
 
 

@@ -14,6 +14,7 @@ from planar_mhd.operators import (
     face_couplings,
     face_diff,
     flux_laplacian,
+    l2,
     pad_ghosts,
     second_diff,
     second_diff_onesided,
@@ -114,6 +115,23 @@ def test_div_faces_telescopes():
     dx = 1.0 / 8
     total = np.sum(div_faces(flux, dx)) * dx
     assert abs(total - (flux[-1] - flux[0])) < 1e-14
+
+
+def test_l2_reference_values():
+    # sqrt((9 + 16) * 0.25) and sqrt((|(3, 4)|^2 + |(0, 5)|^2) * 0.5)
+    assert l2(np.array([3.0, 4.0]), 0.25) == 2.5
+    assert l2(np.array([[3.0, 4.0], [0.0, 5.0]]), 0.5) == 5.0
+    assert isinstance(l2(np.array([1.0]), 1.0), float)
+
+
+def test_l2_matches_the_written_out_form_bitwise():
+    rng = np.random.default_rng(7)
+    dx = 1.0 / 97
+    v = rng.standard_normal(97)
+    assert l2(v, dx) == float(np.sqrt(np.sum(v * v) * dx))
+    v2 = rng.standard_normal((97, 2))
+    mag = np.sqrt(np.sum(v2 * v2, axis=1))
+    assert l2(v2, dx) == float(np.sqrt(np.sum(mag * mag) * dx))
 
 
 def test_upwind_flux_matches_loop_oracle():

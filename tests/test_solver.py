@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import planar_mhd.cli as cli
+import planar_mhd.solver as solver
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
 from planar_mhd.solver import (
@@ -18,6 +20,7 @@ from planar_mhd.solver import (
     stable_dt,
     step,
 )
+from planar_mhd.verification import continuation_study, mms_convergence
 
 
 def uniform_state(n, rho=1.0, u=0.0, theta=1.0):
@@ -315,6 +318,59 @@ def test_run_hits_snapshot_times_exactly():
     assert taken[0] == 0.0
     assert abs(taken[1] - 0.02) < 1e-12
     assert abs(taken[2] - 0.05) < 1e-12
+
+
+def test_on_step_sees_every_step_as_a_chained_state_pair(monkeypatch):
+    grid = Grid.uniform(32)
+    init = scenario("magnetic-pulse", grid)
+    steps = []
+    original_step = solver.step
+
+    def counted_step(*args, **kwargs):
+        steps.append(args[1])
+        return original_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted_step)
+    calls = []
+    final = run(init, 0.02, grid, PhysParams(),
+                on_step=lambda before, after, report: calls.append((before, after, report)))
+    assert len(calls) == len(steps) > 1
+    first = calls[0][0]
+    assert first.time == 0.0
+    for name in ("rho", "u", "w", "b", "theta"):
+        assert np.array_equal(getattr(first, name), getattr(init.to_state(), name))
+    for (_, prev_after, _), (before, _, _) in zip(calls, calls[1:]):
+        assert before is prev_after
+    for (before, after, report), dt in zip(calls, steps):
+        assert report.dt_used == dt
+        assert after.time == before.time + report.dt_used
+    assert calls[-1][1] is final
+
+
+def test_consistency_residuals_run_only_inside_simulate(tmp_path, monkeypatch):
+    calls = []
+    original = solver.consistency_residuals
+
+    def counted(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    # every package module that can reach it by name
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "consistency_residuals", counted)
+    grid = Grid.uniform(32)
+    params = PhysParams()
+    mms_convergence("smooth-wave", (16, 32), params, t_end=0.02)
+    continuation_study(scenario("vacuum-pocket", grid), (1e-1, 1e-2), 0.01, grid, params)
+    assert calls == []
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n")
+    out = tmp_path / "out"
+    assert cli.main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+    summary = dict(line.split(" = ", 1)
+                   for line in (out / "run-summary.txt").read_text().splitlines())
+    assert len(calls) == int(summary["steps"]) > 1
 
 
 def test_starved_picard_iteration_raises():
