@@ -31,7 +31,6 @@ from .initial import (
 )
 from .model import VACUUM_RHO, Grid, PhysParams, State, internal_energy, kappa, pressure
 from .solver import (
-    CompatibilityError,
     Forcing,
     NumericalError,
     PicardError,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CSV_COLUMNS",
-    "CompatibilityError",
     "CompatibilityReport",
     "ConfigError",
     "ContinuationReport",

@@ -15,8 +15,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import diagnostics
 from .config import ConfigError, RunConfig, load_config_file
 from .initial import (
@@ -146,15 +144,7 @@ def _ledger_drifts(records):
 def _write_summary(path, cfg, grid, records, totals, compat):
     first, last = records[0], records[-1]
     mass_drift, energy_drift, entropy_ok = _ledger_drifts(records)
-    monitor_drift = 0.0
-    running = float("inf")
-    for r in records:
-        if r.rho_F_max < running:
-            running = r.rho_F_max
-        if running > 0.0 and np.isfinite(r.rho_F_max):
-            monitor_drift = max(monitor_drift, r.rho_F_max / running - 1.0)
-        elif not np.isfinite(r.rho_F_max):
-            monitor_drift = float("inf")
+    monitor_drift = diagnostics.monitor_drift(records)
     lines = [
         f"scenario = {cfg.scenario}",
         f"n_cells = {grid.n_cells}",
@@ -200,9 +190,7 @@ def _simulate(cfg, args, outdir, logger):
         if first != t:
             raise ConfigError(f"snapshot_times {first!r} and {t!r} would both be written"
                               f" to {_snapshot_name(t)}")
-    params = cfg.phys_params()
-    scheme = cfg.scheme_config()
-    alpha = cfg.resolved_alpha()
+    params = cfg.phys
     if cfg.delta > 0.0:
         init = regularize(init, cfg.delta)
     logger.info("simulate scenario=%s n_cells=%d t_end=%s delta=%s",
@@ -235,11 +223,10 @@ def _simulate(cfg, args, outdir, logger):
         write_state_table(path, grid, state)
         logger.info("wrote %s", path)
 
-    run(init, cfg.t_end, grid, params, scheme, sink=records.append,
-        record_every=cfg.record_every, alpha=alpha,
+    run(init, cfg.t_end, grid, params, cfg.scheme, sink=records.append,
+        record_every=cfg.record_every, alpha=cfg.alpha,
         snapshot_times=cfg.snapshot_times,
-        snapshot_sink=snapshot_sink,
-        check_compat=False, on_step=on_step)
+        snapshot_sink=snapshot_sink, on_step=on_step)
 
     csv_path = os.path.join(outdir, "diagnostics.csv")
     _write_records(csv_path, records)
@@ -263,8 +250,7 @@ def _continuation(cfg, args, outdir, logger):
     logger.info("continuation scenario=%s deltas=%s t_end=%s",
                 name, args.deltas, format_float(t_end))
     try:
-        report = continuation_study(base, deltas, t_end, grid,
-                                    cfg.phys_params(), cfg.scheme_config())
+        report = continuation_study(base, deltas, t_end, grid, cfg.phys, cfg.scheme)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
@@ -282,8 +268,8 @@ def _mms(cfg, args, outdir, logger):
     resolutions = _parse_list(args.resolutions, "--resolutions", kind=int)
     logger.info("mms case=%s resolutions=%s", args.case, args.resolutions)
     try:
-        report = mms_convergence(args.case, resolutions, cfg.phys_params(),
-                                 cfg.scheme_config(), t_end=args.t_end)
+        report = mms_convergence(args.case, resolutions, cfg.phys, cfg.scheme,
+                                 t_end=args.t_end)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
@@ -322,10 +308,10 @@ def _audit(cfg, args, outdir, logger):
     logger.info("audit: %d snapshots from %s, t in [%s, %s]",
                 len(snaps), indir, format_float(times[0]), format_float(times[-1]))
 
-    params = cfg.phys_params()
+    params = cfg.phys
     first = snaps[0]
     init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
-    acc = diagnostics.DiagnosticsAccumulator(init, grid, params, alpha=cfg.resolved_alpha())
+    acc = diagnostics.DiagnosticsAccumulator(init, grid, params, alpha=cfg.alpha)
     records = [acc.record(first)]
     for before, after in zip(snaps, snaps[1:]):
         acc.update(before, after, after.time - before.time)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .diagnostics import check_alpha, default_alpha
-from .model import PhysParams
+from .diagnostics import check_alpha
+from .model import PhysParams, check_n_cells
 from .solver import SchemeConfig
 
 
@@ -25,47 +25,33 @@ class RunConfig:
     scenario: str = "uniform-rest"     # library name or path to a state table
     n_cells: int = 128
     t_end: float = 0.1
-    cfl: float = 0.5
-    dt_max: float = 0.05
     delta: float = 0.0                 # vacuum regularization shift (0 = off)
     alpha: float | None = None         # weight exponent; None = min(1, q_exp)/2
     record_every: int = 1
     snapshot_times: tuple = ()
     output_dir: str = "out"
-    lambda_visc: float = 1.0
-    mu_visc: float = 1.0
-    nu_mag: float = 1.0
-    gas_R: float = 1.0
-    c_v: float = 1.0
-    kappa_a: float = 1.0
-    kappa_b: float = 1.0
-    q_exp: float = 2.0
-    picard_tol: float = 1e-10
-    picard_max_iters: int = 50
-    theta_floor_tol: float = 1e-8
+    phys: PhysParams = PhysParams()
+    scheme: SchemeConfig = SchemeConfig()
 
-    def phys_params(self):
-        return PhysParams(self.lambda_visc, self.mu_visc, self.nu_mag,
-                          self.gas_R, self.c_v, self.kappa_a, self.kappa_b,
-                          self.q_exp)
 
-    def scheme_config(self):
-        return SchemeConfig(cfl=self.cfl, dt_max=self.dt_max,
-                            picard_tol=self.picard_tol,
-                            picard_max_iters=self.picard_max_iters,
-                            theta_floor_tol=self.theta_floor_tol)
+# the nested dataclasses whose fields are flat keys of the file
+_SECTIONS = {"phys": PhysParams, "scheme": SchemeConfig}
 
-    def resolved_alpha(self):
-        params = self.phys_params()
-        if self.alpha is None:
-            return default_alpha(params)
-        return check_alpha(self.alpha, params)
+
+def _flat_items(cfg):
+    """(key, value) for every configuration key, section fields inlined."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in _SECTIONS:
+            yield from _flat_items(value)
+        else:
+            yield f.name, value
 
 
 _INT_KEYS = {"n_cells", "record_every", "picard_max_iters"}
 _STR_KEYS = {"scenario", "output_dir"}
 _LIST_KEYS = {"snapshot_times"}
-_ALL_KEYS = {f.name for f in fields(RunConfig)}
+_ALL_KEYS = {key for key, _ in _flat_items(RunConfig())}
 
 
 def _parse_value(key, raw, lineno):
@@ -86,20 +72,19 @@ def _parse_value(key, raw, lineno):
 
 
 def _validate(cfg):
-    """Check the run-level rules here; the physical, scheme and weight
-    rules are checked (and worded) by PhysParams, SchemeConfig and
-    check_alpha."""
+    """Check the run-level rules here; the physical, scheme, weight and
+    grid-size rules are checked (and worded) by PhysParams, SchemeConfig,
+    check_alpha and check_n_cells."""
     try:
-        cfg.resolved_alpha()
-        cfg.scheme_config()
+        if cfg.alpha is not None:
+            check_alpha(cfg.alpha, cfg.phys)
+        check_n_cells(cfg.n_cells)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     for name in ("t_end", "delta"):
         value = getattr(cfg, name)
         if not 0.0 <= value < math.inf:
             raise ConfigError(f"{name} must be nonnegative and finite, got {value!r}")
-    if cfg.n_cells < 4:
-        raise ConfigError(f"n_cells must be at least 4, got {cfg.n_cells!r}")
     if cfg.record_every < 1:
         raise ConfigError(f"record_every must be at least 1, got {cfg.record_every!r}")
     if not all(0.0 <= t < math.inf for t in cfg.snapshot_times):
@@ -122,23 +107,28 @@ def parse_config(text):
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         values[key] = _parse_value(key, raw, lineno)
-    return _validate(RunConfig(**values))
+    try:
+        sections = {name: cls(**{f.name: values.pop(f.name)
+                                 for f in fields(cls) if f.name in values})
+                    for name, cls in _SECTIONS.items()}
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    return _validate(RunConfig(**values, **sections))
 
 
 def render_config(cfg):
     """Render a RunConfig back to parseable text (exact round trip)."""
     lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name == "alpha" and value is None:
+    for key, value in _flat_items(cfg):
+        if key == "alpha" and value is None:
             continue
-        if f.name in _LIST_KEYS:
+        if key in _LIST_KEYS:
             shown = ",".join(repr(v) for v in value)
         elif isinstance(value, float):
             shown = repr(value)
         else:
             shown = str(value)
-        lines.append(f"{f.name} = {shown}")
+        lines.append(f"{key} = {shown}")
     return "\n".join(lines) + "\n"
 
 

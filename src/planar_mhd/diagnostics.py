@@ -148,6 +148,21 @@ def density_bound_monitor(phi, state):
     return float(vals.max(initial=0.0))
 
 
+def monitor_drift(records):
+    """Largest relative rise of rho_F_max above its running minimum over a
+    run's records; +inf once the monitor has overflowed."""
+    drift = 0.0
+    running = float("inf")
+    for r in records:
+        if r.rho_F_max < running:
+            running = r.rho_F_max
+        if running > 0.0 and np.isfinite(r.rho_F_max):
+            drift = max(drift, r.rho_F_max / running - 1.0)
+        elif not np.isfinite(r.rho_F_max):
+            drift = float("inf")
+    return drift
+
+
 # ---------------------------------------------------------------------------
 # norm suite
 
@@ -169,17 +184,11 @@ def norm_suite(state_before, state_after, dt, grid, params):
             return np.zeros_like(fa)
         return (fa - fb) / dt
 
-    def second(f):
-        if f.ndim == 2:
-            return np.column_stack([second_diff_onesided(f[:, 0], dx),
-                                    second_diff_onesided(f[:, 1], dx)])
-        return second_diff_onesided(f, dx)
-
     theta_x = cell_grad(sa.theta, dx, EVEN)
     norms = {
         "b_t": l2(d_dt(sa.b, sb.b), dx),
         "b_x": l2(cell_grad(sa.b, dx, ODD), dx),
-        "b_xx": l2(second(sa.b), dx),
+        "b_xx": l2(second_diff_onesided(sa.b, dx), dx),
         "kappa_theta_x": l2(kappa(sa.theta, params) * theta_x, dx),
         "p_l2": l2(pressure(sa.rho, sa.theta, params), dx),
         "rho_t": l2(d_dt(sa.rho, sb.rho), dx),
@@ -188,11 +197,11 @@ def norm_suite(state_before, state_after, dt, grid, params):
         "sqrt_rho_theta_t": l2(sqrt_rho * d_dt(sa.theta, sb.theta), dx),
         "sqrt_rho_u_t": l2(sqrt_rho * d_dt(sa.u, sb.u), dx),
         "sqrt_rho_w_t": l2(sqrt_rho[:, None] * d_dt(sa.w, sb.w), dx),
-        "theta_xx": l2(second(sa.theta), dx),
+        "theta_xx": l2(second_diff_onesided(sa.theta, dx), dx),
         "u_x": l2(cell_grad(sa.u, dx, ODD), dx),
-        "u_xx": l2(second(sa.u), dx),
+        "u_xx": l2(second_diff_onesided(sa.u, dx), dx),
         "w_x": l2(cell_grad(sa.w, dx, ODD), dx),
-        "w_xx": l2(second(sa.w), dx),
+        "w_xx": l2(second_diff_onesided(sa.w, dx), dx),
     }
     return norms
 

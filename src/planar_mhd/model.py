@@ -10,24 +10,13 @@ kappa_b * theta**q_exp with growth exponent q_exp > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 # Below this density a cell is treated as vacuum: primitive velocities are
 # zeroed there and the temperature is carried unchanged.
 VACUUM_RHO = 1e-12
-
-_PARAM_NAMES = (
-    "lambda_visc",
-    "mu_visc",
-    "nu_mag",
-    "gas_R",
-    "c_v",
-    "kappa_a",
-    "kappa_b",
-    "q_exp",
-)
 
 
 @dataclass(frozen=True)
@@ -45,12 +34,19 @@ class PhysParams:
     q_exp: float = 2.0        # conductivity growth exponent, must be > 0
 
     def __post_init__(self):
-        for name in _PARAM_NAMES:
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0.0 < value < np.inf:
                 rule = ("> 0 and finite (conductivity growth hypothesis)"
-                        if name == "q_exp" else "positive and finite")
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
+                        if f.name == "q_exp" else "positive and finite")
+                raise ValueError(f"{f.name} must be {rule}, got {value!r}")
+
+
+def check_n_cells(n_cells):
+    """Every grid, configured or read from a table, has at least four cells
+    (the one-sided wall stencils of the norm suite need three)."""
+    if n_cells < 4:
+        raise ValueError(f"n_cells must be at least 4, got {n_cells!r}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,7 @@ class Grid:
     cell_centers: np.ndarray
 
     def __post_init__(self):
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        check_n_cells(self.n_cells)
         if abs(self.dx * self.n_cells - 1.0) > 1e-12:
             raise ValueError("grid must tile the unit interval: dx * n_cells != 1")
         if self.cell_centers.shape != (self.n_cells,):
@@ -71,8 +66,7 @@ class Grid:
 
     @classmethod
     def uniform(cls, n_cells):
-        if n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+        check_n_cells(n_cells)
         dx = 1.0 / n_cells
         x = (np.arange(n_cells) + 0.5) * dx
         x.setflags(write=False)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsAccumulator
-from .initial import compatibility_residuals
 from .model import State, VACUUM_RHO, kappa, pressure
 from .operators import (
     EVEN,
@@ -69,10 +68,6 @@ class PicardError(SimulationError):
 
 class NumericalError(SimulationError):
     """A linear solve or array operation produced garbage."""
-
-
-class CompatibilityError(SimulationError):
-    """Initial data failed the admissibility check."""
 
 
 @dataclass(frozen=True)
@@ -339,16 +334,16 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
 
 def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
         alpha=None, forcing=None, snapshot_times=(), snapshot_sink=None,
-        check_compat=True, on_step=None):
+        on_step=None):
     """March the system from the initial data to t_end.
 
     The step size follows stable_dt, truncated to land exactly on t_end and
     on every requested snapshot time.  When a sink is given, a full
     diagnostics record is produced for the initial state, every
     record_every-th step, and the final state.  Step failures are re-raised
-    annotated with the step index and time.  check_compat=False waives the
-    admissibility precondition (regularized continuation runs and forced
-    manufactured-solution runs do this deliberately).
+    annotated with the step index and time.  The initial data is not checked
+    for admissibility; callers that want the check run
+    initial.compatibility_residuals first.
 
     After each accepted step, on_step(before, after, report) gets the state
     the step started from (the previous call's after), the state it made and
@@ -358,14 +353,6 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if cfg is None:
         cfg = SchemeConfig()
-    if check_compat:
-        report = compatibility_residuals(init, grid, params)
-        if not report.passed:
-            raise CompatibilityError(
-                "initial data failed the admissibility check "
-                f"(worst vacuum violation {report.worst_vacuum_violation:.3g} "
-                f"> tolerance {report.tolerance:.3g})")
-
     state = init.to_state()
     acc = DiagnosticsAccumulator(init, grid, params, alpha=alpha) if sink is not None else None
     if sink is not None:

@@ -40,8 +40,8 @@ def write_state_table(path, grid, state):
 def read_state_table(path):
     """Read a state table; returns (time, grid, state).
 
-    The row count fixes the grid; the x column must match the uniform cell
-    centers of (0, 1).
+    The row count fixes the grid (at least four rows); the x column must
+    match the uniform cell centers of (0, 1), and the time must be finite.
     """
     time = 0.0
     rows = []
@@ -54,6 +54,8 @@ def read_state_table(path):
                 body = stripped[1:].strip()
                 if body.startswith("time") and "=" in body:
                     time = float(body.split("=", 1)[1])
+                    if not np.isfinite(time):
+                        raise ValueError(f"{path}: time header must be finite, got {time!r}")
                 continue
             parts = stripped.split()
             if len(parts) != len(COLUMNS):

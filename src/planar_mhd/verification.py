@@ -230,8 +230,7 @@ def mms_convergence(case, resolutions, params, cfg=None, t_end=None):
     errors = {name: [] for name in _MMS_FIELDS}
     for n in resolutions:
         grid = Grid.uniform(n)
-        final = run(case.initial_data(grid), t_end, grid, params, cfg,
-                    forcing=forcing, check_compat=False)
+        final = run(case.initial_data(grid), t_end, grid, params, cfg, forcing=forcing)
         for name, err in _field_error(final, case, grid, t_end).items():
             errors[name].append(err)
 
@@ -310,7 +309,7 @@ def continuation_study(base, deltas, t_end, grid, params, cfg=None):
     for d in deltas:
         data = regularize(base, d)
         try:
-            finals[d] = run(data, t_end, grid, params, cfg, check_compat=False)
+            finals[d] = run(data, t_end, grid, params, cfg)
         except SimulationError as err:
             failures[d] = str(err)
 

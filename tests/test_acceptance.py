@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from planar_mhd.cli import EXIT_CONFIG, EXIT_OK, main
-from planar_mhd.diagnostics import csv_header
+from planar_mhd.diagnostics import csv_header, monitor_drift
 from planar_mhd.initial import SCENARIOS, scenario
 from planar_mhd.model import Grid, PhysParams, State
 from planar_mhd.solver import SchemeConfig, run, stable_dt, step
@@ -56,19 +56,6 @@ def runs_128():
 @pytest.fixture(scope="module")
 def runs_256():
     return library_records(256, 0.2)
-
-
-def monitor_drift(rows):
-    drift = 0.0
-    running = float("inf")
-    for r in rows:
-        if r.rho_F_max < running:
-            running = r.rho_F_max
-        if running > 0.0 and np.isfinite(r.rho_F_max):
-            drift = max(drift, r.rho_F_max / running - 1.0)
-        elif not np.isfinite(r.rho_F_max):
-            drift = float("inf")
-    return drift
 
 
 def test_criterion_01_mass_conservation(runs_128):

@@ -1,13 +1,16 @@
 """Configuration parsing and the command line driver."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from planar_mhd.cli import EXIT_COMPAT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
-from planar_mhd.config import ConfigError, RunConfig, parse_config, render_config
+from planar_mhd.config import _ALL_KEYS, ConfigError, RunConfig, parse_config, render_config
 from planar_mhd.diagnostics import csv_header
 from planar_mhd.initial import scenario
-from planar_mhd.model import Grid, State
+from planar_mhd.model import Grid, PhysParams, State
+from planar_mhd.solver import SchemeConfig
 from planar_mhd.tables import write_state_table
 
 
@@ -23,9 +26,10 @@ def test_empty_config_gives_defaults():
 
 def test_config_round_trip():
     cfg = RunConfig(scenario="vacuum-pocket", n_cells=96, t_end=0.25,
-                    cfl=0.4, delta=1e-3, alpha=0.3, record_every=2,
+                    delta=1e-3, alpha=0.3, record_every=2,
                     snapshot_times=(0.0, 0.1, 0.25), output_dir="results",
-                    q_exp=1.5, picard_tol=1e-9)
+                    phys=PhysParams(q_exp=1.5),
+                    scheme=SchemeConfig(cfl=0.4, picard_tol=1e-9))
     assert parse_config(render_config(cfg)) == cfg
 
     # alpha = None survives because the key is simply omitted
@@ -71,6 +75,18 @@ def test_config_rejections_name_the_constraint(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+def test_readme_configuration_table_matches_the_defaults():
+    # the README table is the one hand-written copy of the defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme.split("| key | default | meaning |\n| --- | --- | --- |\n", 1)[1]
+    lines = []
+    for row in body.split("\n\n", 1)[0].splitlines():
+        key, default = (cell.strip().strip("`") for cell in row.split("|")[1:3])
+        lines.append(f"{key} = {'' if default == 'empty' else default}")
+    assert {line.split(" = ")[0] for line in lines} == _ALL_KEYS
+    assert parse_config("\n".join(lines)) == RunConfig()
 
 
 def test_config_errors_carry_line_numbers():
@@ -208,6 +224,32 @@ def test_compat_warning_without_strict_flag(tmp_path):
     assert code == EXIT_OK
     assert "compat_passed = no" in (outdir / "run-summary.txt").read_text()
     assert "WARNING compatibility check failed" in (outdir / "run.log").read_text()
+
+
+def raw_table(path, n, header):
+    rows = [f"{(i + 0.5) / n!r} 1 0 0 0 0 0 1" for i in range(n)]
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+@pytest.mark.parametrize("n,header,fragment", [
+    (2, "# time = 0", "n_cells must be at least 4"),
+    (3, "# time = 0", "n_cells must be at least 4"),
+    (8, "# time = nan", "time header must be finite"),
+    (8, "# time = inf", "time header must be finite"),
+])
+def test_unusable_state_tables_exit_2(tmp_path, capsys, command, n, header, fragment):
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    table = snaps / "snapshot_t0.000000.dat"
+    raw_table(table, n, header)
+    if command == "simulate":
+        argv = ["--config", write_config(tmp_path, f"scenario = {table}\nt_end = 0.002\n"),
+                "simulate"]
+    else:
+        argv = ["audit", "--input", str(snaps)]
+    assert main(["--out", str(tmp_path / "o"), *argv]) == EXIT_CONFIG
+    assert fragment in capsys.readouterr().err
 
 
 def test_starved_solver_exits_4(tmp_path, capsys):

@@ -384,8 +384,7 @@ def test_step_failures_are_annotated_with_time():
     grid = Grid.uniform(16)
     drain = Forcing(e=lambda x, t: np.full(x.shape, -2000.0))
     with pytest.raises(SimulationError, match="step 0 at t"):
-        run(scenario("uniform-rest", grid), 0.05, grid, PhysParams(),
-            forcing=drain, check_compat=False)
+        run(scenario("uniform-rest", grid), 0.05, grid, PhysParams(), forcing=drain)
 
 
 def coarsen(field):
