@@ -11,10 +11,17 @@ eliminated with a pivot recursion that only ever adds nonnegative terms.
 That matters because the conductivity grows like theta^q, so couplings on
 neighboring faces can differ by many orders of magnitude near vacuum; a
 generic LU loses the tiny capacities to cancellation and reports such
-matrices as singular even though they are not.
+matrices as singular even though they are not.  The recursion runs as
+compiled C (_pivot.c, built once per checkout into __pycache__ and loaded
+with ctypes) with the Python loop as reference and fallback; both give the
+same bits.
 """
 
 from __future__ import annotations
+
+import ctypes
+import os
+import zlib
 
 import numpy as np
 
@@ -138,7 +145,7 @@ def solve_flux_system(cap, off, rhs):
     """Solve (diag(cap) - L) x = rhs with L the operator of flux_laplacian.
 
     cap >= 0 per cell and off >= 0 per face make the matrix a weakly
-    diagonally dominant M-matrix.  The elimination below carries the
+    diagonally dominant M-matrix.  The elimination carries the
     anchored part of each pivot (e) separately, so every pivot is a sum of
     nonnegative products and no subtraction ever occurs.  That is the
     point: conduction couplings scale like theta^q and can exceed a
@@ -149,6 +156,27 @@ def solve_flux_system(cap, off, rhs):
     on a zero pivot (an insulated block with no capacity anywhere, which
     is genuinely singular).
     """
+    n = cap.shape[0]
+    if not (cap.ndim == 1 and n > 0 and off.shape == (n + 1,)
+            and rhs.ndim in (1, 2) and rhs.shape[0] == n):
+        raise ValueError(f"flux system shapes do not fit: cap {cap.shape},"
+                         f" off {off.shape}, rhs {rhs.shape}")
+    if _KERNEL is None:
+        return _solve_flux_system_py(cap, off, rhs)
+    cap = np.ascontiguousarray(cap, dtype=np.float64)
+    off = np.ascontiguousarray(off, dtype=np.float64)
+    x = np.array(rhs, dtype=np.float64, order="C")  # solved in place
+    work = np.empty(2 * n)
+    k = 1 if x.ndim == 1 else x.shape[1]
+    if _KERNEL(n, k, cap.ctypes.data, off.ctypes.data, x.ctypes.data, work.ctypes.data):
+        raise np.linalg.LinAlgError("flux system has a zero pivot")
+    return x
+
+
+def _solve_flux_system_py(cap, off, rhs):
+    """The pivot recursion of solve_flux_system as a Python loop: the
+    reference the compiled kernel must match bit for bit, and the fallback
+    when it cannot be built."""
     n = cap.shape[0]
     rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
     capl = cap.tolist()
@@ -166,7 +194,7 @@ def solve_flux_system(cap, off, rhs):
         p[i] = e + offl[i + 1]
     if p[n - 1] <= 0.0:
         raise np.linalg.LinAlgError("flux system has a zero pivot")
-    x = np.empty_like(rhs2)
+    x = np.empty_like(rhs2, dtype=np.float64)
     for j in range(rhs2.shape[1]):
         y = rhs2[:, j].tolist()
         for i in range(1, n):
@@ -177,3 +205,43 @@ def solve_flux_system(cap, off, rhs):
             xi = (y[i] + offl[i + 1] * xi) / p[i]
             x[i, j] = xi
     return x if rhs.ndim == 2 else x[:, 0]
+
+
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _load_kernel():
+    """Load the compiled pivot recursion, building it first if this source
+    and these flags have not been built yet.  None when no C compiler is
+    present or the build fails; solve_flux_system then runs the Python loop.
+
+    The library is named by a checksum of source and flags and moved into
+    place in one step, so concurrent builds never load a partial file."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    source = os.path.join(here, "_pivot.c")
+    try:
+        with open(source, "rb") as fh:
+            tag = zlib.crc32(fh.read() + " ".join(_CFLAGS).encode())
+        lib = os.path.join(here, "__pycache__", f"_pivot-{tag:08x}.so")
+        if not os.path.exists(lib):
+            import subprocess
+            import tempfile
+
+            os.makedirs(os.path.dirname(lib), exist_ok=True)
+            try:
+                with tempfile.TemporaryDirectory(dir=os.path.dirname(lib)) as tmp:
+                    built = os.path.join(tmp, "_pivot.so")
+                    subprocess.run(["cc", *_CFLAGS, "-o", built, source], check=True,
+                                   stdin=subprocess.DEVNULL, capture_output=True)
+                    os.replace(built, lib)
+            except subprocess.CalledProcessError:
+                return None
+        kernel = ctypes.CDLL(lib).solve_flux_system
+    except OSError:
+        return None
+    kernel.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+_KERNEL = _load_kernel()

@@ -191,6 +191,9 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
         except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
             raise NumericalError(f"conduction solve failed: {err}") from err
         change = float(np.max(np.abs(theta_next - theta_k)))
+        if not np.isfinite(change):
+            raise NumericalError(f"conduction pass {iteration} produced a non-finite"
+                                 f" temperature (change {change})")
         scale = float(np.max(np.abs(theta_k))) + 1e-30
         theta_k = theta_next
         if change <= cfg.picard_tol * scale:

@@ -18,6 +18,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import planar_mhd.operators as operators
 from planar_mhd.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,7 +47,7 @@ COMMANDS = [
 ]
 
 
-def run_sequence(workdir):
+def run_sequence(workdir, commands=COMMANDS):
     """Run the command sequence inside workdir; return its output files as
     {relative path: bytes} (configs excluded)."""
     cwd = os.getcwd()
@@ -54,7 +55,7 @@ def run_sequence(workdir):
     try:
         for name, text in CONFIGS.items():
             Path(name).write_text(text)
-        for argv in COMMANDS:
+        for argv in commands:
             assert main(argv) == EXIT_OK, argv
     finally:
         os.chdir(cwd)
@@ -75,6 +76,22 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"outputs differ from tests/golden: {changed}"
+
+
+def test_python_fallback_matches_golden_bytes(tmp_path, monkeypatch):
+    # Without the compiled pivot recursion (no C compiler, or a failed
+    # build) solve_flux_system runs its Python loop; the bytes must not move.
+    monkeypatch.delenv("PLANAR_MHD_OUT", raising=False)
+    monkeypatch.setattr(operators, "_KERNEL", None)
+    commands = [argv for argv in COMMANDS if "coeffs.cfg" in argv]
+    outs = {argv[argv.index("--out") + 1] for argv in commands}
+    got = run_sequence(tmp_path, commands)
+    want = {name: data for name, data in golden_files().items()
+            if name.split("/")[0] in outs}
+    assert len(want) == 6
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"fallback outputs differ from tests/golden: {changed}"
 
 
 if __name__ == "__main__":

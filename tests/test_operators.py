@@ -1,10 +1,15 @@
 """Stencil and flux-solver tests against independent dense oracles."""
 
+import shutil
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import planar_mhd.operators as operators
 from planar_mhd.operators import (
     EVEN,
     ODD,
@@ -269,3 +274,70 @@ def test_solve_flux_system_residual_on_random_systems():
     x = solve_flux_system(cap, off, rhs)
     resid = cap * x - flux_laplacian(off, x) - rhs
     assert np.max(np.abs(resid)) < 1e-11
+
+
+@st.composite
+def graded_systems(draw):
+    """Flux systems graded like near-vacuum conduction: capacities from 1e-14
+    to 1e6 and couplings from 1e-6 to 1e30, log-uniform, with some exact
+    zeros (zero capacities next to zero faces make singular blocks).  The
+    right-hand side comes as (n,) or (n, 2), contiguous or as a strided,
+    reversed or Fortran-order view."""
+    n = draw(st.integers(1, 300))
+
+    def graded(size, low, high):
+        values = 10.0 ** draw(arrays(np.float64, size, elements=st.floats(low, high)))
+        values[draw(st.lists(st.integers(0, size - 1), max_size=size))] = 0.0
+        return values
+
+    cap = graded(n, -14.0, 6.0)
+    off = graded(n + 1, -6.0, 30.0)
+    base = draw(arrays(np.float64, (n, 4), elements=st.floats(-1e6, 1e6)))
+    layout = draw(st.sampled_from(["vector", "column view", "reversed", "matrix",
+                                   "fortran", "strided"]))
+    rhs = {"vector": lambda: np.ascontiguousarray(base[:, 0]),
+           "column view": lambda: base[:, 1],
+           "reversed": lambda: base[::-1, 2],
+           "matrix": lambda: np.ascontiguousarray(base[:, :2]),
+           "fortran": lambda: np.asfortranarray(base[:, 2:]),
+           "strided": lambda: base[:, ::2]}[layout]()
+    return cap, off, rhs
+
+
+def solve_outcome(solve, cap, off, rhs):
+    try:
+        x = solve(cap, off, rhs)
+    except np.linalg.LinAlgError:
+        return "singular"
+    return x.shape, x.dtype, x.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_systems())
+@example((np.zeros(3), np.zeros(4), np.ones(3)))  # insulated, no capacity
+@example((np.array([0.0, 1.0]), np.array([0.0, 0.0, 1e30]), np.ones((2, 2))))
+def test_solve_flux_system_is_bitwise_the_python_loop(system):
+    cap, off, rhs = system
+    before = rhs.copy()
+    assert (solve_outcome(solve_flux_system, cap, off, rhs)
+            == solve_outcome(operators._solve_flux_system_py, cap, off, rhs))
+    assert np.array_equal(rhs, before)
+
+
+def test_compiled_solve_is_active_where_a_compiler_is():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH; solve_flux_system runs the Python loop")
+    assert operators._KERNEL is not None
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_solve_flux_system_rejects_mismatched_shapes(kernel, monkeypatch):
+    if kernel == "python":
+        monkeypatch.setattr(operators, "_KERNEL", None)
+    for cap, off, rhs in [(np.ones(3), np.ones(3), np.ones(3)),
+                          (np.ones(3), np.ones(5), np.ones(3)),
+                          (np.ones(3), np.ones(4), np.ones(4)),
+                          (np.ones(3), np.ones(4), np.ones((3, 2, 1))),
+                          (np.ones(0), np.ones(1), np.ones(0))]:
+        with pytest.raises(ValueError, match="flux system shapes do not fit"):
+            solve_flux_system(cap, off, rhs)

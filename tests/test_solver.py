@@ -9,6 +9,7 @@ from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
 from planar_mhd.solver import (
     Forcing,
+    NumericalError,
     PicardError,
     PositivityError,
     SchemeConfig,
@@ -260,6 +261,28 @@ def test_conduction_carries_temperature_through_vacuum():
     theta_new, _ = conduction_update(theta_tilde, rho, 0.01, grid,
                                      PhysParams(), SchemeConfig())
     assert np.array_equal(theta_new[8:16], theta_tilde[8:16])
+
+
+def test_conduction_fails_fast_on_a_non_finite_temperature(monkeypatch):
+    # kappa(1e60) = 1 + 1e360 overflows, so the first solve is all NaN; the
+    # Picard loop must stop there, not after picard_max_iters passes
+    n = 16
+    theta_tilde = np.ones(n)
+    theta_tilde[7] = 1e60
+    passes = []
+    real = solver._implicit
+
+    def counted(*args):
+        passes.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_implicit", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="conduction pass 1 produced a non-finite"):
+            conduction_update(theta_tilde, np.ones(n), 1e-3, Grid.uniform(n),
+                              PhysParams(q_exp=6.0), SchemeConfig())
+    assert len(passes) == 1
+    assert issubclass(NumericalError, SimulationError)  # still exit code 4 in the CLI
 
 
 def test_consistency_residuals_vanish_at_equilibrium():
