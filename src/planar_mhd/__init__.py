@@ -29,7 +29,7 @@ from .initial import (
     regularize,
     scenario,
 )
-from .model import VACUUM_RHO, Grid, PhysParams, State, internal_energy, kappa, pressure
+from .model import VACUUM_RHO, Grid, PhysParams, State, kappa, pressure
 from .solver import (
     Forcing,
     NumericalError,
@@ -87,7 +87,6 @@ __all__ = [
     "density_bound_monitor",
     "embedding_check",
     "entropy_functional",
-    "internal_energy",
     "kappa",
     "load_initial_table",
     "mms_convergence",

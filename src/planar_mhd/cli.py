@@ -190,6 +190,13 @@ def _simulate(cfg, args, outdir, logger):
         if first != t:
             raise ConfigError(f"snapshot_times {first!r} and {t!r} would both be written"
                               f" to {_snapshot_name(t)}")
+    # audit reads every snapshot table in a directory, so tables of an earlier
+    # run must not sit next to this run's
+    stale = sorted(set(glob.glob("snapshot_t*.dat", root_dir=outdir)) - named.keys())
+    if stale:
+        raise ConfigError(f"output directory {outdir!r} holds snapshot tables this run"
+                          f" would not write: {', '.join(stale)}; use another --out or"
+                          " remove them")
     params = cfg.phys
     if cfg.delta > 0.0:
         init = regularize(init, cfg.delta)

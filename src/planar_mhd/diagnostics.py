@@ -17,24 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import kappa, pressure
-from .operators import EVEN, ODD, cell_grad, l2, second_diff_onesided
+from .operators import EVEN, ODD, cell_grad, dot2, l2, second_diff_onesided
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
 
 
-def _grad_sq(field, dx, bc):
-    g = cell_grad(field, dx, bc)
-    if g.ndim == 2:
-        return np.sum(g * g, axis=1)
-    return g * g
-
-
 def total_energy(state, grid, params):
     """Integral of rho*(c_v*theta + (u^2 + |w|^2)/2) + |b|^2/2."""
-    kinetic = 0.5 * (state.u * state.u + np.sum(state.w * state.w, axis=1))
+    kinetic = 0.5 * (state.u * state.u + dot2(state.w, state.w))
     density_part = state.rho * (params.c_v * state.theta + kinetic)
-    magnetic = 0.5 * np.sum(state.b * state.b, axis=1)
+    magnetic = 0.5 * dot2(state.b, state.b)
     return float(np.sum(density_part + magnetic) * grid.dx)
 
 
@@ -89,9 +82,10 @@ def dissipation_ledger(state, dt, grid, params, alpha):
     """
     alpha = check_alpha(alpha, params)
     dx = grid.dx
-    ux2 = _grad_sq(state.u, dx, ODD)
-    wx2 = _grad_sq(state.w, dx, ODD)
-    bx2 = _grad_sq(state.b, dx, ODD)
+    ux = cell_grad(state.u, dx, ODD)
+    wx = cell_grad(state.w, dx, ODD)
+    bx = cell_grad(state.b, dx, ODD)
+    ux2, wx2, bx2 = ux * ux, dot2(wx, wx), dot2(bx, bx)
     tx = cell_grad(state.theta, dx, EVEN)
     theta_safe = np.maximum(state.theta, THETA_FLOOR)
     ratio = tx / theta_safe
@@ -130,7 +124,7 @@ def update_phi(phi, state_before, state_after, dt, grid, params):
     ptilde = (params.lambda_visc * cell_grad(s.u, grid.dx, ODD)
               - s.rho * s.u * s.u
               - pressure(s.rho, s.theta, params)
-              - 0.5 * np.sum(s.b * s.b, axis=1))
+              - 0.5 * dot2(s.b, s.b))
     new = phi.phi + dt * ptilde
     new.setflags(write=False)
     return PhiField(new, state_after.time)

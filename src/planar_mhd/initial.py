@@ -20,12 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import State, VACUUM_RHO, _frozen_array, kappa, pressure
+from .model import State, VACUUM_RHO, _frozen_array, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
     ODD,
     cell_grad,
     div_faces,
+    dot2,
     face_average,
     face_diff,
     second_diff,
@@ -94,18 +95,13 @@ def compatibility_residuals(data, grid, params, rel_tol=1e-8):
     dx = grid.dx
     rho0, u0, w0, b0, th0 = data.rho0, data.u0, data.w0, data.b0, data.theta0
 
-    ptot = pressure(rho0, th0, params) + 0.5 * np.sum(b0 * b0, axis=1)
+    ptot = pressure(rho0, th0, params) + 0.5 * dot2(b0, b0)
     f1 = params.lambda_visc * second_diff(u0, dx, ODD) - cell_grad(ptot, dx, EVEN)
     f2 = params.mu_visc * second_diff(w0, dx, ODD) - cell_grad(b0, dx, ODD)
 
     cond_flux = face_average(kappa(th0, params), EVEN) * face_diff(th0, dx, EVEN)
-    ux = cell_grad(u0, dx, ODD)
-    wx = cell_grad(w0, dx, ODD)
-    bx = cell_grad(b0, dx, ODD)
-    f3 = (div_faces(cond_flux, dx)
-          + params.lambda_visc * ux * ux
-          + params.mu_visc * np.sum(wx * wx, axis=1)
-          + params.nu_mag * np.sum(bx * bx, axis=1))
+    f3 = div_faces(cond_flux, dx) + mechanical_heating(
+        cell_grad(u0, dx, ODD), cell_grad(w0, dx, ODD), cell_grad(b0, dx, ODD), params)
 
     vac = rho0 <= VACUUM_RHO
     residual_mag = np.maximum(np.abs(f1), np.maximum(np.max(np.abs(f2), axis=1), np.abs(f3)))
@@ -114,10 +110,7 @@ def compatibility_residuals(data, grid, params, rel_tol=1e-8):
     worst = float(residual_mag[vac].max(initial=0.0))
 
     def weighted_norm(f):
-        if f.ndim == 2:
-            mag2 = np.sum(f * f, axis=1)
-        else:
-            mag2 = f * f
+        mag2 = dot2(f, f) if f.ndim == 2 else f * f
         g2 = np.where(vac, 0.0, mag2 / np.maximum(rho0, VACUUM_RHO))
         return float(np.sqrt(np.sum(g2) * dx))
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .operators import dot2
+
 # Below this density a cell is treated as vacuum: primitive velocities are
 # zeroed there and the temperature is carried unchanged.
 VACUUM_RHO = 1e-12
@@ -134,10 +136,9 @@ def kappa(theta, params):
     return float(out) if out.ndim == 0 else out
 
 
-def internal_energy(theta, params):
-    """Specific internal energy e = c_v * theta."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
-        raise ValueError("internal_energy: theta must be nonnegative")
-    out = params.c_v * theta
-    return float(out) if out.ndim == 0 else out
+def mechanical_heating(ux, wx, bx, params):
+    """Mechanical heating lambda*u_x^2 + mu*|w_x|^2 + nu*|b_x|^2, the
+    nonnegative dissipation that drives the energy equation."""
+    return (params.lambda_visc * ux * ux
+            + params.mu_visc * dot2(wx, wx)
+            + params.nu_mag * dot2(bx, bx))

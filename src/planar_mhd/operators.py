@@ -84,10 +84,15 @@ def div_faces(flux, dx):
     return (flux[1:] - flux[:-1]) / dx
 
 
+def dot2(a, b):
+    """Pointwise product a . b of two-component fields (..., 2)."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
 def l2(values, dx):
     """Discrete L2 norm; (n, 2) fields use the pointwise Euclidean length."""
     if values.ndim == 2:
-        values = np.sqrt(np.sum(values * values, axis=1))
+        values = np.sqrt(dot2(values, values))
     return float(np.sqrt(np.sum(values * values) * dx))
 
 

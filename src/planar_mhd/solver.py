@@ -34,12 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import DiagnosticsAccumulator
-from .model import State, VACUUM_RHO, kappa, pressure
+from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
     ODD,
     cell_grad,
     div_faces,
+    dot2,
     face_average,
     face_couplings,
     face_diff,
@@ -110,7 +111,11 @@ class Forcing:
 
     Each entry is a callable of (cell centers, time) returning per-cell
     values ((n,) for scalar equations, (n, 2) for w and b); None means no
-    forcing for that equation.  Used by the manufactured-solution harness.
+    forcing for that equation.  A step calls each entry once, at the cell
+    centers and the new time t + dt.  For rho, u, w and b it adds dt * f
+    after the explicit update (to rho, rho*u, rho*w and b); for e it adds
+    f to the heating-minus-work source of the energy update.  Used by the
+    manufactured-solution harness.
     """
 
     rho: Callable | None = None
@@ -155,6 +160,13 @@ def _vacuum_faces(vac):
     faces[:-1] |= vac
     faces[1:] |= vac
     return faces
+
+
+def _add_forcing(value, forcing, name, x, t, scale):
+    """value + scale * f(x, t) for the forcing entry name, or value as is
+    when there is no such entry."""
+    f = None if forcing is None else getattr(forcing, name)
+    return value if f is None else value + scale * f(x, t)
 
 
 def _implicit(cap, off, tilde):
@@ -223,9 +235,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     bf = face_average(b0, ODD)
 
     # stage 1: continuity
-    rho1 = advect_density(rho0, u0, dt, grid)
-    if forcing is not None and forcing.rho is not None:
-        rho1 = rho1 + dt * forcing.rho(x, t_new)
+    rho1 = _add_forcing(advect_density(rho0, u0, dt, grid), forcing, "rho", x, t_new, dt)
     rho1 = _require_nonnegative(rho1, scale_tol, "density")
     vac = rho1 <= VACUUM_RHO
     rho_safe = np.maximum(rho1, VACUUM_RHO)
@@ -233,12 +243,11 @@ def step(state, dt, grid, params, cfg, forcing=None):
     cap_gas = np.where(vac, 1.0, rho1 / dt)
 
     # stage 2: longitudinal momentum
-    ptot = pressure(rho0, th0, params) + 0.5 * np.sum(b0 * b0, axis=1)
+    ptot = pressure(rho0, th0, params) + 0.5 * dot2(b0, b0)
     m_star = (rho0 * u0
               - dt * div_faces(upwind_face_flux(uf, rho0 * u0), dx)
               - dt * cell_grad(ptot, dx, EVEN))
-    if forcing is not None and forcing.u is not None:
-        m_star = m_star + dt * forcing.u(x, t_new)
+    m_star = _add_forcing(m_star, forcing, "u", x, t_new, dt)
     u_tilde = np.where(vac, 0.0, m_star / rho_safe)
     off_u = face_couplings(grid.n_cells, params.lambda_visc, dx, ODD)
     off_u[vac_face] = 0.0
@@ -246,9 +255,8 @@ def step(state, dt, grid, params, cfg, forcing=None):
 
     # stage 3: transverse momentum (the -b part rides in the same flux)
     flux_w = upwind_face_flux(uf, rho0[:, None] * w0) - bf
-    mw_star = rho0[:, None] * w0 - dt * div_faces(flux_w, dx)
-    if forcing is not None and forcing.w is not None:
-        mw_star = mw_star + dt * forcing.w(x, t_new)
+    mw_star = _add_forcing(rho0[:, None] * w0 - dt * div_faces(flux_w, dx),
+                           forcing, "w", x, t_new, dt)
     w_tilde = np.where(vac[:, None], 0.0, mw_star / rho_safe[:, None])
     off_w = face_couplings(grid.n_cells, params.mu_visc, dx, ODD)
     off_w[vac_face] = 0.0
@@ -257,9 +265,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     # stage 4: induction, with the freshest velocities (valid in vacuum too)
     uf1 = face_average(u1, ODD)
     flux_b = uf1[:, None] * bf - face_average(w1, ODD)
-    b_star = b0 - dt * div_faces(flux_b, dx)
-    if forcing is not None and forcing.b is not None:
-        b_star = b_star + dt * forcing.b(x, t_new)
+    b_star = _add_forcing(b0 - dt * div_faces(flux_b, dx), forcing, "b", x, t_new, dt)
     off_b = face_couplings(grid.n_cells, params.nu_mag, dx, ODD)
     cap_b = np.full(grid.n_cells, 1.0 / dt)
     b1 = _implicit(cap_b, off_b, b_star)
@@ -271,14 +277,10 @@ def step(state, dt, grid, params, cfg, forcing=None):
     du_f[vac_face] = 0.0
     dw_f[vac_face] = 0.0
     db_f = face_diff(b1, dx, ODD)
-    heat_f = (params.lambda_visc * du_f * du_f
-              + params.mu_visc * np.sum(dw_f * dw_f, axis=1)
-              + params.nu_mag * np.sum(db_f * db_f, axis=1))
+    heat_f = mechanical_heating(du_f, dw_f, db_f, params)
     heating = 0.5 * (heat_f[:-1] + heat_f[1:])
     work = pressure(rho1, th0, params) * cell_grad(u1, dx, ODD)
-    source = heating - work
-    if forcing is not None and forcing.e is not None:
-        source = source + forcing.e(x, t_new)
+    source = _add_forcing(heating - work, forcing, "e", x, t_new, 1.0)
     energy_star = (energy0
                    - dt * div_faces(upwind_face_flux(uf, energy0), dx)
                    + dt * source)
@@ -311,26 +313,24 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx = grid.dx
     sa, sb = state_after, state_before
-    lam, mu, nu = params.lambda_visc, params.mu_visc, params.nu_mag
+    nu = params.nu_mag
     r_over_cv = params.gas_R / params.c_v
 
     u, w, b, th = sa.u, sa.w, sa.b, sa.theta
     bx = cell_grad(b, dx, ODD)
-    bx_sq = np.sum(bx * bx, axis=1)
 
-    de_mag = 0.5 * (np.sum(sa.b * sa.b, axis=1) - np.sum(sb.b * sb.b, axis=1)) / dt
-    advect = np.sum(b * cell_grad(u[:, None] * b - w, dx, ODD), axis=1)
-    bbx_face = np.sum(face_average(b, ODD) * face_diff(b, dx, ODD), axis=1)
-    r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * bx_sq
+    de_mag = 0.5 * (dot2(sa.b, sa.b) - dot2(sb.b, sb.b)) / dt
+    advect = dot2(b, cell_grad(u[:, None] * b - w, dx, ODD))
+    bbx_face = dot2(face_average(b, ODD), face_diff(b, dx, ODD))
+    r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * dot2(bx, bx)
 
     p_after = pressure(sa.rho, sa.theta, params)
     p_before = pressure(sb.rho, sb.theta, params)
     cond_face = face_average(kappa(th, params), EVEN) * face_diff(th, dx, EVEN)
     flux = face_average(u, ODD) * face_average(p_after, EVEN) - r_over_cv * cond_face
     ux = cell_grad(u, dx, ODD)
-    wx = cell_grad(w, dx, ODD)
-    src = r_over_cv * (lam * ux * ux + mu * np.sum(wx * wx, axis=1)
-                       + nu * bx_sq - p_after * ux)
+    src = r_over_cv * (mechanical_heating(ux, cell_grad(w, dx, ODD), bx, params)
+                       - p_after * ux)
     r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
     return l2(r_mag, dx), l2(r_pre, dx)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .initial import InitialData, regularize
-from .model import Grid, kappa, pressure
-from .operators import l2
+from .model import Grid, kappa, mechanical_heating, pressure
+from .operators import dot2, l2
 from .solver import Forcing, SimulationError, run
 
 _H = 5e-4  # differentiation step for the forcing stencils
@@ -60,8 +60,8 @@ class MMSCase:
         rho, u, w, b, theta = self.rho, self.u, self.w, self.b, self.theta
 
         def ptot(x, t):
-            return (pressure(rho(x, t), theta(x, t), params)
-                    + 0.5 * np.sum(b(x, t) ** 2, axis=-1))
+            bv = b(x, t)
+            return pressure(rho(x, t), theta(x, t), params) + 0.5 * dot2(bv, bv)
 
         def f_rho(x, t):
             return (_dt(rho, x, t, h)
@@ -88,11 +88,7 @@ class MMSCase:
 
         def f_e(x, t):
             ux = _dx(u, x, t, h)
-            wx = _dx(w, x, t, h)
-            bx = _dx(b, x, t, h)
-            heating = (params.lambda_visc * ux * ux
-                       + params.mu_visc * np.sum(wx * wx, axis=-1)
-                       + params.nu_mag * np.sum(bx * bx, axis=-1)
+            heating = (mechanical_heating(ux, _dx(w, x, t, h), _dx(b, x, t, h), params)
                        - pressure(rho(x, t), theta(x, t), params) * ux)
             return (_dt(lambda xx, tt: params.c_v * rho(xx, tt) * theta(xx, tt), x, t, h)
                     + _dx(lambda xx, tt: params.c_v * rho(xx, tt) * u(xx, tt) * theta(xx, tt),
@@ -103,8 +99,7 @@ class MMSCase:
         return {"rho": f_rho, "u": f_m, "w": f_w, "b": f_b, "e": f_e}
 
     def forcing(self, params):
-        res = self.residuals(params)
-        return Forcing(rho=res["rho"], u=res["u"], w=res["w"], b=res["b"], e=res["e"])
+        return Forcing(**self.residuals(params))
 
     def self_check(self, params, n_dense=2048, times=(0.05, 0.15)):
         """Largest mismatch between the forcing and an independent residual

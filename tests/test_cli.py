@@ -179,6 +179,28 @@ def test_colliding_snapshot_names_exit_2(tmp_path, capsys):
     assert not list(outdir.glob("snapshot_t*.dat"))
 
 
+def test_simulate_refuses_a_directory_holding_other_runs_snapshots(tmp_path, capsys):
+    outdir = tmp_path / "o"
+    first = write_config(
+        tmp_path, "scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.03\n"
+                  "snapshot_times = 0.01,0.02,0.03\n", name="first.cfg")
+    second = write_config(
+        tmp_path, "scenario = gaussian-density\nn_cells = 32\nt_end = 0.015\n"
+                  "snapshot_times = 0.005,0.015\n", name="second.cfg")
+    for _ in range(2):  # the same config may rerun into its own directory
+        assert main(["--config", first, "--out", str(outdir), "simulate"]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"}
+    capsys.readouterr()
+
+    assert main(["--config", second, "--out", str(outdir), "simulate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for name in ("snapshot_t0.010000.dat", "snapshot_t0.020000.dat",
+                 "snapshot_t0.030000.dat"):
+        assert name in err
+    after = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"}
+    assert after == before
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "o"), "simulate"])

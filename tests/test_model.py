@@ -10,8 +10,8 @@ from planar_mhd.model import (
     Grid,
     PhysParams,
     State,
-    internal_energy,
     kappa,
+    mechanical_heating,
     pressure,
 )
 
@@ -40,10 +40,20 @@ def test_kappa_reference_values():
     assert kappa(1.0, p_half) == 2.0
 
 
-def test_internal_energy_reference_values():
-    assert internal_energy(0.0, PhysParams()) == 0.0
-    assert internal_energy(1.0, PhysParams(c_v=1.0)) == 1.0
-    assert internal_energy(2.5, PhysParams(c_v=2.0)) == 5.0
+@pytest.mark.parametrize("m", [0, 1])  # cell (n,) and face (n+1,) arrays
+def test_mechanical_heating_is_the_written_out_sum_bitwise(m):
+    rng = np.random.default_rng(11)
+    n = 37 + m
+    ux = rng.standard_normal(n) * 3.0
+    wx = rng.standard_normal((n, 2)) * 0.7
+    bx = rng.standard_normal((n, 2)) * 1.9
+    p = PhysParams(lambda_visc=0.3, mu_visc=1.7, nu_mag=0.11)
+    expected = (0.3 * ux * ux
+                + 1.7 * (wx[:, 0] * wx[:, 0] + wx[:, 1] * wx[:, 1])
+                + 0.11 * (bx[:, 0] * bx[:, 0] + bx[:, 1] * bx[:, 1]))
+    got = mechanical_heating(ux, wx, bx, p)
+    assert got.shape == (n,)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_pressure_reference_values():

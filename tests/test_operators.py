@@ -1,7 +1,9 @@
 """Stencil and flux-solver tests against independent dense oracles."""
 
+import ast
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from planar_mhd.operators import (
     ODD,
     cell_grad,
     div_faces,
+    dot2,
     face_average,
     face_couplings,
     face_diff,
@@ -137,6 +140,40 @@ def test_l2_matches_the_written_out_form_bitwise():
     v2 = rng.standard_normal((97, 2))
     mag = np.sqrt(np.sum(v2 * v2, axis=1))
     assert l2(v2, dx) == float(np.sqrt(np.sum(mag * mag) * dx))
+
+
+pairs = st.integers(1, 40).flatmap(lambda n: st.tuples(*[arrays(
+    np.float64, (n, 2), elements=st.floats(allow_nan=False, width=64)
+    | st.sampled_from([0.0, -0.0, np.inf, -np.inf]))] * 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+@example((np.array([[-0.0, -0.0]]), np.array([[0.0, 0.0]])))
+def test_dot2_is_the_two_component_sum(ab):
+    a, b = ab
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries and inf - inf
+        square, square_sum = dot2(a, a), np.sum(a * a, axis=1)
+        got, want = dot2(a, b), np.sum(a * b, axis=1)
+    # a square is bitwise the numpy reduction, signed zeros and inf included
+    assert square.tobytes() == square_sum.tobytes()
+    # a mixed product may differ in the sign of a zero: np.sum starts from
+    # +0.0, so (-0.0) + (-0.0) comes out +0.0 there and -0.0 here
+    np.testing.assert_array_equal(got, want)
+
+
+def test_no_axis_sums_in_the_package():
+    # two-component products go through dot2, so none of them can drift
+    # into a differently rounded reduction
+    found = []
+    for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "sum"
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                    and any(k.arg == "axis" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"np.sum(..., axis=...) at {found}; use operators.dot2"
 
 
 def test_upwind_flux_matches_loop_oracle():

@@ -89,6 +89,37 @@ def test_equilibrium_is_a_fixed_point_bitwise():
     assert state.time == pytest.approx(0.5, abs=1e-12)
 
 
+FORCING_SHAPES = {"rho": (), "u": (), "w": (2,), "b": (2,), "e": ()}
+
+
+def recording_forcing(names, calls):
+    """A Forcing whose named entries log (x, t) and return zeros."""
+    def entry(name):
+        def f(x, t):
+            calls.append((name, x, t))
+            return np.zeros(x.shape + FORCING_SHAPES[name])
+        return f
+    return Forcing(**{name: entry(name) for name in names})
+
+
+@pytest.mark.parametrize("names", [[name] for name in FORCING_SHAPES] + [list(FORCING_SHAPES)],
+                         ids=[*FORCING_SHAPES, "all"])
+def test_each_forcing_entry_is_called_once_per_step_at_the_new_time(names):
+    grid = Grid.uniform(24)
+    state = State(0.3, *(getattr(wavy_state(24), f) for f in ("rho", "u", "w", "b", "theta")))
+    dt = 1e-3
+    calls = []
+    forced, _ = step(state, dt, grid, PhysParams(), SchemeConfig(),
+                     recording_forcing(names, calls))
+    assert sorted(name for name, _, _ in calls) == sorted(names)
+    for _, x, t in calls:
+        assert np.array_equal(x, grid.cell_centers)
+        assert t == state.time + dt
+    plain, _ = step(state, dt, grid, PhysParams(), SchemeConfig())
+    for f in ("rho", "u", "w", "b", "theta"):
+        assert np.array_equal(getattr(forced, f), getattr(plain, f))
+
+
 def test_advection_matches_upwind_oracle():
     n = 64
     grid = Grid.uniform(n)
