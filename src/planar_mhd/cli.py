@@ -197,6 +197,12 @@ def _simulate(cfg, args, outdir, logger):
         raise ConfigError(f"output directory {outdir!r} holds snapshot tables this run"
                           f" would not write: {', '.join(stale)}; use another --out or"
                           " remove them")
+    replaced = [name for name in ("diagnostics.csv", "run-summary.txt", *named)
+                if os.path.exists(os.path.join(outdir, name))]
+    if replaced:  # a rerun into the same directory is allowed, but not silent
+        msg = f"output directory {outdir!r} already holds {', '.join(replaced)}; replacing them"
+        logger.warning("%s", msg)
+        print(f"warning: {msg}", file=sys.stderr)
     params = cfg.phys
     if cfg.delta > 0.0:
         init = regularize(init, cfg.delta)
@@ -325,7 +331,8 @@ def _audit(cfg, args, outdir, logger):
         records.append(acc.record(after))
 
     exponents = (1.0, 2.0, params.q_exp + 1.0)
-    ratios = [embedding_check(state, grid, trials=100, seed=args.seed, exponents=exponents)
+    trials = 100
+    ratios = [embedding_check(state, grid, trials=trials, seed=args.seed, exponents=exponents)
               for state in snaps]
 
     csv_path = os.path.join(outdir, "audit.csv")
@@ -343,7 +350,7 @@ def _audit(cfg, args, outdir, logger):
         f"mass_drift_max = {format_float(mass_drift)}",
         f"energy_drift_rel = {format_float(energy_drift)}",
         f"entropy_prod_nondecreasing = {'yes' if entropy_ok else 'no'}",
-        f"embedding_trials = 100",
+        f"embedding_trials = {trials}",
         f"embedding_seed = {args.seed}",
         f"embedding_bound = {format_float(bound)}",
         f"embedding_worst = {format_float(worst)}",

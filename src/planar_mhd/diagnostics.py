@@ -12,7 +12,7 @@ for the density: along exact dynamics d/dt(rho e^phi) <= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -203,22 +203,6 @@ def norm_suite(state_before, state_after, dt, grid, params):
 # ---------------------------------------------------------------------------
 # records and their CSV schema
 
-SCALAR_COLUMNS = (
-    "time", "mass", "energy", "entropy_fn", "entropy_prod_cum",
-    "diss_visc", "diss_shear", "diss_mag", "diss_heat", "weighted_diss",
-    "max_rho", "min_theta", "max_theta", "rho_F_max",
-)
-
-# alphabetical; norm_suite entries plus the two accumulator-owned series
-NORM_NAMES = (
-    "b_t", "b_x", "b_xx", "kappa_theta_x", "p_l2", "phi_residual",
-    "rho_t", "rho_theta_q2", "rho_x", "sqrt_rho_theta_t", "sqrt_rho_u_t",
-    "sqrt_rho_w_t", "theta_sup_cum", "theta_xx", "u_x", "u_xx", "w_x", "w_xx",
-)
-
-CSV_COLUMNS = SCALAR_COLUMNS + NORM_NAMES
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     time: float
@@ -236,6 +220,19 @@ class DiagnosticsRecord:
     max_theta: float
     rho_F_max: float
     norms: dict
+
+
+# every record field but the norms dict, in declaration order
+SCALAR_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "norms")
+
+# alphabetical; norm_suite entries plus the two accumulator-owned series
+NORM_NAMES = (
+    "b_t", "b_x", "b_xx", "kappa_theta_x", "p_l2", "phi_residual",
+    "rho_t", "rho_theta_q2", "rho_x", "sqrt_rho_theta_t", "sqrt_rho_u_t",
+    "sqrt_rho_w_t", "theta_sup_cum", "theta_xx", "u_x", "u_xx", "w_x", "w_xx",
+)
+
+CSV_COLUMNS = SCALAR_COLUMNS + NORM_NAMES
 
 
 def csv_header():

@@ -10,7 +10,7 @@ kappa_b * theta**q_exp with growth exponent q_exp > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,26 +53,22 @@ def check_n_cells(n_cells):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid on (0, 1)."""
+    """Uniform cell-centered grid on (0, 1); n_cells fixes dx and the centers."""
 
     n_cells: int
-    dx: float
-    cell_centers: np.ndarray
+    dx: float = field(init=False)
+    cell_centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
         check_n_cells(self.n_cells)
-        if abs(self.dx * self.n_cells - 1.0) > 1e-12:
-            raise ValueError("grid must tile the unit interval: dx * n_cells != 1")
-        if self.cell_centers.shape != (self.n_cells,):
-            raise ValueError("cell_centers has the wrong shape")
+        object.__setattr__(self, "dx", 1.0 / self.n_cells)
+        x = (np.arange(self.n_cells) + 0.5) * self.dx
+        x.setflags(write=False)
+        object.__setattr__(self, "cell_centers", x)
 
     @classmethod
     def uniform(cls, n_cells):
-        check_n_cells(n_cells)
-        dx = 1.0 / n_cells
-        x = (np.arange(n_cells) + 0.5) * dx
-        x.setflags(write=False)
-        return cls(n_cells, dx, x)
+        return cls(n_cells)
 
 
 def _frozen_array(values, shape, name, nonnegative=False):

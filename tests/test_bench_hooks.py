@@ -27,26 +27,32 @@ clock = RunEntryClock()
 clock.install()
 counter = StepCounter()
 counter.install()
-code = cli.main(sys.argv[1:])
-json.dump({"exit": code, "steps": counter.steps, "entered_run": clock.first_ns is not None,
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+json.dump({"exits": codes, "steps": counter.steps, "entered_run": clock.first_ns is not None,
            "layers": tracer.layer_metrics()}, sys.stdout)
 """
+
+
+def run_hooked(tmp_path, *commands):
+    """Run the CLI commands in one child process with the hooks installed,
+    as a benchmark workload does, and return what the child reports."""
+    env = dict(os.environ)
+    env.pop("PLANAR_MHD_OUT", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["exits"] == [0] * len(commands)
+    return result
 
 
 def test_benchmark_hooks_install_and_count_a_small_simulate(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n"
                    "snapshot_times = 0.01\n")
-    env = dict(os.environ)
-    env.pop("PLANAR_MHD_OUT", None)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, "--config", str(cfg), "--out", str(tmp_path / "out"),
-         "simulate"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["exit"] == 0
+    result = run_hooked(tmp_path, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                                   "simulate"])
     assert result["entered_run"]
     steps = result["steps"]
     layers = result["layers"]
@@ -58,3 +64,17 @@ def test_benchmark_hooks_install_and_count_a_small_simulate(tmp_path):
     # per-layer solve metrics keep counting every solve
     assert layers["operators.solve_flux_system.calls"] > 0
     assert layers["operators.solve_flux_system.cells"] > 0
+
+
+def test_benchmark_hooks_count_one_embedding_check_per_audited_table(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n"
+                   "snapshot_times = 0.0,0.01,0.02\n")
+    sim, audit = tmp_path / "simulate", tmp_path / "audit"
+    layers = run_hooked(
+        tmp_path, ["--config", str(cfg), "--out", str(sim), "simulate"],
+        ["--seed", "23", "--out", str(audit), "audit", "--input", str(sim)])["layers"]
+    tables = len(list(sim.glob("snapshot_t*.dat")))
+    assert tables == 3
+    assert layers["verification.embedding_check.calls"] == tables
+    assert layers["tables.read_state_table.calls"] == tables

@@ -201,6 +201,27 @@ def test_simulate_refuses_a_directory_holding_other_runs_snapshots(tmp_path, cap
     assert after == before
 
 
+def test_simulate_warns_before_replacing_an_earlier_runs_outputs(tmp_path, capsys):
+    cfgfile = write_config(
+        tmp_path, "scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n"
+                  "snapshot_times = 0.01\n")
+    outdir = tmp_path / "o"
+    assert main(["--config", cfgfile, "--out", str(outdir), "simulate"]) == EXIT_OK
+    assert "warning:" not in capsys.readouterr().err
+    assert "WARNING" not in (outdir / "run.log").read_text()
+    first = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"}
+
+    assert main(["--config", cfgfile, "--out", str(outdir), "simulate"]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning:")
+    log = (outdir / "run.log").read_text()
+    assert log.startswith("WARNING")
+    for name in ("diagnostics.csv", "run-summary.txt", "snapshot_t0.010000.dat"):
+        assert name in err and name in log
+    # the rerun still writes the same outputs
+    assert {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"} == first
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "o"), "simulate"])

@@ -5,6 +5,7 @@ import pytest
 
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
+from planar_mhd.operators import l2
 from planar_mhd.solver import SchemeConfig
 from planar_mhd.verification import (
     EXACT_ERROR,
@@ -148,6 +149,49 @@ def test_embedding_check_determinism_and_exponents():
     squared_only = embedding_check(state, grid, seed=3, exponents=(2.0,))
     assert squared_only != a
     assert squared_only <= 1.0 + 10.0 * grid.dx
+
+
+def embedding_loop_oracle(state, grid, trials, seed, exponents):
+    """The check one test function at a time: sequential draws of 17
+    coefficients and a running max that skips a vanishing right side."""
+    mass = float(np.sum(state.rho) * grid.dx)
+    x = grid.cell_centers
+    dx = grid.dx
+    rng = np.random.default_rng(seed)
+    modes = 8
+    worst = 0.0
+    for _ in range(trials):
+        coeffs = rng.standard_normal(2 * modes + 1)
+        v = np.full_like(x, coeffs[0])
+        for k in range(1, modes + 1):
+            v = v + (coeffs[2 * k - 1] * np.cos(k * np.pi * x)
+                     + coeffs[2 * k] * np.sin(k * np.pi * x)) / k ** 2
+        for r in exponents:
+            vr = v if r == 1.0 else np.abs(v) ** r
+            sup = float(np.max(np.abs(vr)))
+            seminorm = l2(np.diff(vr) / dx, dx)
+            average = abs(float(np.sum(state.rho * vr) * dx)) / mass
+            denom = seminorm + average
+            if denom == 0.0:
+                continue
+            worst = max(worst, sup / denom)
+    return worst
+
+
+@pytest.mark.parametrize("trials", [0, 1, 100])
+@pytest.mark.parametrize("name", ["vacuum-pocket", "smooth-shear"])
+@pytest.mark.parametrize("n", [4, 129, 2048, 8193])
+def test_embedding_check_matches_loop_oracle_bitwise(n, name, trials):
+    grid = Grid.uniform(n)
+    state = scenario(name, grid).to_state()
+    # |v|**1001 overflows, so some rows have a NaN ratio that both skip
+    for exponents in [(1.0,), (1.0, 2.0, 3.5), (6.7,), (1001.0,)]:
+        for seed in (0, 23):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = embedding_check(state, grid, trials=trials, seed=seed,
+                                      exponents=exponents)
+                want = embedding_loop_oracle(state, grid, trials, seed, exponents)
+            assert got.hex() == want.hex(), (exponents, seed)
 
 
 def test_embedding_check_requires_mass():
