@@ -92,6 +92,16 @@ def _close_logger(logger):
         handler.close()
 
 
+def _warn_replacing(outdir, names, logger):
+    """Name the earlier outputs among names that this command is about to
+    replace in outdir, on stderr and in run.log; the command goes ahead."""
+    replaced = [name for name in names if os.path.exists(os.path.join(outdir, name))]
+    if replaced:
+        msg = f"output directory {outdir!r} already holds {', '.join(replaced)}; replacing them"
+        logger.warning("%s", msg)
+        print(f"warning: {msg}", file=sys.stderr)
+
+
 def _write(path, text):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -197,12 +207,7 @@ def _simulate(cfg, args, outdir, logger):
         raise ConfigError(f"output directory {outdir!r} holds snapshot tables this run"
                           f" would not write: {', '.join(stale)}; use another --out or"
                           " remove them")
-    replaced = [name for name in ("diagnostics.csv", "run-summary.txt", *named)
-                if os.path.exists(os.path.join(outdir, name))]
-    if replaced:  # a rerun into the same directory is allowed, but not silent
-        msg = f"output directory {outdir!r} already holds {', '.join(replaced)}; replacing them"
-        logger.warning("%s", msg)
-        print(f"warning: {msg}", file=sys.stderr)
+    _warn_replacing(outdir, ("diagnostics.csv", "run-summary.txt", *named), logger)
     params = cfg.phys
     if cfg.delta > 0.0:
         init = regularize(init, cfg.delta)
@@ -267,6 +272,7 @@ def _continuation(cfg, args, outdir, logger):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
+    _warn_replacing(outdir, ("continuation-report.txt", "continuation-report.csv"), logger)
     _write(os.path.join(outdir, "continuation-report.txt"), text)
     _write(os.path.join(outdir, "continuation-report.csv"), report.to_csv())
     logger.info("continuation monotone=%s failures=%d", report.monotone, len(report.failures))
@@ -286,6 +292,7 @@ def _mms(cfg, args, outdir, logger):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
+    _warn_replacing(outdir, ("mms-report.txt", "mms-report.csv"), logger)
     _write(os.path.join(outdir, "mms-report.txt"), text)
     _write(os.path.join(outdir, "mms-report.csv"), report.to_csv())
     logger.info("mms orders: %s", " ".join(
@@ -335,6 +342,7 @@ def _audit(cfg, args, outdir, logger):
     ratios = [embedding_check(state, grid, trials=trials, seed=args.seed, exponents=exponents)
               for state in snaps]
 
+    _warn_replacing(outdir, ("audit.csv", "audit-summary.txt"), logger)
     csv_path = os.path.join(outdir, "audit.csv")
     _write_records(csv_path, records)
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import kappa, pressure
-from .operators import EVEN, ODD, cell_grad, dot2, l2, second_diff_onesided
+from .operators import EVEN, cell_grad, dot2, l2, second_diff_onesided
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
@@ -27,12 +26,12 @@ def total_energy(state, grid, params):
     """Integral of rho*(c_v*theta + (u^2 + |w|^2)/2) + |b|^2/2."""
     kinetic = 0.5 * (state.u * state.u + dot2(state.w, state.w))
     density_part = state.rho * (params.c_v * state.theta + kinetic)
-    magnetic = 0.5 * dot2(state.b, state.b)
-    return float(np.sum(density_part + magnetic) * grid.dx)
+    magnetic = 0.5 * state.b_sq
+    return float((density_part + magnetic).sum() * grid.dx)
 
 
 def total_mass(state, grid):
-    return float(np.sum(state.rho) * grid.dx)
+    return float(state.rho.sum() * grid.dx)
 
 
 def entropy_functional(state, grid):
@@ -43,11 +42,11 @@ def entropy_functional(state, grid):
     """
     rho, theta = state.rho, state.theta
     pos = rho > 0.0
-    if np.any(pos & (theta == 0.0)):
+    if (pos & (theta == 0.0)).any():
         return float("inf")
     out = np.zeros_like(rho)
     out[pos] = rho[pos] * (np.log(rho[pos]) + np.abs(np.log(theta[pos])))
-    return float(np.sum(out) * grid.dx)
+    return float(out.sum() * grid.dx)
 
 
 def default_alpha(params):
@@ -82,23 +81,20 @@ def dissipation_ledger(state, dt, grid, params, alpha):
     """
     alpha = check_alpha(alpha, params)
     dx = grid.dx
-    ux = cell_grad(state.u, dx, ODD)
-    wx = cell_grad(state.w, dx, ODD)
-    bx = cell_grad(state.b, dx, ODD)
+    ux, wx, bx, tx = state.u_x, state.w_x, state.b_x, state.theta_x
     ux2, wx2, bx2 = ux * ux, dot2(wx, wx), dot2(bx, bx)
-    tx = cell_grad(state.theta, dx, EVEN)
     theta_safe = np.maximum(state.theta, THETA_FLOOR)
     ratio = tx / theta_safe
-    heat = kappa(state.theta, params) * ratio * ratio
+    heat = state.kappa(params) * ratio * ratio
     mech = params.lambda_visc * ux2 + params.mu_visc * wx2 + params.nu_mag * bx2
     weighted = (mech / theta_safe ** alpha
                 + (1.0 + theta_safe ** params.q_exp) * tx * tx / theta_safe ** (1.0 + alpha))
-    return (dt * float(params.lambda_visc * np.sum(ux2) * dx),
-            dt * float(params.mu_visc * np.sum(wx2) * dx),
-            dt * float(params.nu_mag * np.sum(bx2) * dx),
-            dt * float(np.sum(heat) * dx),
-            dt * float(np.sum(weighted) * dx),
-            dt * float(np.sum(mech / theta_safe + heat) * dx))
+    return (dt * float(params.lambda_visc * ux2.sum() * dx),
+            dt * float(params.mu_visc * wx2.sum() * dx),
+            dt * float(params.nu_mag * bx2.sum() * dx),
+            dt * float(heat.sum() * dx),
+            dt * float(weighted.sum() * dx),
+            dt * float((mech / theta_safe + heat).sum() * dx))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +117,10 @@ def initial_phi(init, grid):
 def update_phi(phi, state_before, state_after, dt, grid, params):
     """Advance phi by dt times the effective pressure of state_before."""
     s = state_before
-    ptilde = (params.lambda_visc * cell_grad(s.u, grid.dx, ODD)
+    ptilde = (params.lambda_visc * s.u_x
               - s.rho * s.u * s.u
-              - pressure(s.rho, s.theta, params)
-              - 0.5 * dot2(s.b, s.b))
+              - s.pressure(params)
+              - 0.5 * s.b_sq)
     new = phi.phi + dt * ptilde
     new.setflags(write=False)
     return PhiField(new, state_after.time)
@@ -178,23 +174,22 @@ def norm_suite(state_before, state_after, dt, grid, params):
             return np.zeros_like(fa)
         return (fa - fb) / dt
 
-    theta_x = cell_grad(sa.theta, dx, EVEN)
     norms = {
         "b_t": l2(d_dt(sa.b, sb.b), dx),
-        "b_x": l2(cell_grad(sa.b, dx, ODD), dx),
+        "b_x": l2(sa.b_x, dx),
         "b_xx": l2(second_diff_onesided(sa.b, dx), dx),
-        "kappa_theta_x": l2(kappa(sa.theta, params) * theta_x, dx),
-        "p_l2": l2(pressure(sa.rho, sa.theta, params), dx),
+        "kappa_theta_x": l2(sa.kappa(params) * sa.theta_x, dx),
+        "p_l2": l2(sa.pressure(params), dx),
         "rho_t": l2(d_dt(sa.rho, sb.rho), dx),
-        "rho_theta_q2": float(np.sum(sa.rho * sa.theta ** (params.q_exp + 2.0)) * dx),
+        "rho_theta_q2": float((sa.rho * sa.theta ** (params.q_exp + 2.0)).sum() * dx),
         "rho_x": l2(np.gradient(sa.rho, dx), dx),
         "sqrt_rho_theta_t": l2(sqrt_rho * d_dt(sa.theta, sb.theta), dx),
         "sqrt_rho_u_t": l2(sqrt_rho * d_dt(sa.u, sb.u), dx),
         "sqrt_rho_w_t": l2(sqrt_rho[:, None] * d_dt(sa.w, sb.w), dx),
         "theta_xx": l2(second_diff_onesided(sa.theta, dx), dx),
-        "u_x": l2(cell_grad(sa.u, dx, ODD), dx),
+        "u_x": l2(sa.u_x, dx),
         "u_xx": l2(second_diff_onesided(sa.u, dx), dx),
-        "w_x": l2(cell_grad(sa.w, dx, ODD), dx),
+        "w_x": l2(sa.w_x, dx),
         "w_xx": l2(second_diff_onesided(sa.w, dx), dx),
     }
     return norms

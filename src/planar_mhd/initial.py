@@ -53,7 +53,7 @@ class InitialData:
                 getattr(self, name), shape, name, nonnegative=name == "theta0"))
         if not self.delta >= 0.0:
             raise ValueError(f"delta must be nonnegative, got {self.delta!r}")
-        if np.any(self.rho0 < self.delta):
+        if (self.rho0 < self.delta).any():
             raise ValueError("rho0 must dominate the regularization shift delta")
 
     @property
@@ -104,7 +104,7 @@ def compatibility_residuals(data, grid, params, rel_tol=1e-8):
         cell_grad(u0, dx, ODD), cell_grad(w0, dx, ODD), cell_grad(b0, dx, ODD), params)
 
     vac = rho0 <= VACUUM_RHO
-    residual_mag = np.maximum(np.abs(f1), np.maximum(np.max(np.abs(f2), axis=1), np.abs(f3)))
+    residual_mag = np.maximum(np.abs(f1), np.maximum(np.abs(f2).max(axis=1), np.abs(f3)))
     scale = 1.0 + float(residual_mag.max(initial=0.0))
     tol = rel_tol * scale
     worst = float(residual_mag[vac].max(initial=0.0))
@@ -112,7 +112,7 @@ def compatibility_residuals(data, grid, params, rel_tol=1e-8):
     def weighted_norm(f):
         mag2 = dot2(f, f) if f.ndim == 2 else f * f
         g2 = np.where(vac, 0.0, mag2 / np.maximum(rho0, VACUUM_RHO))
-        return float(np.sqrt(np.sum(g2) * dx))
+        return float(np.sqrt(g2.sum() * dx))
 
     g1_norm = weighted_norm(f1)
     g2_norm = weighted_norm(f2)

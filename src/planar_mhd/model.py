@@ -11,10 +11,11 @@ kappa_b * theta**q_exp with growth exponent q_exp > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
-from .operators import dot2
+from .operators import EVEN, ODD, cell_grad, dot2, face_average
 
 # Below this density a cell is treated as vacuum: primitive velocities are
 # zeroed there and the temperature is carried unchanged.
@@ -71,16 +72,20 @@ class Grid:
         return cls(n_cells)
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 def _frozen_array(values, shape, name, nonnegative=False):
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if nonnegative and np.any(arr < 0.0):
+    if nonnegative and (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative everywhere")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,14 @@ class State:
 
     Arrays are copied on construction and marked read-only, so states can be
     shared freely between the stepper, diagnostics, and sinks.
+
+    The derived fields that the stepper and the diagnostics share are
+    computed on first use and then kept with the state, read-only: the
+    central gradients u_x, w_x, b_x (odd reflection) and theta_x (even),
+    |b|^2 as b_sq, the odd face averages u_face and b_face, and P and
+    kappa(theta) through pressure(params) and kappa(params), which keep the
+    value for the last PhysParams object asked for.  Each one is bit for bit
+    the operator call it stands for on a grid of n_cells cells.
     """
 
     time: float
@@ -110,14 +123,61 @@ class State:
     def n_cells(self):
         return self.rho.shape[0]
 
+    @property
+    def _dx(self):
+        return 1.0 / self.n_cells  # Grid's expression, so the same bits
+
+    @cached_property
+    def u_x(self):
+        return _read_only(cell_grad(self.u, self._dx, ODD))
+
+    @cached_property
+    def w_x(self):
+        return _read_only(cell_grad(self.w, self._dx, ODD))
+
+    @cached_property
+    def b_x(self):
+        return _read_only(cell_grad(self.b, self._dx, ODD))
+
+    @cached_property
+    def theta_x(self):
+        return _read_only(cell_grad(self.theta, self._dx, EVEN))
+
+    @cached_property
+    def b_sq(self):
+        return _read_only(dot2(self.b, self.b))
+
+    @cached_property
+    def u_face(self):
+        return _read_only(face_average(self.u, ODD))
+
+    @cached_property
+    def b_face(self):
+        return _read_only(face_average(self.b, ODD))
+
+    def _under(self, key, params, compute):
+        # one entry per key, replaced when another params object asks
+        kept = self.__dict__.get(key)
+        if kept is None or kept[0] is not params:
+            kept = self.__dict__[key] = (params, _read_only(compute()))
+        return kept[1]
+
+    def pressure(self, params):
+        """P = gas_R * rho * theta under params, kept for the last params."""
+        return self._under("_pressure", params, lambda: pressure(self.rho, self.theta, params))
+
+    def kappa(self, params):
+        """kappa(theta) under params, kept for the last params."""
+        return self._under("_kappa", params, lambda: kappa(self.theta, params))
+
 
 def pressure(rho, theta, params):
     """Ideal-gas pressure P = gas_R * rho * theta."""
     rho = np.asarray(rho, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(rho < 0.0):
+    if (rho < 0.0).any():
         raise ValueError("pressure: rho must be nonnegative")
-    if np.any(theta < 0.0):
+    if (theta < 0.0).any():
         raise ValueError("pressure: theta must be nonnegative")
     out = params.gas_R * rho * theta
     return float(out) if out.ndim == 0 else out
@@ -126,7 +186,7 @@ def pressure(rho, theta, params):
 def kappa(theta, params):
     """Heat conductivity kappa_a + kappa_b * theta**q_exp."""
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0):
+    if (theta < 0.0).any():
         raise ValueError("kappa: theta must be nonnegative")
     out = params.kappa_a + params.kappa_b * theta ** params.q_exp
     return float(out) if out.ndim == 0 else out

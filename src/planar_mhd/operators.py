@@ -93,7 +93,7 @@ def l2(values, dx):
     """Discrete L2 norm; (n, 2) fields use the pointwise Euclidean length."""
     if values.ndim == 2:
         values = np.sqrt(dot2(values, values))
-    return float(np.sqrt(np.sum(values * values) * dx))
+    return float(np.sqrt((values * values).sum() * dx))
 
 
 def upwind_face_flux(vel_face, q):

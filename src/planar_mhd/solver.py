@@ -202,11 +202,11 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
             theta_next = _implicit(cap, off, theta_tilde)
         except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
             raise NumericalError(f"conduction solve failed: {err}") from err
-        change = float(np.max(np.abs(theta_next - theta_k)))
+        change = float(np.abs(theta_next - theta_k).max())
         if not np.isfinite(change):
             raise NumericalError(f"conduction pass {iteration} produced a non-finite"
                                  f" temperature (change {change})")
-        scale = float(np.max(np.abs(theta_k))) + 1e-30
+        scale = float(np.abs(theta_k).max()) + 1e-30
         theta_k = theta_next
         if change <= cfg.picard_tol * scale:
             return theta_k, iteration
@@ -231,8 +231,8 @@ def step(state, dt, grid, params, cfg, forcing=None):
     rho0, u0, w0, b0, th0 = state.rho, state.u, state.w, state.b, state.theta
     scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(rho0.max(initial=0.0)))
 
-    uf = face_average(u0, ODD)
-    bf = face_average(b0, ODD)
+    uf = state.u_face
+    bf = state.b_face
 
     # stage 1: continuity
     rho1 = _add_forcing(advect_density(rho0, u0, dt, grid), forcing, "rho", x, t_new, dt)
@@ -243,7 +243,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     cap_gas = np.where(vac, 1.0, rho1 / dt)
 
     # stage 2: longitudinal momentum
-    ptot = pressure(rho0, th0, params) + 0.5 * dot2(b0, b0)
+    ptot = state.pressure(params) + 0.5 * state.b_sq
     m_star = (rho0 * u0
               - dt * div_faces(upwind_face_flux(uf, rho0 * u0), dx)
               - dt * cell_grad(ptot, dx, EVEN))
@@ -317,20 +317,18 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     r_over_cv = params.gas_R / params.c_v
 
     u, w, b, th = sa.u, sa.w, sa.b, sa.theta
-    bx = cell_grad(b, dx, ODD)
+    ux, bx = sa.u_x, sa.b_x
 
-    de_mag = 0.5 * (dot2(sa.b, sa.b) - dot2(sb.b, sb.b)) / dt
+    de_mag = 0.5 * (sa.b_sq - sb.b_sq) / dt
     advect = dot2(b, cell_grad(u[:, None] * b - w, dx, ODD))
-    bbx_face = dot2(face_average(b, ODD), face_diff(b, dx, ODD))
+    bbx_face = dot2(sa.b_face, face_diff(b, dx, ODD))
     r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * dot2(bx, bx)
 
-    p_after = pressure(sa.rho, sa.theta, params)
-    p_before = pressure(sb.rho, sb.theta, params)
-    cond_face = face_average(kappa(th, params), EVEN) * face_diff(th, dx, EVEN)
-    flux = face_average(u, ODD) * face_average(p_after, EVEN) - r_over_cv * cond_face
-    ux = cell_grad(u, dx, ODD)
-    src = r_over_cv * (mechanical_heating(ux, cell_grad(w, dx, ODD), bx, params)
-                       - p_after * ux)
+    p_after = sa.pressure(params)
+    p_before = sb.pressure(params)
+    cond_face = face_average(sa.kappa(params), EVEN) * face_diff(th, dx, EVEN)
+    flux = sa.u_face * face_average(p_after, EVEN) - r_over_cv * cond_face
+    src = r_over_cv * (mechanical_heating(ux, sa.w_x, bx, params) - p_after * ux)
     r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
     return l2(r_mag, dx), l2(r_pre, dx)
 

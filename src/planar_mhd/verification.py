@@ -281,9 +281,9 @@ def _conserved_distance(s1, s2, grid, params):
         s1.rho * s1.u - s2.rho * s2.u,
         params.c_v * (s1.rho * s1.theta - s2.rho * s2.theta),
     ]
-    total = sum(float(np.sum(p * p)) for p in pieces)
+    total = sum(float((p * p).sum()) for p in pieces)
     db = s1.b - s2.b
-    total += float(np.sum(db * db))
+    total += float((db * db).sum())
     return float(np.sqrt(total * grid.dx))
 
 

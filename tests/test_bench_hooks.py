@@ -66,6 +66,23 @@ def test_benchmark_hooks_install_and_count_a_small_simulate(tmp_path):
     assert layers["operators.solve_flux_system.cells"] > 0
 
 
+def test_each_state_computes_its_pressure_and_kappa_once(tmp_path):
+    # P and kappa of an accepted state are shared by the next step, the
+    # ledger, the residual and the norm suite.  Per step that leaves one P
+    # of the new state, one P(rho_new, theta_old) for the pressure work and
+    # one kappa of the new state plus one per Picard pass; the +2 are the
+    # admissibility check and the initial record.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.1\n"
+                   "snapshot_times = 0.01\n")
+    result = run_hooked(tmp_path, ["--config", str(cfg), "--out", str(tmp_path / "out"),
+                                   "simulate"])
+    steps, layers = result["steps"], result["layers"]
+    assert steps > 5
+    assert layers["model.pressure.calls"] <= 2 * steps + 2
+    assert layers["model.kappa.calls"] <= layers["solver.picard_passes"] + steps + 2
+
+
 def test_benchmark_hooks_count_one_embedding_check_per_audited_table(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n"

@@ -222,6 +222,52 @@ def test_simulate_warns_before_replacing_an_earlier_runs_outputs(tmp_path, capsy
     assert {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"} == first
 
 
+def rerun_warns(tmp_path, capsys, argv, names):
+    """Run argv twice: the first run warns of nothing, the rerun names each
+    of names on stderr and in run.log and writes the same bytes."""
+    outdir = tmp_path / "o"
+    argv = ["--out", str(outdir)] + argv
+    assert main(argv) == EXIT_OK
+    assert "warning:" not in capsys.readouterr().err
+    assert "WARNING" not in (outdir / "run.log").read_text()
+    first = {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"}
+    assert set(names) <= set(first)
+
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning:")
+    log = (outdir / "run.log").read_text()
+    assert "WARNING" in log
+    for name in names:
+        assert name in err and name in log
+    assert {p.name: p.read_bytes() for p in outdir.iterdir() if p.name != "run.log"} == first
+
+
+def test_mms_warns_before_replacing_its_reports(tmp_path, capsys):
+    rerun_warns(tmp_path, capsys,
+                ["mms", "--case", "constant", "--resolutions", "16,32", "--t-end", "0.01"],
+                ("mms-report.txt", "mms-report.csv"))
+
+
+def test_continuation_warns_before_replacing_its_reports(tmp_path, capsys):
+    cfgfile = write_config(
+        tmp_path, "scenario = gaussian-density\nn_cells = 16\nt_end = 0.005\n")
+    rerun_warns(tmp_path, capsys,
+                ["--config", cfgfile, "continuation", "--deltas", "1e-1,1e-2"],
+                ("continuation-report.txt", "continuation-report.csv"))
+
+
+def test_audit_warns_before_replacing_its_reports(tmp_path, capsys):
+    cfgfile = write_config(
+        tmp_path, "scenario = magnetic-pulse\nn_cells = 16\nt_end = 0.02\n"
+                  "snapshot_times = 0.0,0.02\n")
+    snaps = tmp_path / "snaps"
+    assert main(["--config", cfgfile, "--out", str(snaps), "simulate"]) == EXIT_OK
+    capsys.readouterr()
+    rerun_warns(tmp_path, capsys, ["audit", "--input", str(snaps)],
+                ("audit.csv", "audit-summary.txt"))
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "o"), "simulate"])

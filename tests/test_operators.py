@@ -176,6 +176,21 @@ def test_no_axis_sums_in_the_package():
     assert not found, f"np.sum(..., axis=...) at {found}; use operators.dot2"
 
 
+def test_no_numpy_reduction_wrappers_in_the_package():
+    # x.sum(), (c).any(), np.abs(x).max() reduce with the same ufunc as the
+    # np.sum/np.any/np.max wrappers, so the same bits, without the wrappers'
+    # per-call dispatch
+    wrappers = {"sum", "any", "all", "max", "min", "amax", "amin"}
+    found = []
+    for path in sorted(Path(operators.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in wrappers
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+    assert not found, f"numpy reduction wrappers at {found}; call the array method"
+
+
 def test_upwind_flux_matches_loop_oracle():
     rng = np.random.default_rng(7)
     n = 40
