@@ -92,10 +92,13 @@ def _close_logger(logger):
         handler.close()
 
 
-def _warn_replacing(outdir, names, logger):
+def _warn_replacing(outdir, names, logger, earlier_log):
     """Name the earlier outputs among names that this command is about to
-    replace in outdir, on stderr and in run.log; the command goes ahead."""
+    replace in outdir, and the earlier run.log it has replaced already when
+    earlier_log is set, on stderr and in run.log; the command goes ahead."""
     replaced = [name for name in names if os.path.exists(os.path.join(outdir, name))]
+    if earlier_log:
+        replaced.append("run.log")
     if replaced:
         msg = f"output directory {outdir!r} already holds {', '.join(replaced)}; replacing them"
         logger.warning("%s", msg)
@@ -207,7 +210,8 @@ def _simulate(cfg, args, outdir, logger):
         raise ConfigError(f"output directory {outdir!r} holds snapshot tables this run"
                           f" would not write: {', '.join(stale)}; use another --out or"
                           " remove them")
-    _warn_replacing(outdir, ("diagnostics.csv", "run-summary.txt", *named), logger)
+    _warn_replacing(outdir, ("diagnostics.csv", "run-summary.txt", *named), logger,
+                    args.earlier_log)
     params = cfg.phys
     if cfg.delta > 0.0:
         init = regularize(init, cfg.delta)
@@ -272,7 +276,8 @@ def _continuation(cfg, args, outdir, logger):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
-    _warn_replacing(outdir, ("continuation-report.txt", "continuation-report.csv"), logger)
+    _warn_replacing(outdir, ("continuation-report.txt", "continuation-report.csv"), logger,
+                    args.earlier_log)
     _write(os.path.join(outdir, "continuation-report.txt"), text)
     _write(os.path.join(outdir, "continuation-report.csv"), report.to_csv())
     logger.info("continuation monotone=%s failures=%d", report.monotone, len(report.failures))
@@ -292,7 +297,7 @@ def _mms(cfg, args, outdir, logger):
     except ValueError as err:
         raise ConfigError(str(err)) from None
     text = report.render_text()
-    _warn_replacing(outdir, ("mms-report.txt", "mms-report.csv"), logger)
+    _warn_replacing(outdir, ("mms-report.txt", "mms-report.csv"), logger, args.earlier_log)
     _write(os.path.join(outdir, "mms-report.txt"), text)
     _write(os.path.join(outdir, "mms-report.csv"), report.to_csv())
     logger.info("mms orders: %s", " ".join(
@@ -342,7 +347,7 @@ def _audit(cfg, args, outdir, logger):
     ratios = [embedding_check(state, grid, trials=trials, seed=args.seed, exponents=exponents)
               for state in snaps]
 
-    _warn_replacing(outdir, ("audit.csv", "audit-summary.txt"), logger)
+    _warn_replacing(outdir, ("audit.csv", "audit-summary.txt"), logger, args.earlier_log)
     csv_path = os.path.join(outdir, "audit.csv")
     _write_records(csv_path, records)
 
@@ -403,6 +408,8 @@ def main(argv=None):
         print(f"error: cannot create output directory {outdir!r}: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # the logger truncates run.log, so look for an earlier one first
+    args.earlier_log = os.path.exists(os.path.join(outdir, "run.log"))
     logger = _open_logger(outdir)
     try:
         return _COMMANDS[args.command](cfg, args, outdir, logger)

@@ -89,11 +89,27 @@ def dot2(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
 
 
+def column_sums(values):
+    """Sum of an (n,) array, or of each column of an (n, k) array as a (k,)
+    array.  Each column is summed as a contiguous row, so it gets the bits
+    of its own 1D .sum()."""
+    if values.ndim == 1:
+        return values.sum()
+    return np.ascontiguousarray(values.T).sum(axis=1)
+
+
+def l2_columns(values, dx):
+    """Discrete L2 norm of an (n,) array, or of each column of an (n, k)
+    one; a two-component field enters as its pointwise Euclidean length
+    np.sqrt(dot2(v, v))."""
+    return np.sqrt(column_sums(values * values) * dx)
+
+
 def l2(values, dx):
     """Discrete L2 norm; (n, 2) fields use the pointwise Euclidean length."""
     if values.ndim == 2:
         values = np.sqrt(dot2(values, values))
-    return float(np.sqrt((values * values).sum() * dx))
+    return float(l2_columns(values, dx))
 
 
 def upwind_face_flux(vel_face, q):

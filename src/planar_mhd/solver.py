@@ -28,6 +28,7 @@ Magnetic diffusion is the one exception; b stays meaningful in vacuum.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -143,15 +144,30 @@ def advect_density(rho, u, dt, grid):
     return rho - dt * div_faces(upwind_face_flux(uf, rho), grid.dx)
 
 
-def _require_nonnegative(arr, floor_tol, what):
-    """Clip roundoff-level undershoots to zero; fail on genuine ones."""
+def _require_nonnegative(arr, floor_tol, what, stage):
+    """Clip roundoff-level undershoots to zero; fail on genuine ones and on
+    NaN, naming the stage that produced it."""
     low = float(arr.min(initial=0.0))
-    if low < -floor_tol:
+    if not low >= -floor_tol:
+        if np.isnan(low):
+            raise NumericalError(f"{stage} produced a non-finite {what}")
         raise PositivityError(f"{what} reached {low:.6g}, beyond the allowed undershoot"
                               f" {floor_tol:.3g}; the step size is too large for this data")
-    if low < 0.0:
+    if not low >= 0.0:
         arr = np.maximum(arr, 0.0)
     return arr
+
+
+def _require_finite(u1, w1, b1):
+    """Fail on a NaN or inf in the fields of stages 2-4.  One sum carries it
+    to a non-finite total; only then is the first such field looked for."""
+    if math.isfinite(u1.sum() + w1.sum() + b1.sum()):
+        return
+    for name, field, stage in (("u", u1, "stage 2 (longitudinal momentum)"),
+                               ("w", w1, "stage 3 (transverse momentum)"),
+                               ("b", b1, "stage 4 (induction)")):
+        if not np.isfinite(field).all():
+            raise NumericalError(f"{stage} produced a non-finite {name}")
 
 
 def _vacuum_faces(vac):
@@ -236,7 +252,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
 
     # stage 1: continuity
     rho1 = _add_forcing(advect_density(rho0, u0, dt, grid), forcing, "rho", x, t_new, dt)
-    rho1 = _require_nonnegative(rho1, scale_tol, "density")
+    rho1 = _require_nonnegative(rho1, scale_tol, "density", "stage 1 (continuity)")
     vac = rho1 <= VACUUM_RHO
     rho_safe = np.maximum(rho1, VACUUM_RHO)
     vac_face = _vacuum_faces(vac)
@@ -269,6 +285,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     off_b = face_couplings(grid.n_cells, params.nu_mag, dx, ODD)
     cap_b = np.full(grid.n_cells, 1.0 / dt)
     b1 = _implicit(cap_b, off_b, b_star)
+    _require_finite(u1, w1, b1)
 
     # stage 5: internal energy
     energy0 = params.c_v * rho0 * th0
@@ -286,9 +303,11 @@ def step(state, dt, grid, params, cfg, forcing=None):
                    + dt * source)
     theta_tilde = np.where(vac, th0, energy_star / (params.c_v * rho_safe))
     clipped = int(np.count_nonzero(theta_tilde < 0.0))
-    theta_tilde = _require_nonnegative(theta_tilde, cfg.theta_floor_tol, "temperature")
+    theta_tilde = _require_nonnegative(theta_tilde, cfg.theta_floor_tol, "temperature",
+                                       "stage 5 (internal energy)")
     theta1, iters = conduction_update(theta_tilde, rho1, dt, grid, params, cfg)
-    theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)")
+    theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)",
+                                  "stage 5 (conduction)")
 
     return State(t_new, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
 
@@ -341,9 +360,13 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     The step size follows stable_dt, truncated to land exactly on t_end and
     on every requested snapshot time.  When a sink is given, a full
     diagnostics record is produced for the initial state, every
-    record_every-th step, and the final state.  Step failures are re-raised
-    annotated with the step index and time.  The initial data is not checked
-    for admissibility; callers that want the check run
+    record_every-th step, and the final state.  The accumulator folds the
+    accepted steps a window at a time (DiagnosticsAccumulator.window, at
+    most that many steps held), so the sink gets the same records in the
+    same order, but delivered at each window end, at t_end, and before an
+    exception leaves the loop.  Step failures are re-raised annotated with
+    the step index and time.  The initial data is not checked for
+    admissibility; callers that want the check run
     initial.compatibility_residuals first.
 
     After each accepted step, on_step(before, after, report) gets the state
@@ -368,25 +391,29 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
 
     eps_end = 1e-14 * max(1.0, t_end)
     step_idx = 0
-    while state.time < t_end - eps_end:
-        dt = min(stable_dt(state, grid, params, cfg), t_end - state.time)
-        if snaps:
-            dt = min(dt, snaps[0] - state.time)
-        try:
-            new_state, report = step(state, dt, grid, params, cfg, forcing)
-        except SimulationError as err:
-            err.args = (f"step {step_idx} at t = {state.time:.8g}: {err}",)
-            raise
-        step_idx += 1
+    try:
+        while state.time < t_end - eps_end:
+            dt = min(stable_dt(state, grid, params, cfg), t_end - state.time)
+            if snaps:
+                dt = min(dt, snaps[0] - state.time)
+            try:
+                new_state, report = step(state, dt, grid, params, cfg, forcing)
+            except SimulationError as err:
+                err.args = (f"step {step_idx} at t = {state.time:.8g}: {err}",)
+                raise
+            step_idx += 1
+            if on_step is not None:
+                on_step(state, new_state, report)
+            before, state = state, new_state
+            if snaps and state.time >= snaps[0] - 1e-12 * max(1.0, snaps[0]):
+                snapshot_sink(state)
+                snaps.pop(0)
+            if acc is not None:
+                due = step_idx % record_every == 0 or state.time >= t_end - eps_end
+                for record in acc.hold(before, state, dt, due):
+                    sink(record)
+    finally:
         if acc is not None:
-            acc.update(state, new_state, dt)
-        if on_step is not None:
-            on_step(state, new_state, report)
-        state = new_state
-        if snaps and state.time >= snaps[0] - 1e-12 * max(1.0, snaps[0]):
-            snapshot_sink(state)
-            snaps.pop(0)
-        if sink is not None and (step_idx % record_every == 0
-                                 or state.time >= t_end - eps_end):
-            sink(acc.record(state))
+            for record in acc.flush():
+                sink(record)
     return state

@@ -64,6 +64,11 @@ def test_benchmark_hooks_install_and_count_a_small_simulate(tmp_path):
     # per-layer solve metrics keep counting every solve
     assert layers["operators.solve_flux_system.calls"] > 0
     assert layers["operators.solve_flux_system.cells"] > 0
+    # the diagnostics fold several steps at a time, inside the two spans the
+    # per-layer metrics attribute them to
+    for name in ("diagnostics.update", "diagnostics.record"):
+        assert layers[f"{name}.calls"] > 0
+        assert layers[f"{name}.busy_s"] > 0.0
 
 
 def test_each_state_computes_its_pressure_and_kappa_once(tmp_path):

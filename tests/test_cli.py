@@ -268,6 +268,29 @@ def test_audit_warns_before_replacing_its_reports(tmp_path, capsys):
                 ("audit.csv", "audit-summary.txt"))
 
 
+@pytest.mark.parametrize("command", ["simulate", "continuation", "mms", "audit"])
+def test_rerun_names_the_run_log_it_replaces(tmp_path, capsys, command):
+    cfgfile = write_config(
+        tmp_path, "scenario = magnetic-pulse\nn_cells = 16\nt_end = 0.02\n"
+                  "snapshot_times = 0.0,0.02\n")
+    snaps = tmp_path / "snaps"
+    assert main(["--config", cfgfile, "--out", str(snaps), "simulate"]) == EXIT_OK
+    argv = {"simulate": ["simulate"],
+            "continuation": ["continuation", "--deltas", "1e-1,1e-2", "--t-end", "0.005"],
+            "mms": ["mms", "--case", "constant", "--resolutions", "16,32", "--t-end", "0.01"],
+            "audit": ["audit", "--input", str(snaps)]}[command]
+    argv = ["--config", cfgfile, "--out", str(tmp_path / "o")] + argv
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert "run.log" not in capsys.readouterr().err
+    assert main(argv) == EXIT_OK
+    err = capsys.readouterr().err
+    assert err.startswith("warning:") and "run.log" in err
+    log = (tmp_path / "o" / "run.log").read_text().splitlines()
+    assert [line for line in log if line.startswith("WARNING")] == [
+        "WARNING " + err.splitlines()[0].removeprefix("warning: ")]
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = main(["--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "o"), "simulate"])

@@ -1,0 +1,108 @@
+"""Windowed diagnostics: a run that folds up to W accepted steps at a time
+must hand its sink the records of the one-step-at-a-time path, bit for bit
+and in the same order, for every window length, record stride and grid."""
+
+import numpy as np
+import pytest
+
+import planar_mhd.diagnostics as diagnostics
+from planar_mhd.diagnostics import NORM_NAMES, SCALAR_COLUMNS, DiagnosticsAccumulator
+from planar_mhd.initial import scenario
+from planar_mhd.model import Grid, PhysParams, State
+from planar_mhd.solver import Forcing, SimulationError, run
+
+# (scenario, t_end) per grid: about 40 steps each
+CASES = {4: ("magnetic-pulse", 2.0), 128: ("vacuum-pocket", 0.15), 2048: ("vacuum-pocket", 0.01)}
+
+
+def hexed(record):
+    return ([getattr(record, name).hex() for name in SCALAR_COLUMNS]
+            + [record.norms[name].hex() for name in NORM_NAMES])
+
+
+def use_window(monkeypatch, steps, n):
+    monkeypatch.setattr(diagnostics, "WINDOW_CELLS", steps * n)
+    monkeypatch.setattr(diagnostics, "MIN_WINDOW", 1)
+
+
+def simulate(n, record_every, **kwargs):
+    name, t_end = CASES[n]
+    grid = Grid.uniform(n)
+    records, snaps, steps = [], [], []
+    final = run(scenario(name, grid), t_end, grid, PhysParams(q_exp=1.5), sink=records.append,
+                record_every=record_every, alpha=0.4,
+                snapshot_times=(0.37 * t_end, 0.71 * t_end), snapshot_sink=snaps.append,
+                on_step=lambda before, after, report: steps.append(report.dt_used), **kwargs)
+    return records, snaps, steps, final
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("n", sorted(CASES))
+def test_windowed_records_match_one_step_at_a_time(monkeypatch, n, record_every):
+    use_window(monkeypatch, 1, n)
+    want, want_snaps, steps, final = simulate(n, record_every)
+    assert len(steps) > 32
+    assert len(want) == 2 + (len(steps) - 1) // record_every
+    for window in (2, 7, 32, len(steps) + 5):
+        use_window(monkeypatch, window, n)
+        got, snaps, _, got_final = simulate(n, record_every)
+        assert [hexed(r) for r in got] == [hexed(r) for r in want], window
+        assert [s.time for s in snaps] == [s.time for s in want_snaps]
+        assert got_final.theta.tobytes() == final.theta.tobytes()
+
+
+def test_snapshot_times_fall_inside_windows(monkeypatch):
+    # the oracle above is only as strong as its windows are long: the
+    # snapshot steps must not sit on a window boundary for W = 7 and 32
+    use_window(monkeypatch, 1, 128)
+    _, snaps, steps, _ = simulate(128, 1)
+    times = np.cumsum(steps)
+    at = [int(np.argmin(abs(times - s.time))) + 1 for s in snaps]
+    for window in (7, 32):
+        assert all(k % window for k in at), (at, window)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_failing_run_delivers_the_held_records_first(monkeypatch, record_every):
+    # the drain switches on mid-run, so the step that fails sits inside a
+    # window whose earlier records are still held
+    grid = Grid.uniform(16)
+    drain = Forcing(e=lambda x, t: np.full(x.shape, -2000.0 if t > 0.2 else 0.0))
+
+    def failing():
+        records = []
+        with pytest.raises(SimulationError, match="step 6 at t"):
+            run(scenario("uniform-rest", grid), 0.5, grid, PhysParams(), forcing=drain,
+                sink=records.append, record_every=record_every)
+        return [hexed(r) for r in records]
+
+    use_window(monkeypatch, 1, 16)
+    want = failing()
+    assert len(want) == 1 + 6 // record_every
+    use_window(monkeypatch, 32, 16)
+    assert failing() == want
+
+
+def test_window_lengths_follow_the_cell_budget():
+    lengths = {n: DiagnosticsAccumulator(scenario("magnetic-pulse", Grid.uniform(n)),
+                                         Grid.uniform(n), PhysParams()).window
+               for n in (4, 128, 256, 512, 1024, 2048)}
+    assert lengths == {4: 512, 128: 16, 256: 8, 512: 4, 1024: 1, 2048: 1}
+
+
+def test_a_stack_records_each_state_as_alone():
+    # states with vacuum cells, a cold cell (entropy +inf) and plain ones,
+    # recorded together and one at a time
+    n = 64
+    grid = Grid.uniform(n)
+    params = PhysParams(q_exp=0.7)
+    init = scenario("vacuum-pocket", grid)
+    base = init.to_state()
+    cold_theta = base.theta.copy()
+    cold_theta[np.argmax(base.rho)] = 0.0
+    cold = State(0.5, base.rho, base.u, base.w, base.b, cold_theta)
+    states = [base, cold, scenario("magnetic-pulse", grid).to_state()]
+    alone = [hexed(DiagnosticsAccumulator(init, grid, params).record(s)) for s in states]
+    together = DiagnosticsAccumulator(init, grid, params).record(states)
+    assert [hexed(r) for r in together] == alone
+    assert together[1].entropy_fn == float("inf")

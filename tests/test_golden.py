@@ -5,7 +5,9 @@ The sequence covers simulate with snapshots, simulate on vacuum data with a
 non-default weight exponent, audit of the snapshots, the MMS ladder, and
 continuation from a library scenario and from a snapshot table.  One more
 case reruns simulate and the MMS ladder with every physical coefficient away
-from one, so a swapped or dropped coefficient changes some output digit.  Commands
+from one, so a swapped or dropped coefficient changes some output digit.  The
+last case records every third step on a grid where the diagnostics fold
+several steps at a time, with snapshots inside those windows.  Commands
 run with relative output directories so run.log holds no absolute paths.
 
 To regenerate the golden files after an intended output change:
@@ -31,6 +33,8 @@ CONFIGS = {
     "coeffs.cfg": "scenario = vacuum-pocket\nn_cells = 64\nt_end = 0.05\n"
                   "lambda_visc = 0.7\nmu_visc = 1.3\nnu_mag = 0.9\ngas_R = 0.6\n"
                   "c_v = 1.5\nkappa_a = 0.8\nkappa_b = 1.7\nq_exp = 1.5\n",
+    "stride.cfg": "scenario = smooth-shear\nn_cells = 128\nt_end = 0.2\nrecord_every = 3\n"
+                  "snapshot_times = 0.037,0.13\n",
 }
 
 COMMANDS = [
@@ -44,6 +48,7 @@ COMMANDS = [
      "--t-end", "0.02"],
     ["--config", "coeffs.cfg", "--out", "coeffs", "simulate"],
     ["--config", "coeffs.cfg", "--out", "mms-coeffs", "mms", "--resolutions", "32,64"],
+    ["--config", "stride.cfg", "--out", "stride", "simulate"],
 ]
 
 
@@ -83,12 +88,12 @@ def test_python_fallback_matches_golden_bytes(tmp_path, monkeypatch):
     # build) solve_flux_system runs its Python loop; the bytes must not move.
     monkeypatch.delenv("PLANAR_MHD_OUT", raising=False)
     monkeypatch.setattr(operators, "_KERNEL", None)
-    commands = [argv for argv in COMMANDS if "coeffs.cfg" in argv]
+    commands = [argv for argv in COMMANDS if "coeffs.cfg" in argv or "stride.cfg" in argv]
     outs = {argv[argv.index("--out") + 1] for argv in commands}
     got = run_sequence(tmp_path, commands)
     want = {name: data for name, data in golden_files().items()
             if name.split("/")[0] in outs}
-    assert len(want) == 6
+    assert len(want) == 11
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"fallback outputs differ from tests/golden: {changed}"

@@ -1,5 +1,7 @@
 """Time stepper: stability bound, splitting stages, invariants, error paths."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -439,6 +441,24 @@ def test_step_failures_are_annotated_with_time():
     drain = Forcing(e=lambda x, t: np.full(x.shape, -2000.0))
     with pytest.raises(SimulationError, match="step 0 at t"):
         run(scenario("uniform-rest", grid), 0.05, grid, PhysParams(), forcing=drain)
+
+
+@pytest.mark.parametrize("name, value, stage, field", [
+    ("rho", np.nan, "stage 1 (continuity)", "density"),
+    ("u", np.nan, "stage 2 (longitudinal momentum)", "u"),
+    ("w", np.inf, "stage 3 (transverse momentum)", "w"),
+    ("b", np.nan, "stage 4 (induction)", "b"),
+    ("e", np.nan, "stage 5 (internal energy)", "temperature"),
+])
+def test_a_non_finite_value_is_caught_at_the_stage_that_made_it(name, value, stage, field):
+    grid = Grid.uniform(16)
+    shape = FORCING_SHAPES[name]
+    bad = Forcing(**{name: lambda x, t: np.full(x.shape + shape, value)})
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NumericalError,
+                           match=rf"step 0 at t = 0: {re.escape(stage)} produced a"
+                                 rf" non-finite {field}$"):
+            run(scenario("magnetic-pulse", grid), 0.01, grid, PhysParams(), forcing=bad)
 
 
 def coarsen(field):
