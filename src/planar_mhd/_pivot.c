@@ -1,20 +1,29 @@
-/* Compiled copy of the subtraction-free pivot recursion behind
-   planar_mhd.operators.solve_flux_system.
+/* Compiled kernels behind planar_mhd's time step.
 
-   Every floating-point operation happens in the same order as in
-   operators._solve_flux_system_py, so the two agree bit for bit.  That
-   holds only without FMA contraction and without value-changing
-   optimizations: build with -O2 -ffp-contract=off, never -ffast-math.
+   solve_flux_system is the subtraction-free pivot recursion behind
+   planar_mhd.operators.solve_flux_system.  step_explicit runs stages 1-4
+   of solver.step and the explicit part of stage 5; conduction_pass runs
+   one Picard pass of solver.conduction_update.  All three go through the
+   one copy of the recursion, pivot_solve.
 
-   n cells, k right-hand-side columns.  x holds the right-hand side on
-   entry (row-major n x k) and the solution on return.  work holds 2n
-   doubles (the multipliers g and the pivots p).  Returns 0, or 1 on a
-   zero pivot, in which case x is left unsolved. */
+   Every floating-point operation happens in the same order as in the
+   numpy reference (operators._solve_flux_system_py, solver._explicit_stages
+   and solver._numpy_pass), so the two agree bit for bit.  That holds only
+   without FMA contraction and without value-changing optimizations: build
+   with -O2 -ffp-contract=off, never -ffast-math.  No libm function is
+   called, because numpy's transcendental loops need not give libm's bits:
+   kappa(theta) comes in evaluated by numpy. */
 
+#include <math.h>
 #include <stddef.h>
 
-int solve_flux_system(ptrdiff_t n, ptrdiff_t k, const double *cap,
-                      const double *off, double *x, double *work)
+/* n cells, k right-hand-side columns.  x holds the right-hand side on
+   entry (row-major n x k) and the solution on return.  work holds 2n
+   doubles (the multipliers g and the pivots p).  The forward sweep of x
+   rides in the pivot loop, which hides its latency behind the divisions.
+   Returns 0, or 1 on a zero pivot, in which case x is left half swept. */
+static int pivot_solve(ptrdiff_t n, ptrdiff_t k, const double *cap,
+                       const double *off, double *x, double *work)
 {
     double *g = work, *p = work + n;
     double e = cap[0] + off[0];
@@ -25,16 +34,286 @@ int solve_flux_system(ptrdiff_t n, ptrdiff_t k, const double *cap,
         g[i] = off[i] / p[i - 1];
         e = cap[i] + g[i] * e;
         p[i] = e + off[i + 1];
+        for (ptrdiff_t j = 0; j < k; j++)
+            x[i * k + j] += g[i] * x[(i - 1) * k + j];
     }
     if (p[n - 1] <= 0.0)
         return 1;
-    for (ptrdiff_t i = 1; i < n; i++)
-        for (ptrdiff_t j = 0; j < k; j++)
-            x[i * k + j] += g[i] * x[(i - 1) * k + j];
     for (ptrdiff_t j = 0; j < k; j++)
         x[(n - 1) * k + j] /= p[n - 1];
     for (ptrdiff_t i = n - 2; i >= 0; i--)
         for (ptrdiff_t j = 0; j < k; j++)
             x[i * k + j] = (x[i * k + j] + off[i + 1] * x[(i + 1) * k + j]) / p[i];
+    return 0;
+}
+
+int solve_flux_system(ptrdiff_t n, ptrdiff_t k, const double *cap,
+                      const double *off, double *x, double *work)
+{
+    return pivot_solve(n, k, cap, off, x, work);
+}
+
+/* Component c of cell i of a field of n cells with k interleaved
+   components, with one ghost cell on each side (i = -1 and i = n):
+   operators.pad_ghosts, odd reflection negating the edge value and even
+   reflection copying it. */
+static double cell(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i,
+                   ptrdiff_t c, int odd)
+{
+    double v = f[(i < 0 ? 0 : i >= n ? n - 1 : i) * k + c];
+    return odd && (i < 0 || i >= n) ? -v : v;
+}
+
+/* operators.face_average on the n+1 faces. */
+static void face_average(ptrdiff_t n, ptrdiff_t k, const double *f, int odd,
+                         double *out)
+{
+    for (ptrdiff_t j = 0; j <= n; j++)
+        for (ptrdiff_t c = 0; c < k; c++)
+            out[j * k + c] = 0.5 * (cell(f, n, k, j - 1, c, odd) + cell(f, n, k, j, c, odd));
+}
+
+/* operators.upwind_face_flux: face velocity vf times the upwind cell
+   value of q, exactly zero through the walls. */
+static void upwind_flux(ptrdiff_t n, ptrdiff_t k, const double *vf,
+                        const double *q, double *flux)
+{
+    for (ptrdiff_t j = 0; j <= n; j++)
+        for (ptrdiff_t c = 0; c < k; c++)
+            flux[j * k + c] = j == 0 || j == n ? 0.0
+                : vf[j] * (vf[j] >= 0.0 ? q[(j - 1) * k + c] : q[j * k + c]);
+}
+
+/* operators.div_faces at cell i, component c. */
+static double div_faces(const double *flux, ptrdiff_t k, ptrdiff_t i,
+                        ptrdiff_t c, double dx)
+{
+    return (flux[(i + 1) * k + c] - flux[i * k + c]) / dx;
+}
+
+/* operators.flux_laplacian: exterior values are zero. */
+static void flux_laplacian(ptrdiff_t n, ptrdiff_t k, const double *off,
+                           const double *q, double *out)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t c = 0; c < k; c++) {
+            double left = i > 0 ? q[(i - 1) * k + c] : 0.0;
+            double mid = q[i * k + c];
+            double right = i < n - 1 ? q[(i + 1) * k + c] : 0.0;
+            out[i * k + c] = off[i + 1] * (right - mid) - off[i] * (mid - left);
+        }
+}
+
+/* solver._implicit into out: tilde + (diag(cap) - L)^-1 L tilde.
+   Returns 1 on a zero pivot. */
+static int implicit(ptrdiff_t n, ptrdiff_t k, const double *cap,
+                    const double *off, const double *tilde, double *out,
+                    double *work)
+{
+    flux_laplacian(n, k, off, tilde, out);
+    if (pivot_solve(n, k, cap, off, out, work))
+        return 1;
+    for (ptrdiff_t i = 0; i < n * k; i++)
+        out[i] = tilde[i] + out[i];
+    return 0;
+}
+
+/* Face j touches a vacuum cell (solver._vacuum_faces). */
+static int vacuum_face(const double *rho, ptrdiff_t n, ptrdiff_t j, double vacuum_rho)
+{
+    return (j > 0 && rho[j - 1] <= vacuum_rho) || (j < n && rho[j] <= vacuum_rho);
+}
+
+/* operators.face_couplings(n, coeff, dx, ODD), with the faces touching
+   vacuum zeroed when rho is not NULL. */
+static void couplings(ptrdiff_t n, double coeff, double dx, const double *rho,
+                      double vacuum_rho, double *off)
+{
+    for (ptrdiff_t j = 0; j <= n; j++)
+        off[j] = coeff / (dx * dx);
+    off[0] *= 2.0;
+    off[n] *= 2.0;
+    if (rho)
+        for (ptrdiff_t j = 0; j <= n; j++)
+            if (vacuum_face(rho, n, j, vacuum_rho))
+                off[j] = 0.0;
+}
+
+/* solver._require_nonnegative: 1 when min(0, f) is NaN or below -tol.
+   Otherwise, if some entry is negative, every entry is clipped as
+   np.maximum(f, 0.0) clips it, which gives +0.0 for -0.0 too. */
+static int require_nonnegative(ptrdiff_t n, double *f, double tol)
+{
+    double low = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        if (f[i] < low || f[i] != f[i])  /* a NaN, once in low, stays */
+            low = f[i];
+    if (!(low >= -tol))
+        return 1;
+    if (low < 0.0)
+        for (ptrdiff_t i = 0; i < n; i++)
+            f[i] = f[i] > 0.0 ? f[i] : 0.0;
+    return 0;
+}
+
+/* Stages 1-4 of solver.step and stage 5 up to theta_tilde, as
+   solver._explicit_stages does them.
+
+   ws holds 25n + 6 doubles.  On entry its first 7n are the state:
+   rho, u, w (n x 2), b (n x 2), theta.  On return the next 7n are rho1,
+   u1, w1, b1 and theta_tilde; the rest is scratch.  The force_* arrays
+   are the forcing terms already scaled (dt f, and f for the energy), or
+   NULL.  Returns the number of cells whose theta_tilde was negative
+   before the clip, or -1 when a check of the step fails; the numpy
+   stages then say which. */
+ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
+                        double mu, double nu, double gas_R, double c_v,
+                        double vacuum_rho, double scale_tol, double theta_tol,
+                        const double *force_rho, const double *force_u,
+                        const double *force_w, const double *force_b,
+                        const double *force_e, double *ws)
+{
+    const double *rho0 = ws, *u0 = ws + n, *w0 = ws + 2 * n, *b0 = ws + 4 * n,
+                 *th0 = ws + 6 * n;
+    double *rho1 = ws + 7 * n, *u1 = ws + 8 * n, *w1 = ws + 9 * n, *b1 = ws + 11 * n,
+           *theta_tilde = ws + 13 * n;
+    double *uf = ws + 14 * n, *bf = uf + (n + 1), *flux = bf + 2 * (n + 1),
+           *off = flux + 2 * (n + 1), *cap = off + (n + 1), *tilde = cap + n,
+           *work = tilde + 2 * n;
+
+    /* stage 1: continuity */
+    face_average(n, 1, u0, 1, uf);
+    face_average(n, 2, b0, 1, bf);
+    upwind_flux(n, 1, uf, rho0, flux);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        rho1[i] = rho0[i] - dt * div_faces(flux, 1, i, 0, dx);
+        if (force_rho)
+            rho1[i] = rho1[i] + force_rho[i];
+    }
+    if (require_nonnegative(n, rho1, scale_tol))
+        return -1;
+    for (ptrdiff_t i = 0; i < n; i++)
+        cap[i] = rho1[i] <= vacuum_rho ? 1.0 : rho1[i] / dt;
+
+    /* stage 2: longitudinal momentum; work holds the total pressure */
+    for (ptrdiff_t i = 0; i < n; i++) {
+        tilde[i] = rho0[i] * u0[i];
+        work[i] = gas_R * rho0[i] * th0[i]
+                  + 0.5 * (b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1]);
+    }
+    upwind_flux(n, 1, uf, tilde, flux);
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double grad = (cell(work, n, 1, i + 1, 0, 0) - cell(work, n, 1, i - 1, 0, 0))
+                      / (2.0 * dx);
+        double m = tilde[i] - dt * div_faces(flux, 1, i, 0, dx) - dt * grad;
+        if (force_u)
+            m = m + force_u[i];
+        tilde[i] = rho1[i] <= vacuum_rho ? 0.0 : m / rho1[i];
+    }
+    couplings(n, lambda, dx, rho1, vacuum_rho, off);
+    if (implicit(n, 1, cap, off, tilde, u1, work))
+        return -1;
+
+    /* stage 3: transverse momentum (the -b part rides in the same flux) */
+    for (ptrdiff_t i = 0; i < 2 * n; i++)
+        tilde[i] = rho0[i / 2] * w0[i];
+    upwind_flux(n, 2, uf, tilde, flux);
+    for (ptrdiff_t j = 0; j < 2 * (n + 1); j++)
+        flux[j] = flux[j] - bf[j];
+    for (ptrdiff_t i = 0; i < n; i++)
+        for (ptrdiff_t c = 0; c < 2; c++) {
+            double m = tilde[2 * i + c] - dt * div_faces(flux, 2, i, c, dx);
+            if (force_w)
+                m = m + force_w[2 * i + c];
+            tilde[2 * i + c] = rho1[i] <= vacuum_rho ? 0.0 : m / rho1[i];
+        }
+    couplings(n, mu, dx, rho1, vacuum_rho, off);
+    if (implicit(n, 2, cap, off, tilde, w1, work))
+        return -1;
+
+    /* stage 4: induction, with the freshest velocities */
+    for (ptrdiff_t j = 0; j <= n; j++) {
+        double uf1 = 0.5 * (cell(u1, n, 1, j - 1, 0, 1) + cell(u1, n, 1, j, 0, 1));
+        for (ptrdiff_t c = 0; c < 2; c++)
+            flux[2 * j + c] = uf1 * bf[2 * j + c]
+                              - 0.5 * (cell(w1, n, 2, j - 1, c, 1) + cell(w1, n, 2, j, c, 1));
+    }
+    for (ptrdiff_t i = 0; i < 2 * n; i++) {
+        tilde[i] = b0[i] - dt * div_faces(flux, 2, i / 2, i % 2, dx);
+        if (force_b)
+            tilde[i] = tilde[i] + force_b[i];
+    }
+    for (ptrdiff_t i = 0; i < n; i++)
+        cap[i] = 1.0 / dt;
+    couplings(n, nu, dx, NULL, vacuum_rho, off);
+    if (implicit(n, 2, cap, off, tilde, b1, work))
+        return -1;
+    for (ptrdiff_t i = 0; i < 5 * n; i++)  /* u1, w1 and b1 lie end to end */
+        if (!isfinite(u1[i]))
+            return -1;
+
+    /* stage 5: internal energy; off holds the mechanical heating on faces */
+    for (ptrdiff_t i = 0; i < n; i++)
+        tilde[i] = c_v * rho0[i] * th0[i];
+    upwind_flux(n, 1, uf, tilde, flux);
+    for (ptrdiff_t j = 0; j <= n; j++) {
+        int gas = !vacuum_face(rho1, n, j, vacuum_rho);
+        double du = gas ? (cell(u1, n, 1, j, 0, 1) - cell(u1, n, 1, j - 1, 0, 1)) / dx : 0.0;
+        double dw[2], db[2];
+        for (ptrdiff_t c = 0; c < 2; c++) {
+            dw[c] = gas ? (cell(w1, n, 2, j, c, 1) - cell(w1, n, 2, j - 1, c, 1)) / dx : 0.0;
+            db[c] = (cell(b1, n, 2, j, c, 1) - cell(b1, n, 2, j - 1, c, 1)) / dx;
+        }
+        off[j] = lambda * du * du + mu * (dw[0] * dw[0] + dw[1] * dw[1])
+                 + nu * (db[0] * db[0] + db[1] * db[1]);
+    }
+    ptrdiff_t clipped = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double u_x = (cell(u1, n, 1, i + 1, 0, 1) - cell(u1, n, 1, i - 1, 0, 1)) / (2.0 * dx);
+        double source = 0.5 * (off[i] + off[i + 1]) - gas_R * rho1[i] * th0[i] * u_x;
+        if (force_e)
+            source = source + force_e[i];
+        double energy = tilde[i] - dt * div_faces(flux, 1, i, 0, dx) + dt * source;
+        theta_tilde[i] = rho1[i] <= vacuum_rho ? th0[i] : energy / (c_v * rho1[i]);
+        clipped += theta_tilde[i] < 0.0;
+    }
+    if (require_nonnegative(n, theta_tilde, theta_tol))
+        return -1;
+    return clipped;
+}
+
+/* One pass of the Picard loop of solver.conduction_update, as
+   solver._numpy_pass does it.
+
+   ws holds 8n + 3 doubles: theta_tilde, rho, the iterate theta_k, then
+   scratch, then two report slots.  kappa is kappa(max(theta_k, 0)) per
+   cell.  The pass replaces theta_k by the next iterate and reports
+   max|theta_next - theta_k| and max|theta_k| (NaN if any entry is NaN, as
+   numpy's max) in the last two slots.  Returns 0, or 1 on a zero pivot. */
+int conduction_pass(ptrdiff_t n, double dx, double c_v, double dt,
+                    double vacuum_rho, const double *kappa, double *ws)
+{
+    const double *theta_tilde = ws, *rho = ws + n;
+    double *theta_k = ws + 2 * n, *x = ws + 3 * n, *cap = ws + 4 * n, *off = ws + 5 * n,
+           *work = off + (n + 1), *report = work + 2 * n;
+
+    for (ptrdiff_t i = 0; i < n; i++)
+        cap[i] = rho[i] <= vacuum_rho ? 1.0 : c_v * rho[i] / dt;
+    for (ptrdiff_t j = 0; j <= n; j++)  /* walls and vacuum faces are insulated */
+        off[j] = j == 0 || j == n || vacuum_face(rho, n, j, vacuum_rho) ? 0.0
+            : 0.5 * (kappa[j - 1] + kappa[j]) / (dx * dx);
+    flux_laplacian(n, 1, off, theta_tilde, x);
+    if (pivot_solve(n, 1, cap, off, x, work))
+        return 1;
+    double change = 0.0, scale = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        double next = theta_tilde[i] + x[i];
+        double d = fabs(next - theta_k[i]), a = fabs(theta_k[i]);
+        change = d > change || d != d ? d : change;
+        scale = a > scale || a != a ? a : scale;
+        theta_k[i] = next;
+    }
+    report[0] = change;
+    report[1] = scale;
     return 0;
 }

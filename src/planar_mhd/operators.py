@@ -15,6 +15,12 @@ matrices as singular even though they are not.  The recursion runs as
 compiled C (_pivot.c, built once per checkout into __pycache__ and loaded
 with ctypes) with the Python loop as reference and fallback; both give the
 same bits.
+
+The same library holds the compiled step of solver.step: step_explicit
+(stages 1-4 and the explicit part of stage 5) and conduction_pass (one
+Picard pass).  _KERNEL is that library, or None when it cannot be built;
+it is the one switch between the compiled step and solve and the numpy
+step and Python loop.
 """
 
 from __future__ import annotations
@@ -189,7 +195,8 @@ def solve_flux_system(cap, off, rhs):
     x = np.array(rhs, dtype=np.float64, order="C")  # solved in place
     work = np.empty(2 * n)
     k = 1 if x.ndim == 1 else x.shape[1]
-    if _KERNEL(n, k, cap.ctypes.data, off.ctypes.data, x.ctypes.data, work.ctypes.data):
+    if _KERNEL.solve_flux_system(n, k, cap.ctypes.data, off.ctypes.data, x.ctypes.data,
+                                 work.ctypes.data):
         raise np.linalg.LinAlgError("flux system has a zero pivot")
     return x
 
@@ -230,11 +237,19 @@ def _solve_flux_system_py(cap, off, rhs):
 
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
+_SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
+_SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
+    "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
+    "step_explicit": ([_SIZE] + [_DOUBLE] * 10 + [_POINTER] * 6, _SIZE),
+    "conduction_pass": ([_SIZE] + [_DOUBLE] * 4 + [_POINTER] * 2, ctypes.c_int),
+}
+
 
 def _load_kernel():
-    """Load the compiled pivot recursion, building it first if this source
-    and these flags have not been built yet.  None when no C compiler is
-    present or the build fails; solve_flux_system then runs the Python loop.
+    """Load the compiled kernels, building them first if this source and
+    these flags have not been built yet.  None when no C compiler is
+    present or the build fails; solve_flux_system then runs the Python loop
+    and solver.step the numpy stages.
 
     The library is named by a checksum of source and flags and moved into
     place in one step, so concurrent builds never load a partial file."""
@@ -257,11 +272,13 @@ def _load_kernel():
                     os.replace(built, lib)
             except subprocess.CalledProcessError:
                 return None
-        kernel = ctypes.CDLL(lib).solve_flux_system
+        kernel = ctypes.CDLL(lib)
     except OSError:
         return None
-    kernel.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t] + [ctypes.c_void_p] * 4
-    kernel.restype = ctypes.c_int
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        function = getattr(kernel, name)
+        function.argtypes = argtypes
+        function.restype = restype
     return kernel
 
 

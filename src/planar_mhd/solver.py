@@ -24,6 +24,13 @@ nothing: no viscous stress, no heat.  Massless cells cannot push on the gas
 or store dissipation, so insulating those faces (and pinning the vacuum rows
 of every density-weighted solve) is the discrete version of that statement.
 Magnetic diffusion is the one exception; b stays meaningful in vacuum.
+
+Where the compiled kernel is loaded (operators._KERNEL), stages 1-4 and the
+explicit part of stage 5 run as one step_explicit call and each Picard pass
+as one conduction_pass call; otherwise they run as numpy calls
+(_explicit_stages, _numpy_pass), which stay as the bitwise reference.  The
+forcing callables, kappa(theta) of each pass, State construction and every
+error message stay in Python on both paths.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .diagnostics import DiagnosticsAccumulator
 from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
 from .operators import (
@@ -178,16 +186,79 @@ def _vacuum_faces(vac):
     return faces
 
 
-def _add_forcing(value, forcing, name, x, t, scale):
-    """value + scale * f(x, t) for the forcing entry name, or value as is
-    when there is no such entry."""
-    f = None if forcing is None else getattr(forcing, name)
-    return value if f is None else value + scale * f(x, t)
+def _forcing_terms(forcing, x, t, dt):
+    """The forcing terms of one step in field order (rho, u, w, b, e): dt *
+    f(x, t) for the first four and f(x, t) for e, which enters the energy
+    source; None where there is no such entry.  Each entry is called once."""
+    if forcing is None:
+        return (None,) * 5
+    return tuple(None if f is None else scale * f(x, t)
+                 for f, scale in ((forcing.rho, dt), (forcing.u, dt), (forcing.w, dt),
+                                  (forcing.b, dt), (forcing.e, 1.0)))
+
+
+def _plus(value, term):
+    """value + term, or value as is when there is no term."""
+    return value if term is None else value + term
 
 
 def _implicit(cap, off, tilde):
     """Increment-form backward Euler: tilde + (diag(cap) - L)^-1 L tilde."""
     return tilde + solve_flux_system(cap, off, flux_laplacian(off, tilde))
+
+
+def _numpy_pass(theta_tilde, rho, dt, grid, params):
+    """The Picard passes of conduction_update as numpy calls: each call of
+    advance() runs the next pass from the iterate theta_k (theta_tilde at
+    first) and returns (theta_next, max|theta_next - theta_k|,
+    max|theta_k|).  The reference that the compiled pass matches bit for
+    bit."""
+    dx = grid.dx
+    vac = rho <= VACUUM_RHO
+    face_insulated = _vacuum_faces(vac)
+    face_insulated[[0, -1]] = True  # insulated walls
+    cap = np.where(vac, 1.0, params.c_v * rho / dt)
+    theta_k = theta_tilde
+
+    def advance():
+        nonlocal theta_k
+        kf = face_average(kappa(np.maximum(theta_k, 0.0), params), EVEN)
+        off = kf / (dx * dx)
+        off[face_insulated] = 0.0
+        theta_next = _implicit(cap, off, theta_tilde)
+        change = float(np.abs(theta_next - theta_k).max())
+        scale = float(np.abs(theta_k).max())
+        theta_k = theta_next
+        return theta_next, change, scale
+
+    return advance
+
+
+def _compiled_pass(kernel, theta_tilde, rho, dt, grid, params):
+    """The passes of _numpy_pass, each as one conduction_pass call of the
+    compiled kernel.  The iterate lives in the kernel's workspace, which
+    each call updates in place, so advance() returns that same array every
+    pass.  The workspace is allocated and its address read once per
+    conduction_update."""
+    n = grid.n_cells
+    ws = np.empty(8 * n + 3)  # layout in _pivot.c
+    ws[:n] = theta_tilde
+    ws[n:2 * n] = rho
+    theta_k = ws[2 * n:3 * n]
+    theta_k[:] = theta_tilde
+    report = ws[-2:]
+    address = ws.ctypes.data
+    run_pass = kernel.conduction_pass
+    consts = (n, grid.dx, params.c_v, dt, VACUUM_RHO)
+
+    def advance():
+        kap = kappa(np.maximum(theta_k, 0.0), params)
+        if run_pass(*consts, kap.ctypes.data, address):
+            raise np.linalg.LinAlgError("flux system has a zero pivot")
+        change, scale = report.tolist()
+        return theta_k, change, scale
+
+    return advance
 
 
 def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
@@ -199,31 +270,26 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
     insulated and vacuum cells are pinned at their incoming value, which is
     how "temperature is carried through vacuum" is realized.  Each linear
     pass is a symmetric M-matrix solve, so the update obeys the discrete
-    maximum principle with respect to theta_tilde.
+    maximum principle with respect to theta_tilde.  A pass is one call of
+    the compiled kernel when it is loaded (operators._KERNEL), numpy calls
+    otherwise; kappa is evaluated by numpy either way.
 
     Returns (theta_new, picard_iterations).
     """
-    dx = grid.dx
-    vac = rho <= VACUUM_RHO
-    face_insulated = _vacuum_faces(vac)
-    face_insulated[[0, -1]] = True  # insulated walls
-
-    cap = np.where(vac, 1.0, params.c_v * rho / dt)
-    theta_k = theta_tilde
+    kernel = operators._KERNEL
+    if kernel is None:
+        advance = _numpy_pass(theta_tilde, rho, dt, grid, params)
+    else:
+        advance = _compiled_pass(kernel, theta_tilde, rho, dt, grid, params)
     for iteration in range(1, cfg.picard_max_iters + 1):
-        kf = face_average(kappa(np.maximum(theta_k, 0.0), params), EVEN)
-        off = kf / (dx * dx)
-        off[face_insulated] = 0.0
         try:
-            theta_next = _implicit(cap, off, theta_tilde)
+            theta_k, change, scale = advance()
         except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
             raise NumericalError(f"conduction solve failed: {err}") from err
-        change = float(np.abs(theta_next - theta_k).max())
-        if not np.isfinite(change):
+        if not math.isfinite(change):
             raise NumericalError(f"conduction pass {iteration} produced a non-finite"
                                  f" temperature (change {change})")
-        scale = float(np.abs(theta_k).max()) + 1e-30
-        theta_k = theta_next
+        scale += 1e-30
         if change <= cfg.picard_tol * scale:
             return theta_k, iteration
     raise PicardError(
@@ -233,26 +299,20 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
     )
 
 
-def step(state, dt, grid, params, cfg, forcing=None):
-    """Advance one operator-split step of size dt.
+def _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol):
+    """Stages 1-4 and stage 5 up to theta_tilde as numpy calls: the
+    reference that step_explicit of the compiled kernel matches bit for bit.
 
-    Returns (new_state, StepReport).  dt is trusted to satisfy the stable_dt
-    bound; violating it surfaces as a positivity failure, not silent damage.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    Returns (rho1, u1, w1, b1, theta_tilde, clipped_cells)."""
     dx = grid.dx
-    x = grid.cell_centers
-    t_new = state.time + dt
     rho0, u0, w0, b0, th0 = state.rho, state.u, state.w, state.b, state.theta
-    scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(rho0.max(initial=0.0)))
-
+    f_rho, f_u, f_w, f_b, f_e = terms
     uf = state.u_face
     bf = state.b_face
 
     # stage 1: continuity
-    rho1 = _add_forcing(advect_density(rho0, u0, dt, grid), forcing, "rho", x, t_new, dt)
-    rho1 = _require_nonnegative(rho1, scale_tol, "density", "stage 1 (continuity)")
+    rho1 = _require_nonnegative(_plus(advect_density(rho0, u0, dt, grid), f_rho), scale_tol,
+                                "density", "stage 1 (continuity)")
     vac = rho1 <= VACUUM_RHO
     rho_safe = np.maximum(rho1, VACUUM_RHO)
     vac_face = _vacuum_faces(vac)
@@ -263,16 +323,14 @@ def step(state, dt, grid, params, cfg, forcing=None):
     m_star = (rho0 * u0
               - dt * div_faces(upwind_face_flux(uf, rho0 * u0), dx)
               - dt * cell_grad(ptot, dx, EVEN))
-    m_star = _add_forcing(m_star, forcing, "u", x, t_new, dt)
-    u_tilde = np.where(vac, 0.0, m_star / rho_safe)
+    u_tilde = np.where(vac, 0.0, _plus(m_star, f_u) / rho_safe)
     off_u = face_couplings(grid.n_cells, params.lambda_visc, dx, ODD)
     off_u[vac_face] = 0.0
     u1 = _implicit(cap_gas, off_u, u_tilde)
 
     # stage 3: transverse momentum (the -b part rides in the same flux)
     flux_w = upwind_face_flux(uf, rho0[:, None] * w0) - bf
-    mw_star = _add_forcing(rho0[:, None] * w0 - dt * div_faces(flux_w, dx),
-                           forcing, "w", x, t_new, dt)
+    mw_star = _plus(rho0[:, None] * w0 - dt * div_faces(flux_w, dx), f_w)
     w_tilde = np.where(vac[:, None], 0.0, mw_star / rho_safe[:, None])
     off_w = face_couplings(grid.n_cells, params.mu_visc, dx, ODD)
     off_w[vac_face] = 0.0
@@ -281,13 +339,13 @@ def step(state, dt, grid, params, cfg, forcing=None):
     # stage 4: induction, with the freshest velocities (valid in vacuum too)
     uf1 = face_average(u1, ODD)
     flux_b = uf1[:, None] * bf - face_average(w1, ODD)
-    b_star = _add_forcing(b0 - dt * div_faces(flux_b, dx), forcing, "b", x, t_new, dt)
+    b_star = _plus(b0 - dt * div_faces(flux_b, dx), f_b)
     off_b = face_couplings(grid.n_cells, params.nu_mag, dx, ODD)
     cap_b = np.full(grid.n_cells, 1.0 / dt)
     b1 = _implicit(cap_b, off_b, b_star)
     _require_finite(u1, w1, b1)
 
-    # stage 5: internal energy
+    # stage 5: internal energy, up to the convected temperature
     energy0 = params.c_v * rho0 * th0
     du_f = face_diff(u1, dx, ODD)
     dw_f = face_diff(w1, dx, ODD)
@@ -297,7 +355,7 @@ def step(state, dt, grid, params, cfg, forcing=None):
     heat_f = mechanical_heating(du_f, dw_f, db_f, params)
     heating = 0.5 * (heat_f[:-1] + heat_f[1:])
     work = pressure(rho1, th0, params) * cell_grad(u1, dx, ODD)
-    source = _add_forcing(heating - work, forcing, "e", x, t_new, 1.0)
+    source = _plus(heating - work, f_e)
     energy_star = (energy0
                    - dt * div_faces(upwind_face_flux(uf, energy0), dx)
                    + dt * source)
@@ -305,6 +363,54 @@ def step(state, dt, grid, params, cfg, forcing=None):
     clipped = int(np.count_nonzero(theta_tilde < 0.0))
     theta_tilde = _require_nonnegative(theta_tilde, cfg.theta_floor_tol, "temperature",
                                        "stage 5 (internal energy)")
+    return rho1, u1, w1, b1, theta_tilde, clipped
+
+
+def _compiled_stages(kernel, state, dt, grid, params, cfg, terms, scale_tol):
+    """_explicit_stages as one step_explicit call of the compiled kernel.
+    When a check fails there, the numpy stages run again on the same
+    forcing terms, so the error is raised, and worded, where they raise it."""
+    n = grid.n_cells
+    ws = np.empty(25 * n + 6)  # layout in _pivot.c
+    np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
+                   out=ws[:7 * n])
+    shapes = ((n,), (n,), (n, 2), (n, 2), (n,))
+    forced = [None if term is None
+              else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=np.float64)
+              for term, shape in zip(terms, shapes)]
+    clipped = kernel.step_explicit(
+        n, grid.dx, dt, params.lambda_visc, params.mu_visc, params.nu_mag, params.gas_R,
+        params.c_v, VACUUM_RHO, scale_tol, cfg.theta_floor_tol,
+        *(None if f is None else f.ctypes.data for f in forced), ws.ctypes.data)
+    if clipped < 0:
+        _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol)
+        raise RuntimeError("the compiled step failed a check that the numpy step passes")
+    out = ws[7 * n:14 * n]
+    return (out[:n], out[n:2 * n], out[2 * n:4 * n].reshape(n, 2),
+            out[4 * n:6 * n].reshape(n, 2), out[6 * n:], clipped)
+
+
+def step(state, dt, grid, params, cfg, forcing=None):
+    """Advance one operator-split step of size dt.
+
+    Returns (new_state, StepReport).  dt is trusted to satisfy the stable_dt
+    bound; violating it surfaces as a positivity failure, not silent damage.
+    Each forcing entry is called once, before the stages run.  Stages 1-4
+    and the explicit part of stage 5 are one call of the compiled kernel
+    when it is loaded (operators._KERNEL), numpy calls otherwise; both give
+    the same bits.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    t_new = state.time + dt
+    terms = _forcing_terms(forcing, grid.cell_centers, t_new, dt)
+    scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(state.rho.max(initial=0.0)))
+    kernel = operators._KERNEL
+    if kernel is None:
+        stages = _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol)
+    else:
+        stages = _compiled_stages(kernel, state, dt, grid, params, cfg, terms, scale_tol)
+    rho1, u1, w1, b1, theta_tilde, clipped = stages
     theta1, iters = conduction_update(theta_tilde, rho1, dt, grid, params, cfg)
     theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)",
                                   "stage 5 (conduction)")

@@ -19,7 +19,11 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = """
 import json, sys
 import planar_mhd.cli as cli
+import planar_mhd.operators as operators
 from tracing import RunEntryClock, StepCounter, Tracer
+
+if sys.argv[2] == "numpy":
+    operators._KERNEL = None  # the numpy step and the Python pivot loop
 
 tracer = Tracer("hooks")
 tracer.install()
@@ -29,17 +33,19 @@ counter = StepCounter()
 counter.install()
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 json.dump({"exits": codes, "steps": counter.steps, "entered_run": clock.first_ns is not None,
-           "layers": tracer.layer_metrics()}, sys.stdout)
+           "compiled": operators._KERNEL is not None, "layers": tracer.layer_metrics()},
+          sys.stdout)
 """
 
 
-def run_hooked(tmp_path, *commands):
+def run_hooked(tmp_path, *commands, path="default"):
     """Run the CLI commands in one child process with the hooks installed,
-    as a benchmark workload does, and return what the child reports."""
+    as a benchmark workload does, and return what the child reports.  With
+    path="numpy" the child runs with the compiled kernel switched off."""
     env = dict(os.environ)
     env.pop("PLANAR_MHD_OUT", None)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(commands), path],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -51,24 +57,32 @@ def test_benchmark_hooks_install_and_count_a_small_simulate(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.02\n"
                    "snapshot_times = 0.01\n")
-    result = run_hooked(tmp_path, ["--config", str(cfg), "--out", str(tmp_path / "out"),
-                                   "simulate"])
-    assert result["entered_run"]
-    steps = result["steps"]
-    layers = result["layers"]
-    assert steps > 1
-    assert layers["solver.step.calls"] == steps
-    assert layers["solver.consistency_residuals.calls"] == steps
-    assert layers["solver.errors"] == 0
-    # the compiled kernel sits behind the same Python entry point, so the
-    # per-layer solve metrics keep counting every solve
-    assert layers["operators.solve_flux_system.calls"] > 0
-    assert layers["operators.solve_flux_system.cells"] > 0
-    # the diagnostics fold several steps at a time, inside the two spans the
-    # per-layer metrics attribute them to
-    for name in ("diagnostics.update", "diagnostics.record"):
-        assert layers[f"{name}.calls"] > 0
-        assert layers[f"{name}.busy_s"] > 0.0
+    for path in ("default", "numpy"):
+        out = tmp_path / path
+        result = run_hooked(tmp_path, ["--config", str(cfg), "--out", str(out), "simulate"],
+                            path=path)
+        assert result["entered_run"]
+        steps = result["steps"]
+        layers = result["layers"]
+        assert steps > 1
+        assert layers["solver.step.calls"] == steps
+        assert layers["solver.consistency_residuals.calls"] == steps
+        assert layers["solver.errors"] == 0
+        # step calls conduction_update by name on both paths, so the Picard
+        # metrics count every step's passes
+        assert layers["solver.conduction_update.calls"] == steps
+        assert layers["solver.picard_passes"] >= steps
+        if not result["compiled"]:
+            # without the kernel every solve goes through the Python entry
+            # point, so the per-layer solve metrics count them
+            assert layers["operators.solve_flux_system.calls"] > 0
+            assert layers["operators.solve_flux_system.cells"] > 0
+        # the diagnostics fold several steps at a time, inside the two spans
+        # the per-layer metrics attribute them to
+        for name in ("diagnostics.update", "diagnostics.record"):
+            assert layers[f"{name}.calls"] > 0
+            assert layers[f"{name}.busy_s"] > 0.0
+    assert not result["compiled"]
 
 
 def test_each_state_computes_its_pressure_and_kappa_once(tmp_path):

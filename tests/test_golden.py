@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 import planar_mhd.operators as operators
+import planar_mhd.solver as solver
 from planar_mhd.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -84,10 +85,23 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch):
 
 
 def test_python_fallback_matches_golden_bytes(tmp_path, monkeypatch):
-    # Without the compiled pivot recursion (no C compiler, or a failed
-    # build) solve_flux_system runs its Python loop; the bytes must not move.
+    # Without the compiled kernel (no C compiler, or a failed build) step
+    # runs the numpy stages and solve_flux_system its Python loop; the
+    # bytes must not move.
     monkeypatch.delenv("PLANAR_MHD_OUT", raising=False)
     monkeypatch.setattr(operators, "_KERNEL", None)
+    ran = {"numpy step": 0, "python loop": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            ran[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(solver, "_explicit_stages",
+                        counting("numpy step", solver._explicit_stages))
+    monkeypatch.setattr(operators, "_solve_flux_system_py",
+                        counting("python loop", operators._solve_flux_system_py))
     commands = [argv for argv in COMMANDS if "coeffs.cfg" in argv or "stride.cfg" in argv]
     outs = {argv[argv.index("--out") + 1] for argv in commands}
     got = run_sequence(tmp_path, commands)
@@ -97,6 +111,7 @@ def test_python_fallback_matches_golden_bytes(tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     changed = [name for name in want if got[name] != want[name]]
     assert not changed, f"fallback outputs differ from tests/golden: {changed}"
+    assert ran["numpy step"] > 0 and ran["python loop"] > 0, ran
 
 
 if __name__ == "__main__":

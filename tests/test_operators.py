@@ -309,12 +309,13 @@ def test_solve_flux_system_graded_couplings_exact_oracle():
     assert np.max(rel) < 1e-13
 
 
-def test_solve_flux_system_rejects_zero_pivot():
+def test_solve_flux_system_rejects_zero_pivot(each_path):
     # An insulated block with zero capacity has no unique solution.
     cap = np.zeros(3)
     off = np.zeros(4)
-    with pytest.raises(np.linalg.LinAlgError):
-        solve_flux_system(cap, off, np.ones(3))
+    for _ in each_path():
+        with pytest.raises(np.linalg.LinAlgError, match="^flux system has a zero pivot$"):
+            solve_flux_system(cap, off, np.ones(3))
 
 
 def test_solve_flux_system_residual_on_random_systems():
@@ -380,6 +381,20 @@ def test_compiled_solve_is_active_where_a_compiler_is():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH; solve_flux_system runs the Python loop")
     assert operators._KERNEL is not None
+    # the step's entry points come from the same build, typed as declared
+    for name, (argtypes, restype) in operators._SIGNATURES.items():
+        function = getattr(operators._KERNEL, name)
+        assert function.argtypes == argtypes and function.restype is restype
+    assert set(operators._SIGNATURES) == {"solve_flux_system", "step_explicit",
+                                          "conduction_pass"}
+
+
+def test_kernel_flags_keep_the_numpy_bits():
+    # FMA contraction or value-changing optimizations would break the bit
+    # identity of the compiled step and solve with their numpy references
+    assert "-ffp-contract=off" in operators._CFLAGS
+    for flag in ("-ffast-math", "-Ofast", "-march=native"):
+        assert flag not in operators._CFLAGS
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import planar_mhd.cli as cli
+import planar_mhd.operators as operators
 import planar_mhd.solver as solver
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
@@ -106,20 +107,30 @@ def recording_forcing(names, calls):
 
 @pytest.mark.parametrize("names", [[name] for name in FORCING_SHAPES] + [list(FORCING_SHAPES)],
                          ids=[*FORCING_SHAPES, "all"])
-def test_each_forcing_entry_is_called_once_per_step_at_the_new_time(names):
+def test_each_forcing_entry_is_called_once_per_step_at_the_new_time(names, each_path):
     grid = Grid.uniform(24)
     state = State(0.3, *(getattr(wavy_state(24), f) for f in ("rho", "u", "w", "b", "theta")))
-    dt = 1e-3
-    calls = []
-    forced, _ = step(state, dt, grid, PhysParams(), SchemeConfig(),
-                     recording_forcing(names, calls))
-    assert sorted(name for name, _, _ in calls) == sorted(names)
-    for _, x, t in calls:
-        assert np.array_equal(x, grid.cell_centers)
-        assert t == state.time + dt
-    plain, _ = step(state, dt, grid, PhysParams(), SchemeConfig())
-    for f in ("rho", "u", "w", "b", "theta"):
-        assert np.array_equal(getattr(forced, f), getattr(plain, f))
+
+    def forced_step(dt):
+        calls = []
+        try:
+            return step(state, dt, grid, PhysParams(), SchemeConfig(),
+                        recording_forcing(names, calls))[0]
+        finally:
+            assert sorted(name for name, _, _ in calls) == sorted(names)
+            for _, x, t in calls:
+                assert np.array_equal(x, grid.cell_centers)
+                assert t == state.time + dt
+
+    for _ in each_path():
+        forced = forced_step(1e-3)
+        # dt = 1 fails at stage 1, before the other stages run, and still
+        # calls each entry exactly once
+        with pytest.raises(PositivityError, match="density"):
+            forced_step(1.0)
+        plain, _ = step(state, 1e-3, grid, PhysParams(), SchemeConfig())
+        for f in ("rho", "u", "w", "b", "theta"):
+            assert np.array_equal(getattr(forced, f), getattr(plain, f))
 
 
 def test_advection_matches_upwind_oracle():
@@ -197,21 +208,32 @@ def test_mass_is_conserved_to_roundoff(name):
     assert abs(mass1 - mass0) <= 1e-13
 
 
-def test_density_positivity_failure_is_caught():
+def raises_alike(each_path, error, match, fn, *args, **kwargs):
+    """fn(*args, **kwargs) raises error, matching match, on every solver
+    path, and with the same text on each."""
+    texts = set()
+    for _ in each_path():
+        with pytest.raises(error, match=match) as info:
+            fn(*args, **kwargs)
+        texts.add(str(info.value))
+    assert len(texts) == 1, texts
+
+
+def test_density_positivity_failure_is_caught(each_path):
     n = 32
     state = uniform_state(n, u=-5.0)
     grid = Grid.uniform(n)
-    with pytest.raises(PositivityError, match="density"):
-        step(state, 0.01, grid, PhysParams(), SchemeConfig())
+    raises_alike(each_path, PositivityError, "density",
+                 step, state, 0.01, grid, PhysParams(), SchemeConfig())
 
 
-def test_temperature_positivity_failure_is_caught():
+def test_temperature_positivity_failure_is_caught(each_path):
     n = 16
     state = uniform_state(n)
     grid = Grid.uniform(n)
     drain = Forcing(e=lambda x, t: np.full(x.shape, -2000.0))
-    with pytest.raises(PositivityError, match="temperature"):
-        step(state, 0.01, grid, PhysParams(), SchemeConfig(), forcing=drain)
+    raises_alike(each_path, PositivityError, "temperature",
+                 step, state, 0.01, grid, PhysParams(), SchemeConfig(), forcing=drain)
 
 
 def test_temperature_undershoot_within_floor_is_clipped():
@@ -296,25 +318,33 @@ def test_conduction_carries_temperature_through_vacuum():
     assert np.array_equal(theta_new[8:16], theta_tilde[8:16])
 
 
-def test_conduction_fails_fast_on_a_non_finite_temperature(monkeypatch):
+def test_conduction_fails_fast_on_a_non_finite_temperature(monkeypatch, each_path):
     # kappa(1e60) = 1 + 1e360 overflows, so the first solve is all NaN; the
-    # Picard loop must stop there, not after picard_max_iters passes
+    # Picard loop must stop there, not after picard_max_iters passes.  A
+    # pass is one _implicit call on the numpy path and one conduction_pass
+    # call of the kernel on the compiled path; both are counted.
     n = 16
     theta_tilde = np.ones(n)
     theta_tilde[7] = 1e60
     passes = []
-    real = solver._implicit
 
-    def counted(*args):
-        passes.append(1)
-        return real(*args)
+    def counting(real):
+        def counted(*args):
+            passes.append(1)
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(solver, "_implicit", counted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="conduction pass 1 produced a non-finite"):
-            conduction_update(theta_tilde, np.ones(n), 1e-3, Grid.uniform(n),
-                              PhysParams(q_exp=6.0), SchemeConfig())
-    assert len(passes) == 1
+    monkeypatch.setattr(solver, "_implicit", counting(solver._implicit))
+    if operators._KERNEL is not None:
+        monkeypatch.setattr(operators._KERNEL, "conduction_pass",
+                            counting(operators._KERNEL.conduction_pass))
+    for _ in each_path():
+        passes.clear()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="conduction pass 1 produced a non-finite"):
+                conduction_update(theta_tilde, np.ones(n), 1e-3, Grid.uniform(n),
+                                  PhysParams(q_exp=6.0), SchemeConfig())
+        assert len(passes) == 1
     assert issubclass(NumericalError, SimulationError)  # still exit code 4 in the CLI
 
 
@@ -429,11 +459,11 @@ def test_consistency_residuals_run_only_inside_simulate(tmp_path, monkeypatch):
     assert len(calls) == int(summary["steps"]) > 1
 
 
-def test_starved_picard_iteration_raises():
+def test_starved_picard_iteration_raises(each_path):
     grid = Grid.uniform(64)
     cfg = SchemeConfig(picard_tol=1e-14, picard_max_iters=1)
-    with pytest.raises(PicardError):
-        run(scenario("gaussian-density", grid), 0.05, grid, PhysParams(), cfg=cfg)
+    raises_alike(each_path, PicardError, "did not converge within 1 passes",
+                 run, scenario("gaussian-density", grid), 0.05, grid, PhysParams(), cfg=cfg)
 
 
 def test_step_failures_are_annotated_with_time():
@@ -450,15 +480,16 @@ def test_step_failures_are_annotated_with_time():
     ("b", np.nan, "stage 4 (induction)", "b"),
     ("e", np.nan, "stage 5 (internal energy)", "temperature"),
 ])
-def test_a_non_finite_value_is_caught_at_the_stage_that_made_it(name, value, stage, field):
+def test_a_non_finite_value_is_caught_at_the_stage_that_made_it(name, value, stage, field,
+                                                                each_path):
     grid = Grid.uniform(16)
     shape = FORCING_SHAPES[name]
     bad = Forcing(**{name: lambda x, t: np.full(x.shape + shape, value)})
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NumericalError,
-                           match=rf"step 0 at t = 0: {re.escape(stage)} produced a"
-                                 rf" non-finite {field}$"):
-            run(scenario("magnetic-pulse", grid), 0.01, grid, PhysParams(), forcing=bad)
+        raises_alike(each_path, NumericalError,
+                     rf"step 0 at t = 0: {re.escape(stage)} produced a non-finite {field}$",
+                     run, scenario("magnetic-pulse", grid), 0.01, grid, PhysParams(),
+                     forcing=bad)
 
 
 def coarsen(field):
