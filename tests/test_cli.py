@@ -422,6 +422,15 @@ def test_mms_subcommand(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_mms_with_a_zero_horizon_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "mms"
+    code = main(["--out", str(outdir), "mms", "--case", "constant",
+                 "--resolutions", "16,32", "--t-end", "0"])
+    assert code == EXIT_CONFIG
+    assert "t_end must be positive, got 0.0" in capsys.readouterr().err
+    assert not (outdir / "mms-report.txt").exists()
+
+
 def test_continuation_subcommand(tmp_path, capsys):
     cfgfile = write_config(
         tmp_path, "scenario = gaussian-density\nn_cells = 24\nt_end = 0.005\n")

@@ -1,13 +1,17 @@
 """Manufactured solutions, continuation study, embedding sharpness check."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from planar_mhd.initial import scenario
-from planar_mhd.model import Grid, PhysParams, State
-from planar_mhd.operators import l2
-from planar_mhd.solver import SchemeConfig
+from planar_mhd.model import Grid, PhysParams, State, kappa, mechanical_heating, pressure
+from planar_mhd.operators import dot2, l2
+from planar_mhd.solver import SchemeConfig, step
 from planar_mhd.verification import (
+    _H,
     EXACT_ERROR,
     MMS_CASES,
     continuation_study,
@@ -66,6 +70,179 @@ def test_errors_insensitive_to_picard_tolerance():
     for name in tight.errors:
         for e1, e2 in zip(tight.errors[name], tighter.errors[name]):
             assert abs(e1 - e2) <= 0.01 * e1, name
+
+
+@pytest.mark.parametrize("t_end", [0.0, -0.1, float("nan")])
+def test_mms_rejects_a_horizon_that_is_not_positive(t_end):
+    # a zero horizon runs no steps and would report every field as exact
+    with pytest.raises(ValueError, match=re.escape(f"t_end must be positive, got {t_end!r}")):
+        mms_convergence("constant", (16, 32), PhysParams(), t_end=t_end)
+
+
+# ---------------------------------------------------------------------------
+# the shared residual table against per-entry nested stencils
+
+def _dx(f, x, t, h):
+    return (-f(x + 2 * h, t) + 8.0 * f(x + h, t)
+            - 8.0 * f(x - h, t) + f(x - 2 * h, t)) / (12.0 * h)
+
+
+def _dxx(f, x, t, h):
+    return (-f(x + 2 * h, t) + 16.0 * f(x + h, t) - 30.0 * f(x, t)
+            + 16.0 * f(x - h, t) - f(x - 2 * h, t)) / (12.0 * h * h)
+
+
+def _dt(f, x, t, h):
+    return (-f(x, t + 2 * h) + 8.0 * f(x, t + h)
+            - 8.0 * f(x, t - h) + f(x, t - 2 * h)) / (12.0 * h)
+
+
+def nested_residuals(case, params, h):
+    """Each residual by its own nested stencils, one closed-form call per
+    stencil point and entry (149 calls for the five at one (x, t))."""
+    rho, u, w, b, theta = case.rho, case.u, case.w, case.b, case.theta
+
+    def ptot(x, t):
+        bv = b(x, t)
+        return pressure(rho(x, t), theta(x, t), params) + 0.5 * dot2(bv, bv)
+
+    def f_rho(x, t):
+        return (_dt(rho, x, t, h)
+                + _dx(lambda xx, tt: rho(xx, tt) * u(xx, tt), x, t, h))
+
+    def f_m(x, t):
+        return (_dt(lambda xx, tt: rho(xx, tt) * u(xx, tt), x, t, h)
+                + _dx(lambda xx, tt: rho(xx, tt) * u(xx, tt) ** 2 + ptot(xx, tt), x, t, h)
+                - params.lambda_visc * _dxx(u, x, t, h))
+
+    def f_w(x, t):
+        return (_dt(lambda xx, tt: rho(xx, tt)[..., None] * w(xx, tt), x, t, h)
+                + _dx(lambda xx, tt: (rho(xx, tt) * u(xx, tt))[..., None] * w(xx, tt)
+                      - b(xx, tt), x, t, h)
+                - params.mu_visc * _dxx(w, x, t, h))
+
+    def f_b(x, t):
+        return (_dt(b, x, t, h)
+                + _dx(lambda xx, tt: u(xx, tt)[..., None] * b(xx, tt) - w(xx, tt), x, t, h)
+                - params.nu_mag * _dxx(b, x, t, h))
+
+    def cond_flux(x, t):
+        return kappa(theta(x, t), params) * _dx(theta, x, t, h)
+
+    def f_e(x, t):
+        ux = _dx(u, x, t, h)
+        heating = (mechanical_heating(ux, _dx(w, x, t, h), _dx(b, x, t, h), params)
+                   - pressure(rho(x, t), theta(x, t), params) * ux)
+        return (_dt(lambda xx, tt: params.c_v * rho(xx, tt) * theta(xx, tt), x, t, h)
+                + _dx(lambda xx, tt: params.c_v * rho(xx, tt) * u(xx, tt) * theta(xx, tt),
+                      x, t, h)
+                - _dx(cond_flux, x, t, h)
+                - heating)
+
+    return {"rho": f_rho, "u": f_m, "w": f_w, "b": f_b, "e": f_e}
+
+
+ENTRIES = ("rho", "u", "w", "b", "e")
+CLOSED_FORMS = ("rho", "u", "w", "b", "theta")
+PARAM_SETS = {
+    "unit": PhysParams(),
+    # the coefficient set of the coeffs.cfg golden run
+    "coeffs": PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
+                         kappa_a=0.8, kappa_b=1.7, q_exp=1.5),
+    "q0.5": PhysParams(q_exp=0.5),
+    "q6": PhysParams(q_exp=6.0),
+}
+
+
+@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS)
+@pytest.mark.parametrize("name", sorted(MMS_CASES))
+def test_residual_table_matches_nested_stencils_bitwise(name, params):
+    case = MMS_CASES[name]
+    for h in (_H, 2.0 * _H):
+        table, nested = case.residuals(params, h), nested_residuals(case, params, h)
+        for n in (4, 5, 64, 256, 2048):
+            x = Grid.uniform(n).cell_centers
+            for t in (0.0, 0.0123, 0.1731, 0.25):
+                for entry in ENTRIES:
+                    got, want = table[entry](x, t), nested[entry](x, t)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (h, n, t, entry)
+
+
+def test_a_forced_step_calls_each_closed_form_five_times(each_path):
+    # one call on the stacked x-stencil rows and one at each of the four
+    # shifted times, shared by the five forcing entries: 25, where
+    # per-entry nested stencils make 149
+    case, params, grid = MMS_CASES["smooth-wave"], PhysParams(), Grid.uniform(32)
+    state = case.initial_data(grid).to_state()
+    counts = dict.fromkeys(CLOSED_FORMS, 0)
+
+    def counted(name):
+        form = getattr(case, name)
+
+        def f(x, t):
+            counts[name] += 1
+            return form(x, t)
+        return f
+
+    counting = dataclasses.replace(case, **{name: counted(name) for name in CLOSED_FORMS})
+    for _ in each_path():
+        forcing = counting.forcing(params)
+        counts.update(dict.fromkeys(CLOSED_FORMS, 0))
+        forced, _ = step(state, 1e-3, grid, params, SchemeConfig(), forcing)
+        assert counts == dict.fromkeys(CLOSED_FORMS, 5)
+        plain, _ = step(state, 1e-3, grid, params, SchemeConfig(), case.forcing(params))
+        for f in CLOSED_FORMS:
+            assert np.array_equal(getattr(forced, f), getattr(plain, f))
+
+
+def test_residual_table_is_recomputed_whenever_x_or_t_changes():
+    case, params = MMS_CASES["smooth-wave"], PhysParams()
+    x = Grid.uniform(48).cell_centers.copy()  # writeable, edited in place below
+
+    def fresh(x, t, h=_H):
+        entries = case.residuals(params, h)
+        return {entry: entries[entry](x, t).tobytes() for entry in ENTRIES}
+
+    entries = case.residuals(params)
+    want = fresh(x, 0.1)
+    # any order, with repeats, gives the bytes of a fresh table
+    for entry in ("e", "w", "rho", "e", "b", "u", "u", "w"):
+        got = entries[entry](x, 0.1)
+        assert got.tobytes() == want[entry]
+        assert not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0.0
+
+    # a new t recomputes
+    later = fresh(x, 0.2)
+    assert later["rho"] != want["rho"]
+    assert {entry: entries[entry](x, 0.2).tobytes() for entry in ENTRIES} == later
+
+    # so does an x of the same length with one changed value
+    y = x.copy()
+    y[7] += 1e-3
+    moved = fresh(y, 0.2)
+    assert moved["u"] != later["u"]
+    assert {entry: entries[entry](y, 0.2).tobytes() for entry in ENTRIES} == moved
+
+    # and an in-place edit of x between two calls
+    assert entries["b"](x, 0.2).tobytes() == later["b"]
+    x[7] += 1e-3
+    assert {entry: entries[entry](x, 0.2).tobytes() for entry in ENTRIES} == moved
+
+
+def test_self_check_step_sets_keep_their_own_tables():
+    case, params = MMS_CASES["smooth-wave"], PhysParams()
+    x = Grid.uniform(64).cell_centers
+    coarse, finer = case.residuals(params), case.residuals(params, h=2.0 * _H)
+    nested_coarse = nested_residuals(case, params, _H)
+    nested_finer = nested_residuals(case, params, 2.0 * _H)
+    for entry in ENTRIES:
+        for table, nested in ((coarse, nested_coarse), (finer, nested_finer),
+                              (coarse, nested_coarse)):
+            assert table[entry](x, 0.05).tobytes() == nested[entry](x, 0.05).tobytes()
+        assert coarse[entry](x, 0.05).tobytes() != finer[entry](x, 0.05).tobytes()
 
 
 def test_continuation_validates_deltas():
