@@ -339,8 +339,8 @@ def _audit(cfg, args, outdir, logger):
     acc = diagnostics.DiagnosticsAccumulator(init, grid, params, alpha=cfg.alpha)
     records = [acc.record(first)]
     for before, after in zip(snaps, snaps[1:]):
-        acc.update(before, after, after.time - before.time)
-        records.append(acc.record(after))
+        records += acc.hold(before, after, after.time - before.time, due=True)
+    records += acc.flush()
 
     exponents = (1.0, 2.0, params.q_exp + 1.0)
     trials = 100

@@ -7,7 +7,8 @@ cold cells produce large-but-finite entries instead of NaNs.
 The companion potential phi tracks the time integral of the effective
 pressure ptilde = lambda*u_x - rho*u^2 - P - |b|^2/2 with phi_x = rho*u at
 t = 0, so that max_i rho_i * exp(phi_i) is a computable upper-bound monitor
-for the density: along exact dynamics d/dt(rho e^phi) <= 0.
+for the density: along exact dynamics d/dt(rho e^phi) <= 0.  phi is a
+read-only (n,) array; DiagnosticsAccumulator's fold is its one advance.
 """
 
 from __future__ import annotations
@@ -152,25 +153,12 @@ def dissipation_ledger(state, dt, grid, params, alpha):
 # ---------------------------------------------------------------------------
 # the companion potential and the density-bound monitor
 
-@dataclass(frozen=True)
-class PhiField:
-    phi: np.ndarray
-    time: float
-
-
 def initial_phi(init, grid):
     """phi(x, 0) = integral of rho0*u0 from 0 to x (midpoint cumulative)."""
     integrand = init.rho0 * init.u0
     phi = grid.dx * (np.cumsum(integrand) - 0.5 * integrand)
     phi.setflags(write=False)
-    return PhiField(phi, 0.0)
-
-
-def update_phi(phi, state_before, state_after, dt, grid, params):
-    """Advance phi by dt times the effective pressure of state_before."""
-    new = phi.phi + dt * _ptilde(state_before, params)
-    new.setflags(write=False)
-    return PhiField(new, state_after.time)
+    return phi
 
 
 def _ptilde(s, params):
@@ -182,14 +170,14 @@ def _ptilde(s, params):
 
 def phi_momentum_residual(phi, state, grid):
     """L2 defect of the defining relation phi_x = rho*u."""
-    defect = cell_grad(phi.phi, grid.dx, EVEN) - state.rho * state.u
+    defect = cell_grad(phi, grid.dx, EVEN) - state.rho * state.u
     return _value(l2_columns(defect, grid.dx))
 
 
 def density_bound_monitor(phi, state):
     """max_i rho_i * exp(phi_i); +inf sentinel on overflow."""
     with np.errstate(over="ignore"):
-        vals = state.rho * np.exp(phi.phi)
+        vals = state.rho * np.exp(phi)
     return _value(vals.max(axis=0, initial=0.0))
 
 
@@ -299,93 +287,75 @@ def csv_row(record):
 
 
 class DiagnosticsAccumulator:
-    """Stateful companion of a run: cumulative integrals plus the phi field.
+    """Stateful companion of a run, kept as one mark: (before, dt, totals,
+    phi) of the last step folded, where totals are the seven cumulative
+    columns in record order (entropy_prod_cum, the four diss_* columns,
+    weighted_diss, theta_sup_cum).  Before any step the mark is (None, 0.0,
+    zeros, initial phi).
 
-    update() folds accepted steps into the integrals and phi, record() makes
-    the DiagnosticsRecord of a state.  Each takes one item or a window of
-    them: update(befores, afters, dts) with three equal-length sequences
-    folds consecutive steps as one stacked pass, in step order, and
-    record(states) gives a list with the record of each state as of its own
-    step in that window.  A state that is not among the window's results is
-    recorded as of the last step folded (with dt = 0 before any step).
-
-    hold() and flush() run the windows for solver.run: hold() takes each
-    accepted step and whether its record is due, and once `window` steps
-    are held it folds them and returns the records due among them; flush()
-    does the same for whatever is held.  Either way the records have the
-    bits of one update() and record() per step.
+    update(befores, afters, dts) folds consecutive accepted steps as one
+    stacked pass, in step order, and returns the mark of each step.
+    record() gives the DiagnosticsRecord of a state, or the list of records
+    of a sequence of states, each as of its mark in `marks` or else of the
+    current mark; a state whose mark has no before is paired with itself.
+    hold() takes each accepted step and whether its record is due and, once
+    `window` steps are held, folds them and records the due ones with their
+    marks; flush() does the same for whatever is held.  Either way the
+    records have the bits of one update() and record() per step.
     """
 
     def __init__(self, init, grid, params, alpha=None):
         self.grid = grid
         self.params = params
         self.alpha = default_alpha(params) if alpha is None else check_alpha(alpha, params)
-        self.phi = initial_phi(init, grid)
-        self.entropy_prod = 0.0
-        self.diss = [0.0, 0.0, 0.0, 0.0]
-        self.weighted = 0.0
-        self.theta_sup = 0.0
+        self.mark = (None, 0.0, (0.0,) * 7, initial_phi(init, grid))
         window = WINDOW_CELLS // grid.n_cells
         self.window = window if window >= MIN_WINDOW else 1
         self._held = []
-        self._due = []
-        self._marks = {}  # id of each result of the last window -> its mark
-        self._afters = ()  # those results, kept alive so their ids stay theirs
-        self._last = None  # (before, dt, totals, phi) of the last step folded
 
     def hold(self, state_before, state_after, dt, due):
-        self._held.append((state_before, state_after, dt))
-        if due:
-            self._due.append(state_after)
+        self._held.append((state_before, state_after, dt, due))
         return self.flush() if len(self._held) >= self.window else []
 
     def flush(self):
         if not self._held:
             return []
-        befores, afters, dts = zip(*self._held)
-        due = self._due
-        self._held, self._due = [], []
-        self.update(befores, afters, dts)
-        return self.record(due) if due else []
+        befores, afters, dts, dues = zip(*self._held)
+        self._held = []
+        marks = self.update(befores, afters, dts)
+        due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
+        return self.record(*zip(*due)) if due else []
 
-    def _totals(self):
-        return (self.entropy_prod, *self.diss, self.weighted, self.theta_sup)
-
-    def update(self, state_before, state_after, dt):
-        if isinstance(state_after, State):
-            state_before, state_after, dt = (state_before,), (state_after,), (dt,)
-        dts = np.array(dt, dtype=float) if len(dt) > 1 else dt[0]
-        sa = _stack(state_after)
-        entries = (*dissipation_ledger(sa, dts, self.grid, self.params, self.alpha),
-                   sa.theta.max(axis=0, initial=0.0))
+    def update(self, befores, afters, dts):
+        dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
+        sa = _stack(afters)
+        ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
+        # the six ledger totals in record order, then the steps' theta sup
+        entries = (ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))
         rows = np.array(entries).reshape(len(entries), -1).T.tolist()
-        increments = (_ptilde(_stack(state_before), self.params) * dts).T.reshape(len(dt), -1)
+        increments = (_ptilde(_stack(befores), self.params) * dt).T.reshape(len(dts), -1)
         power = self.params.q_exp - self.alpha + 1.0
-        phi = self.phi.phi
-        marks = {}
-        for before, after, step_dt, row, increment in zip(
-                state_before, state_after, dt, rows, increments):
-            for i in range(4):
-                self.diss[i] += row[i]
-            self.weighted += row[4]
-            self.entropy_prod += row[5]
-            self.theta_sup += step_dt * row[6] ** power
+        totals, phi = self.mark[2:]
+        marks = []
+        for before, step_dt, row, increment in zip(befores, dts, rows, increments):
+            totals = (*(t + r for t, r in zip(totals, row[:6])),
+                      totals[6] + step_dt * row[6] ** power)
             phi = phi + increment
             phi.setflags(write=False)
-            marks[id(after)] = self._last = (before, step_dt, self._totals(), phi)
-        self._marks, self._afters = marks, state_after
-        self.phi = PhiField(phi, state_after[-1].time)
+            marks.append((before, step_dt, totals, phi))
+        self.mark = marks[-1]
+        return marks
 
-    def record(self, state):
+    def record(self, state, marks=None):
         states = [state] if isinstance(state, State) else list(state)
-        marks = [self._marks.get(id(s), self._last) or (s, 0.0, self._totals(), self.phi.phi)
-                 for s in states]
+        marks = marks or [self.mark] * len(states)
         grid, params = self.grid, self.params
         sa = _stack(states)
-        phis = PhiField(_columns([m[3] for m in marks]), tuple(s.time for s in states))
+        phis = _columns([m[3] for m in marks])
         # a record before any step pairs its state with itself, so dt = 1 is exact
         dts = np.array([m[1] or 1.0 for m in marks]) if len(marks) > 1 else marks[0][1]
-        norms = norm_suite(_stack([m[0] for m in marks]), sa, dts, grid, params)
+        befores = _stack([s if m[0] is None else m[0] for s, m in zip(states, marks)])
+        norms = norm_suite(befores, sa, dts, grid, params)
         norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
         scalars = (total_mass(sa, grid), total_energy(sa, grid, params),
                    entropy_functional(sa, grid),
@@ -396,8 +366,7 @@ class DiagnosticsAccumulator:
         records = []
         for s, m, row in zip(states, marks, table.T.tolist()):
             mass, energy, entropy_fn, max_rho, min_theta, max_theta, rho_F_max = row[:7]
-            norms = dict(zip(names, row[7:]))
-            norms["theta_sup_cum"] = m[2][6]
+            norms = dict(zip(names, row[7:]), theta_sup_cum=m[2][6])
             records.append(DiagnosticsRecord(s.time, mass, energy, entropy_fn, *m[2][:6],
                                              max_rho, min_theta, max_theta, rho_F_max,
                                              norms=norms))

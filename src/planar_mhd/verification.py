@@ -300,10 +300,12 @@ def _conserved_distance(s1, s2, grid, params):
 def continuation_study(base, deltas, t_end, grid, params, cfg=None):
     """Run the regularized problem for each delta and compare final states.
 
-    deltas must be strictly decreasing and positive.  Individual run
-    failures are recorded and the study continues; pairs touching a failed
-    run are skipped.
+    deltas must be strictly decreasing and positive, and t_end positive.
+    Individual run failures are recorded and the study continues; pairs
+    touching a failed run are skipped.
     """
+    if t_end <= 0.0:  # nan and inf fail run's own check, which names them too
+        raise ValueError(f"t_end must be positive, got {t_end!r}")
     deltas = tuple(float(d) for d in deltas)
     if any(d <= 0.0 for d in deltas):
         raise ValueError("all regularization shifts must be positive")

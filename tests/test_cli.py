@@ -5,12 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import planar_mhd.diagnostics as diagnostics
 from planar_mhd.cli import EXIT_COMPAT, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from planar_mhd.config import _ALL_KEYS, ConfigError, RunConfig, parse_config, render_config
 from planar_mhd.diagnostics import csv_header
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
-from planar_mhd.solver import SchemeConfig
+from planar_mhd.solver import SchemeConfig, run
 from planar_mhd.tables import write_state_table
 
 
@@ -138,6 +139,32 @@ def test_simulate_snapshots_then_audit(tmp_path):
     summary = (auditdir / "audit-summary.txt").read_text()
     assert "snapshots = 3" in summary
     assert "embedding_pass = yes" in summary
+
+
+def test_audit_records_do_not_depend_on_the_window(tmp_path, monkeypatch):
+    # audit folds its snapshot pairs through the accumulator's windows, so
+    # its records must not depend on how many pairs one window holds
+    n, count = 128, 16
+    grid = Grid.uniform(n)
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    states = []
+    run(scenario("magnetic-pulse", grid), 0.02, grid, PhysParams(),
+        snapshot_times=np.linspace(0.0, 0.02, count), snapshot_sink=states.append)
+    assert len(states) == count
+    for state in states:
+        write_state_table(snaps / f"snapshot_t{state.time:.6f}.dat", grid, state)
+
+    audits = []
+    for window in (1, 7, count + 5):
+        monkeypatch.setattr(diagnostics, "WINDOW_CELLS", window * n)
+        monkeypatch.setattr(diagnostics, "MIN_WINDOW", 1)
+        outdir = tmp_path / f"audit{window}"
+        assert main(["--out", str(outdir), "audit", "--input", str(snaps)]) == EXIT_OK
+        audits.append((outdir / "audit.csv").read_bytes())
+    assert len(audits[0].splitlines()) == 1 + count
+    assert audits[1] == audits[0]
+    assert audits[2] == audits[0]
 
 
 def test_audit_without_snapshots_fails(tmp_path, capsys):
@@ -429,6 +456,16 @@ def test_mms_with_a_zero_horizon_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "t_end must be positive, got 0.0" in capsys.readouterr().err
     assert not (outdir / "mms-report.txt").exists()
+
+
+def test_continuation_with_a_zero_horizon_exits_2(tmp_path, capsys):
+    outdir = tmp_path / "cont"
+    code = main(["--out", str(outdir), "continuation", "--scenario", "gaussian-density",
+                 "--deltas", "1e-1,1e-2", "--t-end", "0"])
+    assert code == EXIT_CONFIG
+    assert "t_end must be positive, got 0.0" in capsys.readouterr().err
+    assert not (outdir / "continuation-report.txt").exists()
+    assert not (outdir / "continuation-report.csv").exists()
 
 
 def test_continuation_subcommand(tmp_path, capsys):

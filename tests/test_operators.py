@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import planar_mhd
 import planar_mhd.operators as operators
 from planar_mhd.operators import (
     EVEN,
@@ -189,6 +190,28 @@ def test_no_numpy_reduction_wrappers_in_the_package():
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
                 found.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
     assert not found, f"numpy reduction wrappers at {found}; call the array method"
+
+
+def test_every_definition_is_exported_or_used():
+    # a module-level function or class that is neither public API nor
+    # referenced elsewhere in the package is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(operators.__file__).parent.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        for defn in tree.body:
+            if (not isinstance(defn, (ast.FunctionDef, ast.ClassDef))
+                    or defn.name in planar_mhd.__all__):
+                continue
+            inside = {id(node) for node in ast.walk(defn)}
+            used = any(
+                (isinstance(node, ast.Name) and node.id == defn.name
+                 or isinstance(node, ast.Attribute) and node.attr == defn.name)
+                and id(node) not in inside
+                for other in trees.values() for node in ast.walk(other))
+            if not used:
+                dead.append(f"{name}:{defn.lineno} {defn.name}")
+    assert not dead, f"defined but neither in __all__ nor used: {dead}"
 
 
 def test_upwind_flux_matches_loop_oracle():

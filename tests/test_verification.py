@@ -257,6 +257,16 @@ def test_continuation_validates_deltas():
         continuation_study(base, (0.1, -0.01), 0.01, grid, params)
 
 
+@pytest.mark.parametrize("t_end", [0.0, -0.1, float("nan")])
+def test_continuation_rejects_a_horizon_that_is_not_positive(t_end):
+    # a zero horizon runs no steps, so every shift would compare its own
+    # regularized data and the study would report on no dynamics at all
+    grid = Grid.uniform(16)
+    base = scenario("gaussian-density", grid)
+    with pytest.raises(ValueError, match=rf"^t_end must be .*, got {re.escape(repr(t_end))}$"):
+        continuation_study(base, (0.1, 0.01), t_end, grid, PhysParams())
+
+
 def test_continuation_single_delta_is_vacuously_monotone():
     grid = Grid.uniform(32)
     report = continuation_study(scenario("gaussian-density", grid), (0.01,),
