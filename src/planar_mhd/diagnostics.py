@@ -17,19 +17,27 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import State
+from .model import DerivedFields, State
 from .operators import EVEN, cell_grad, column_sums, dot2, l2_columns, second_diff_onesided
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
 
-# A run hands the accumulator WINDOW_CELLS // n_cells accepted steps at a
-# time, or one step when that is fewer than MIN_WINDOW.  Measured per step
-# against one step at a time: 16 steps at n = 128 take 0.34 of the time, 8 at
-# n = 256 0.44 and 4 at n = 512 0.77, while windows of 2 or 3 steps (1.2 at
+# A run folds WINDOW_CELLS // n_cells accepted steps at a time, or one step
+# when that is fewer than MIN_WINDOW: the diagnostics accumulator and the
+# consistency residual of simulate alike.  Measured per step against one
+# step at a time: 16 steps at n = 128 take 0.34 of the time, 8 at n = 256
+# 0.44 and 4 at n = 512 0.77, while windows of 2 or 3 steps (1.2 at
 # n = 128) and any window from n = 1024 up (1.2 for 4 steps) are slower.
 WINDOW_CELLS = 2048
 MIN_WINDOW = 4
+
+
+def window_length(n_cells):
+    """The number of accepted steps folded at a time on n_cells cells."""
+    window = WINDOW_CELLS // n_cells
+    return window if window >= MIN_WINDOW else 1
+
 
 # Every functional below takes a State, whose fields are (n,) and (n, 2)
 # arrays, and gives floats, or a _Stack of k states, whose fields are
@@ -38,32 +46,23 @@ MIN_WINDOW = 4
 # column_sums, so a state gets the same bits alone as in a stack.
 
 
-class _Stack:
-    """The fields of k states side by side along a new axis 1: attribute f
-    is the states' f as an (n, k) or (n, k, 2) array, stacked on first use
-    from the arrays (and cached derived fields) each state holds.  The stack
-    is built as (k, n) rows, so every state's values stay contiguous."""
+class _Stack(DerivedFields):
+    """The fields of k states side by side along a new axis 1: rho, u, w, b
+    and theta are the states' fields as (n, k) or (n, k, 2) arrays, built as
+    (k, n) rows so every state's values stay contiguous, and the derived
+    fields are computed once on those, not per state."""
 
     def __init__(self, states):
-        self.states = states
-
-    def __getattr__(self, name):
-        value = _columns([getattr(s, name) for s in self.states])
-        setattr(self, name, value)
-        return value
-
-    def pressure(self, params):
-        return _columns([s.pressure(params) for s in self.states])
-
-    def kappa(self, params):
-        return _columns([s.kappa(params) for s in self.states])
+        self.n_cells = states[0].n_cells
+        for name in ("rho", "u", "w", "b", "theta"):
+            setattr(self, name, _columns([getattr(s, name) for s in states]))
 
 
 def _columns(arrays):
     return np.array(arrays).swapaxes(0, 1) if len(arrays) > 1 else arrays[0]
 
 
-def _stack(states):
+def stack(states):
     """A window of states as one argument: the State itself when alone."""
     return _Stack(states) if len(states) > 1 else states[0]
 
@@ -309,8 +308,7 @@ class DiagnosticsAccumulator:
         self.params = params
         self.alpha = default_alpha(params) if alpha is None else check_alpha(alpha, params)
         self.mark = (None, 0.0, (0.0,) * 7, initial_phi(init, grid))
-        window = WINDOW_CELLS // grid.n_cells
-        self.window = window if window >= MIN_WINDOW else 1
+        self.window = window_length(grid.n_cells)
         self._held = []
 
     def hold(self, state_before, state_after, dt, due):
@@ -328,12 +326,12 @@ class DiagnosticsAccumulator:
 
     def update(self, befores, afters, dts):
         dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
-        sa = _stack(afters)
+        sa = stack(afters)
         ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
         # the six ledger totals in record order, then the steps' theta sup
         entries = (ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))
         rows = np.array(entries).reshape(len(entries), -1).T.tolist()
-        increments = (_ptilde(_stack(befores), self.params) * dt).T.reshape(len(dts), -1)
+        increments = (_ptilde(stack(befores), self.params) * dt).T.reshape(len(dts), -1)
         power = self.params.q_exp - self.alpha + 1.0
         totals, phi = self.mark[2:]
         marks = []
@@ -350,11 +348,11 @@ class DiagnosticsAccumulator:
         states = [state] if isinstance(state, State) else list(state)
         marks = marks or [self.mark] * len(states)
         grid, params = self.grid, self.params
-        sa = _stack(states)
+        sa = stack(states)
         phis = _columns([m[3] for m in marks])
         # a record before any step pairs its state with itself, so dt = 1 is exact
         dts = np.array([m[1] or 1.0 for m in marks]) if len(marks) > 1 else marks[0][1]
-        befores = _stack([s if m[0] is None else m[0] for s, m in zip(states, marks)])
+        befores = stack([s if m[0] is None else m[0] for s, m in zip(states, marks)])
         norms = norm_suite(befores, sa, dts, grid, params)
         norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
         scalars = (total_mass(sa, grid), total_energy(sa, grid, params),

@@ -88,40 +88,16 @@ def _frozen_array(values, shape, name, nonnegative=False):
     return _read_only(arr)
 
 
-@dataclass(frozen=True)
-class State:
-    """Immutable field snapshot at one instant.
-
-    Arrays are copied on construction and marked read-only, so states can be
-    shared freely between the stepper, diagnostics, and sinks.
-
-    The derived fields that the stepper and the diagnostics share are
-    computed on first use and then kept with the state, read-only: the
-    central gradients u_x, w_x, b_x (odd reflection) and theta_x (even),
-    |b|^2 as b_sq, the odd face averages u_face and b_face, and P and
-    kappa(theta) through pressure(params) and kappa(params), which keep the
-    value for the last PhysParams object asked for.  Each one is bit for bit
-    the operator call it stands for on a grid of n_cells cells.
-    """
-
-    time: float
-    rho: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        n = np.asarray(self.rho).shape[0]
-        object.__setattr__(self, "rho", _frozen_array(self.rho, (n,), "rho", nonnegative=True))
-        object.__setattr__(self, "u", _frozen_array(self.u, (n,), "u"))
-        object.__setattr__(self, "w", _frozen_array(self.w, (n, 2), "w"))
-        object.__setattr__(self, "b", _frozen_array(self.b, (n, 2), "b"))
-        object.__setattr__(self, "theta", _frozen_array(self.theta, (n,), "theta", nonnegative=True))
-
-    @property
-    def n_cells(self):
-        return self.rho.shape[0]
+class DerivedFields:
+    """The one home of the derived fields that the stepper and the
+    diagnostics share, computed on first use from the fields rho, u, w, b,
+    theta and n_cells and then kept, read-only: the central gradients u_x,
+    w_x, b_x (odd reflection) and theta_x (even), |b|^2 as b_sq, the odd
+    face averages u_face and b_face, and P and kappa(theta) through
+    pressure(params) and kappa(params), kept for the last PhysParams object
+    asked for.  Each formula is elementwise or acts along axis 0, so a
+    diagnostics window whose fields are k states stacked as (n, k) and
+    (n, k, 2) arrays gets, column for column, each state's own bits."""
 
     @property
     def _dx(self):
@@ -169,6 +145,36 @@ class State:
     def kappa(self, params):
         """kappa(theta) under params, kept for the last params."""
         return self._under("_kappa", params, lambda: kappa(self.theta, params))
+
+
+@dataclass(frozen=True)
+class State(DerivedFields):
+    """Immutable field snapshot at one instant, with the DerivedFields of
+    its (n,) and (n, 2) arrays, each bit for bit the operator call it stands
+    for on a grid of n_cells cells.
+
+    Arrays are copied on construction and marked read-only, so states can be
+    shared freely between the stepper, diagnostics, and sinks.
+    """
+
+    time: float
+    rho: np.ndarray
+    u: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    theta: np.ndarray
+
+    def __post_init__(self):
+        n = np.asarray(self.rho).shape[0]
+        object.__setattr__(self, "rho", _frozen_array(self.rho, (n,), "rho", nonnegative=True))
+        object.__setattr__(self, "u", _frozen_array(self.u, (n,), "u"))
+        object.__setattr__(self, "w", _frozen_array(self.w, (n, 2), "w"))
+        object.__setattr__(self, "b", _frozen_array(self.b, (n, 2), "b"))
+        object.__setattr__(self, "theta", _frozen_array(self.theta, (n,), "theta", nonnegative=True))
+
+    @property
+    def n_cells(self):
+        return self.rho.shape[0]
 
 
 def pressure(rho, theta, params):

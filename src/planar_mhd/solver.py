@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .diagnostics import DiagnosticsAccumulator
+from .diagnostics import DiagnosticsAccumulator, _value
 from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
@@ -54,7 +54,7 @@ from .operators import (
     face_couplings,
     face_diff,
     flux_laplacian,
-    l2,
+    l2_columns,
     solve_flux_system,
     upwind_face_flux,
 )
@@ -432,9 +432,11 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
             = (gas_R/c_v)(lambda u_x^2 + mu |w_x|^2 + nu |b_x|^2 - P u_x).
 
     Returns the discrete L2 norms (r_mag, r_pressure), with time derivatives
-    from the state pair and spatial terms at state_after.
+    from the state pair and spatial terms at state_after.  Two stacks of a
+    diagnostics window (diagnostics.stack) take the (k,) dts of their pairs
+    and give two (k,) arrays, each column with the bits of its pair alone.
     """
-    if not dt > 0.0:
+    if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx = grid.dx
     sa, sb = state_after, state_before
@@ -445,7 +447,7 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     ux, bx = sa.u_x, sa.b_x
 
     de_mag = 0.5 * (sa.b_sq - sb.b_sq) / dt
-    advect = dot2(b, cell_grad(u[:, None] * b - w, dx, ODD))
+    advect = dot2(b, cell_grad(u[..., None] * b - w, dx, ODD))
     bbx_face = dot2(sa.b_face, face_diff(b, dx, ODD))
     r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * dot2(bx, bx)
 
@@ -455,7 +457,7 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     flux = sa.u_face * face_average(p_after, EVEN) - r_over_cv * cond_face
     src = r_over_cv * (mechanical_heating(ux, sa.w_x, bx, params) - p_after * ux)
     r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
-    return l2(r_mag, dx), l2(r_pre, dx)
+    return _value(l2_columns(r_mag, dx)), _value(l2_columns(r_pre, dx))
 
 
 def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,

@@ -179,6 +179,22 @@ def test_audit_without_snapshots_fails(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_audit_rejects_a_bad_seed_before_it_runs(tmp_path, capsys, seed):
+    # numpy's default_rng takes nonnegative integers only; a negative seed
+    # used to fail inside embedding_check after the records were computed
+    cfgfile = write_config(tmp_path, "scenario = magnetic-pulse\nn_cells = 16\nt_end = 0.01\n"
+                                     "snapshot_times = 0.0,0.01\n")
+    snaps = tmp_path / "snaps"
+    assert main(["--config", cfgfile, "--out", str(snaps), "simulate"]) == EXIT_OK
+    outdir = tmp_path / "audit"
+    code = main(["--seed", seed, "--out", str(outdir), "audit", "--input", str(snaps)])
+    assert code == EXIT_CONFIG
+    assert f"argument --seed: must be a nonnegative integer, got '{seed}'" in (
+        capsys.readouterr().err)
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("body", [
     "q_exp = 0\n",
     "alpha = 0.9\nq_exp = 0.5\n",

@@ -1,10 +1,16 @@
 """Derived fields kept on a State: the same bits as the operator calls they
 stand for, read-only, keyed on the PhysParams object for P and kappa, and
-computed only when something reads them."""
+computed only when something reads them.  A diagnostics window's stack
+computes the same fields once on its stacked fields, column for column the
+bits of each state's own."""
 
 import numpy as np
 import pytest
 
+import planar_mhd.cli as cli
+import planar_mhd.diagnostics as diagnostics
+import planar_mhd.model as model
+import planar_mhd.operators as operators
 import planar_mhd.solver as solver
 from planar_mhd.diagnostics import dissipation_ledger, norm_suite
 from planar_mhd.initial import scenario
@@ -154,3 +160,42 @@ def test_a_run_without_a_sink_computes_no_diagnostic_only_field(monkeypatch):
     # the check can see a filled field
     made[0].theta_x
     assert "theta_x" in vars(made[0])
+
+
+@pytest.mark.parametrize("name,n,params", CASES, ids=CASE_IDS)
+def test_a_stacks_derived_fields_are_the_per_state_fields_bitwise(name, n, params):
+    # a diagnostics window computes its derived fields once on the stacked
+    # fields; each column must be the field its state computes alone
+    _, states = trajectory(name, n, params, steps=3)
+    window = diagnostics.stack([fresh(s) for s in states])
+    for field in FIELDS:
+        got = getattr(window, field)
+        want = np.stack([getattr(s, field) for s in states], axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), field
+        assert not got.flags.writeable, field
+        assert getattr(window, field) is got, field
+    for method in UNDER_PARAMS:
+        got = getattr(window, method)(params)
+        want = np.stack([getattr(s, method)(params) for s in states], axis=1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), method
+        assert getattr(window, method)(params) is got, method
+
+
+def test_a_windowed_simulate_takes_gradients_per_window_not_per_step(monkeypatch, tmp_path):
+    # at n = 128 a window holds 16 steps; every gradient of a diagnostic or
+    # of the residual is taken once per window, so the cell_grad calls grow
+    # with the windows (the numpy step takes two of its own per step)
+    calls = []
+    for module in (model, diagnostics, solver):
+        original = module.cell_grad
+        monkeypatch.setattr(module, "cell_grad",
+                            lambda *args, original=original: calls.append(1) or original(*args))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 128\nt_end = 0.2\n")
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"]) == 0
+    steps = int(dict(line.split(" = ") for line in
+                     (tmp_path / "out" / "run-summary.txt").read_text().splitlines())["steps"])
+    windows = -(-steps // diagnostics.window_length(128))
+    assert windows >= 3 and steps >= 8 * windows
+    per_step = 2 if operators._KERNEL is None else 0
+    assert len(calls) <= 16 * windows + 5 + per_step * steps

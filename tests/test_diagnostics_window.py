@@ -1,15 +1,26 @@
 """Windowed diagnostics: a run that folds up to W accepted steps at a time
 must hand its sink the records of the one-step-at-a-time path, bit for bit
-and in the same order, for every window length, record stride and grid."""
+and in the same order, for every window length, record stride and grid.
+The consistency residual of simulate folds by the same windows and must
+give each step pair its own floats."""
 
 import numpy as np
 import pytest
 
 import planar_mhd.diagnostics as diagnostics
+from planar_mhd.cli import main
 from planar_mhd.diagnostics import NORM_NAMES, SCALAR_COLUMNS, DiagnosticsAccumulator
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
-from planar_mhd.solver import Forcing, SimulationError, run
+from planar_mhd.solver import (
+    Forcing,
+    SchemeConfig,
+    SimulationError,
+    consistency_residuals,
+    run,
+    stable_dt,
+    step,
+)
 
 # (scenario, t_end) per grid: about 40 steps each
 CASES = {4: ("magnetic-pulse", 2.0), 128: ("vacuum-pocket", 0.15), 2048: ("vacuum-pocket", 0.01)}
@@ -106,3 +117,55 @@ def test_a_stack_records_each_state_as_alone():
     together = DiagnosticsAccumulator(init, grid, params).record(states)
     assert [hexed(r) for r in together] == alone
     assert together[1].entropy_fn == float("inf")
+
+
+def test_windowed_residual_gives_the_summary_of_one_step_at_a_time(monkeypatch, tmp_path):
+    # simulate folds the consistency residual by the window too, and its
+    # max must not depend on how many steps one window holds
+    n = 128
+    name, t_end = CASES[n]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scenario = {name}\nn_cells = {n}\nt_end = {t_end}\nq_exp = 1.5\n")
+    summaries = []
+    for window in (1, 7, 32):
+        use_window(monkeypatch, window, n)
+        out = tmp_path / f"w{window}"
+        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+        summaries.append((out / "run-summary.txt").read_bytes())
+    steps = int(dict(line.split(" = ") for line in summaries[0].decode().splitlines())["steps"])
+    assert steps % 7 and steps % 32  # the last window is a partial one
+    assert summaries[1] == summaries[0]
+    assert summaries[2] == summaries[0]
+
+
+def pairs(name, n, params, count=5):
+    """(before, after, dt) of the scenario's first steps, as fresh states."""
+    grid = Grid.uniform(n)
+    cfg = SchemeConfig()
+    states = [scenario(name, grid).to_state()]
+    for _ in range(count):
+        s = states[-1]
+        states.append(step(s, stable_dt(s, grid, params, cfg), grid, params, cfg)[0])
+    states = [State(s.time, s.rho, s.u, s.w, s.b, s.theta) for s in states]
+    return grid, [(b, a, a.time - b.time) for b, a in zip(states, states[1:])]
+
+
+@pytest.mark.parametrize("q_exp", [0.5, 1.5, 2.0, 6.0])
+@pytest.mark.parametrize("n", [4, 5, 128])
+@pytest.mark.parametrize("name", ["vacuum-pocket", "magnetic-pulse"])
+def test_a_stacked_residual_gives_each_pair_its_own_floats(name, n, q_exp):
+    params = PhysParams(q_exp=q_exp)
+    grid, steps = pairs(name, n, params)
+    alone = [consistency_residuals(b, a, dt, grid, params) for b, a, dt in steps]
+    assert all(type(r) is float for pair in alone for r in pair)
+    assert any(r > 0.0 for pair in alone for r in pair)
+    befores, afters, dts = zip(*steps)
+    r_mag, r_pre = consistency_residuals(diagnostics.stack(befores), diagnostics.stack(afters),
+                                         np.array(dts), grid, params)
+    assert r_mag.shape == r_pre.shape == (len(steps),)
+    together = list(zip(r_mag.tolist(), r_pre.tolist()))
+    assert [[r.hex() for r in pair] for pair in together] == \
+        [[r.hex() for r in pair] for pair in alone]
+    with pytest.raises(ValueError, match="dt must be positive"):
+        consistency_residuals(diagnostics.stack(befores), diagnostics.stack(afters),
+                              np.array(dts[:-1] + (0.0,)), grid, params)
