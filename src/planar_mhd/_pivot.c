@@ -10,7 +10,7 @@
    numpy reference (operators._solve_flux_system_py, solver._explicit_stages
    and solver._numpy_pass), so the two agree bit for bit.  That holds only
    without FMA contraction and without value-changing optimizations: build
-   with -O2 -ffp-contract=off, never -ffast-math.  No libm function is
+   with -O3 -ffp-contract=off, never -ffast-math.  No libm function is
    called, because numpy's transcendental loops need not give libm's bits:
    kappa(theta) comes in evaluated by numpy. */
 

@@ -241,27 +241,17 @@ def _simulate(cfg, args, outdir, logger):
     totals = {"steps": 0, "picard_total": 0, "picard_max": 0,
               "clipped_total": 0, "max_div_residual": 0.0}
 
-    # a window of steps is one stacked residual pass, as in the diagnostics
-    window, held = diagnostics.window_length(grid.n_cells), []
-
-    def fold():
-        if held:
-            befores, afters, dts = zip(*held)
-            held.clear()
-            dt = np.array(dts) if len(dts) > 1 else dts[0]
-            residuals = consistency_residuals(diagnostics.stack(befores),
-                                              diagnostics.stack(afters), dt, grid, params)
-            totals["max_div_residual"] = max(totals["max_div_residual"],
-                                             *np.ravel(residuals).tolist())
+    def fold(befores, afters, dt):
+        # a window of steps is one stacked residual pass on the diagnostics' stack
+        residuals = consistency_residuals(befores, afters, dt, grid, params)
+        totals["max_div_residual"] = max(totals["max_div_residual"],
+                                         *np.ravel(residuals).tolist())
 
     def on_step(before, after, report):
         totals["steps"] += 1
         totals["picard_total"] += report.picard_iters
         totals["picard_max"] = max(totals["picard_max"], report.picard_iters)
         totals["clipped_total"] += report.clipped_cells
-        held.append((before, after, report.dt_used))
-        if len(held) >= window:
-            fold()
 
     def snapshot_sink(state):
         path = os.path.join(outdir, _snapshot_name(state.time))
@@ -271,8 +261,7 @@ def _simulate(cfg, args, outdir, logger):
     run(init, cfg.t_end, grid, params, cfg.scheme, sink=records.append,
         record_every=cfg.record_every, alpha=cfg.alpha,
         snapshot_times=cfg.snapshot_times,
-        snapshot_sink=snapshot_sink, on_step=on_step)
-    fold()
+        snapshot_sink=snapshot_sink, on_step=on_step, on_fold=fold)
 
     csv_path = os.path.join(outdir, "diagnostics.csv")
     _write_records(csv_path, records)

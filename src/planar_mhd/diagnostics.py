@@ -40,8 +40,8 @@ def window_length(n_cells):
 
 
 # Every functional below takes a State, whose fields are (n,) and (n, 2)
-# arrays, and gives floats, or a _Stack of k states, whose fields are
-# (n, k) and (n, k, 2), and gives (k,) arrays.  Every operation is
+# arrays, and gives floats, or a _Stack of k states (or k _Columns of
+# one), whose fields are (n, k) and (n, k, 2), and gives (k,) arrays.  Every operation is
 # elementwise or acts along the cell axis 0, and the sums go through
 # column_sums, so a state gets the same bits alone as in a stack.
 
@@ -54,17 +54,53 @@ class _Stack(DerivedFields):
 
     def __init__(self, states):
         self.n_cells = states[0].n_cells
+        self._states = tuple(states)  # alive while their ids index the columns
+        self._index = {id(s): i for i, s in enumerate(states)}
         for name in ("rho", "u", "w", "b", "theta"):
             setattr(self, name, _columns([getattr(s, name) for s in states]))
+
+    def picks(self, states):
+        """The columns of states in this stack, as a slice when they are
+        consecutive, or None when one of them is not in it."""
+        cols = [self._index.get(id(s)) for s in states]
+        if None in cols:
+            return None
+        return slice(cols[0], cols[-1] + 1) if cols == [*range(cols[0], cols[-1] + 1)] else cols
+
+
+class _Columns:
+    """Some columns of a _Stack: each field and derived field is the whole
+    stack's, computed once there, taken at these columns."""
+
+    def __init__(self, whole, picks):
+        self._whole, self._picks = whole, picks
+        self.n_cells = whole.n_cells
+
+    def __getattr__(self, name):  # the fields and the cached derived fields
+        if name.startswith("_"):
+            raise AttributeError(name)
+        value = self.__dict__[name] = getattr(self._whole, name)[:, self._picks]
+        return value
+
+    def pressure(self, params):
+        return self._whole.pressure(params)[:, self._picks]
+
+    def kappa(self, params):
+        return self._whole.kappa(params)[:, self._picks]
 
 
 def _columns(arrays):
     return np.array(arrays).swapaxes(0, 1) if len(arrays) > 1 else arrays[0]
 
 
-def stack(states):
-    """A window of states as one argument: the State itself when alone."""
-    return _Stack(states) if len(states) > 1 else states[0]
+def stack(states, within=None):
+    """A window of states as one argument: the State itself when alone, else
+    their columns of the stack `within` when it holds them all, else a new
+    stack."""
+    if len(states) == 1:
+        return states[0]
+    picks = within.picks(states) if within is not None else None
+    return _Stack(states) if picks is None else _Columns(within, picks)
 
 
 def _value(result):
@@ -279,10 +315,14 @@ def csv_header():
     return ",".join(CSV_COLUMNS)
 
 
+# every value as tables.format_float writes it, one %-format per row
+_CSV_TEMPLATE = ",".join(["%.17g"] * len(CSV_COLUMNS))
+
+
 def csv_row(record):
     values = [getattr(record, name) for name in SCALAR_COLUMNS]
     values += [record.norms[name] for name in NORM_NAMES]
-    return ",".join(f"{v:.17g}" for v in values)
+    return _CSV_TEMPLATE % tuple(values)
 
 
 class DiagnosticsAccumulator:
@@ -301,15 +341,24 @@ class DiagnosticsAccumulator:
     `window` steps are held, folds them and records the due ones with their
     marks; flush() does the same for whatever is held.  Either way the
     records have the bits of one update() and record() per step.
+
+    A fold of more than one step stacks the window's distinct states once,
+    in order (the W + 1 states of a chain of steps: its first before, then
+    each after), and hands on_fold(befores, afters, dt), update and record
+    their columns of that one stack, so each derived field is computed
+    once per window.  A fold of one step stacks nothing: on_fold gets the
+    State pair and the float dt.
     """
 
-    def __init__(self, init, grid, params, alpha=None):
+    def __init__(self, init, grid, params, alpha=None, on_fold=None):
         self.grid = grid
         self.params = params
         self.alpha = default_alpha(params) if alpha is None else check_alpha(alpha, params)
         self.mark = (None, 0.0, (0.0,) * 7, initial_phi(init, grid))
         self.window = window_length(grid.n_cells)
+        self.on_fold = on_fold
         self._held = []
+        self._window = None  # the one stack of the window being folded
 
     def hold(self, state_before, state_after, dt, due):
         self._held.append((state_before, state_after, dt, due))
@@ -320,18 +369,28 @@ class DiagnosticsAccumulator:
             return []
         befores, afters, dts, dues = zip(*self._held)
         self._held = []
-        marks = self.update(befores, afters, dts)
-        due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
-        return self.record(*zip(*due)) if due else []
+        if len(dts) > 1:
+            chain = {id(s): s for pair in zip(befores, afters) for s in pair}
+            self._window = _Stack(list(chain.values()))
+        try:
+            if self.on_fold is not None:
+                dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
+                self.on_fold(stack(befores, self._window), stack(afters, self._window), dt)
+            marks = self.update(befores, afters, dts)
+            due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
+            return self.record(*zip(*due)) if due else []
+        finally:
+            self._window = None
 
     def update(self, befores, afters, dts):
         dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
-        sa = stack(afters)
+        sa = stack(afters, self._window)
         ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
         # the six ledger totals in record order, then the steps' theta sup
         entries = (ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))
         rows = np.array(entries).reshape(len(entries), -1).T.tolist()
-        increments = (_ptilde(stack(befores), self.params) * dt).T.reshape(len(dts), -1)
+        sb = stack(befores, self._window)
+        increments = (_ptilde(sb, self.params) * dt).T.reshape(len(dts), -1)
         power = self.params.q_exp - self.alpha + 1.0
         totals, phi = self.mark[2:]
         marks = []
@@ -348,11 +407,12 @@ class DiagnosticsAccumulator:
         states = [state] if isinstance(state, State) else list(state)
         marks = marks or [self.mark] * len(states)
         grid, params = self.grid, self.params
-        sa = stack(states)
+        sa = stack(states, self._window)
         phis = _columns([m[3] for m in marks])
         # a record before any step pairs its state with itself, so dt = 1 is exact
         dts = np.array([m[1] or 1.0 for m in marks]) if len(marks) > 1 else marks[0][1]
-        befores = stack([s if m[0] is None else m[0] for s, m in zip(states, marks)])
+        befores = stack([s if m[0] is None else m[0] for s, m in zip(states, marks)],
+                        self._window)
         norms = norm_suite(befores, sa, dts, grid, params)
         norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
         scalars = (total_mass(sa, grid), total_energy(sa, grid, params),

@@ -235,7 +235,7 @@ def _solve_flux_system_py(cap, off, rhs):
     return x if rhs.ndim == 2 else x[:, 0]
 
 
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 
 _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c

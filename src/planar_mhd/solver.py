@@ -462,7 +462,7 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
 
 def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
         alpha=None, forcing=None, snapshot_times=(), snapshot_sink=None,
-        on_step=None):
+        on_step=None, on_fold=None):
     """March the system from the initial data to t_end.
 
     The step size follows stable_dt, truncated to land exactly on t_end and
@@ -479,14 +479,19 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
 
     After each accepted step, on_step(before, after, report) gets the state
     the step started from (the previous call's after), the state it made and
-    its StepReport, with after.time == before.time + report.dt_used.
+    its StepReport, with after.time == before.time + report.dt_used.  With
+    a sink, on_fold(befores, afters, dt) gets each window as the accumulator
+    folds it: its befores and afters as columns of the window's one stack
+    and the (W,) array of their dts, or a State pair and a float for a
+    window of one (DiagnosticsAccumulator).
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
     if cfg is None:
         cfg = SchemeConfig()
     state = init.to_state()
-    acc = DiagnosticsAccumulator(init, grid, params, alpha=alpha) if sink is not None else None
+    acc = (DiagnosticsAccumulator(init, grid, params, alpha=alpha, on_fold=on_fold)
+           if sink is not None else None)
     if sink is not None:
         sink(acc.record(state))
 

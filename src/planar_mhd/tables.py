@@ -14,6 +14,9 @@ from .model import Grid, State
 
 COLUMNS = ("x", "rho", "u", "w1", "w2", "b1", "b2", "theta")
 
+# a row of values as format_float writes them, formatted by one %-format
+_ROW = " ".join(["%.17g"] * len(COLUMNS)) + "\n"
+
 
 def format_float(v):
     return f"{v:.17g}"
@@ -33,8 +36,7 @@ def write_state_table(path, grid, state):
     with open(path, "w") as fh:
         fh.write(f"# time = {format_float(state.time)}\n")
         fh.write("# columns: " + " ".join(COLUMNS) + "\n")
-        for row in cols:
-            fh.write(" ".join(format_float(v) for v in row) + "\n")
+        fh.write("".join([_ROW % tuple(row) for row in cols.tolist()]))
 
 
 def read_state_table(path):
@@ -62,10 +64,10 @@ def read_state_table(path):
                 raise ValueError(
                     f"{path}: expected {len(COLUMNS)} columns per row, got {len(parts)}"
                 )
-            rows.append([float(p) for p in parts])
+            rows.append(parts)
     if not rows:
         raise ValueError(f"{path}: table contains no data rows")
-    data = np.asarray(rows, dtype=float)
+    data = np.array(rows, dtype=float)
     n = data.shape[0]
     grid = Grid.uniform(n)
     if not np.allclose(data[:, 0], grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):

@@ -182,9 +182,10 @@ def test_a_stacks_derived_fields_are_the_per_state_fields_bitwise(name, n, param
 
 
 def test_a_windowed_simulate_takes_gradients_per_window_not_per_step(monkeypatch, tmp_path):
-    # at n = 128 a window holds 16 steps; every gradient of a diagnostic or
-    # of the residual is taken once per window, so the cell_grad calls grow
-    # with the windows (the numpy step takes two of its own per step)
+    # at n = 128 a window holds 16 steps and stacks its 17 states once:
+    # u_x, w_x, b_x and theta_x of that stack, the residual's advection and
+    # the phi residual make six cell_grad calls per window, and the initial
+    # record five (the numpy step takes two of its own per step)
     calls = []
     for module in (model, diagnostics, solver):
         original = module.cell_grad
@@ -198,4 +199,4 @@ def test_a_windowed_simulate_takes_gradients_per_window_not_per_step(monkeypatch
     windows = -(-steps // diagnostics.window_length(128))
     assert windows >= 3 and steps >= 8 * windows
     per_step = 2 if operators._KERNEL is None else 0
-    assert len(calls) <= 16 * windows + 5 + per_step * steps
+    assert len(calls) <= 6 * windows + 5 + per_step * steps

@@ -120,22 +120,78 @@ def test_a_stack_records_each_state_as_alone():
 
 
 def test_windowed_residual_gives_the_summary_of_one_step_at_a_time(monkeypatch, tmp_path):
-    # simulate folds the consistency residual by the window too, and its
-    # max must not depend on how many steps one window holds
+    # simulate folds the consistency residual on the diagnostics' own stack
+    # of each window, and neither its max nor the records may depend on how
+    # many steps one window holds, nor on which of its steps are due
     n = 128
     name, t_end = CASES[n]
+    for record_every in (1, 3):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"scenario = {name}\nn_cells = {n}\nt_end = {t_end}\nq_exp = 1.5\n"
+                       f"record_every = {record_every}\n")
+        outputs = []
+        for window in (1, 7, 32):
+            use_window(monkeypatch, window, n)
+            out = tmp_path / f"r{record_every}w{window}"
+            assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
+            outputs.append([(out / file).read_bytes()
+                            for file in ("run-summary.txt", "diagnostics.csv")])
+        summary = outputs[0][0].decode()
+        steps = int(dict(line.split(" = ") for line in summary.splitlines())["steps"])
+        assert steps % 7 and steps % 32  # the last window is a partial one
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, record_every):
+    # the residual, update and record of a window share one stack of its
+    # W + 1 chained states (the first before, then each after), so a run
+    # builds one stack per window of more than one step and no other
+    built = []
+    original = diagnostics._Stack.__init__
+
+    def counted(self, states):
+        built.append(list(states))
+        original(self, states)
+
+    monkeypatch.setattr(diagnostics._Stack, "__init__", counted)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"scenario = {name}\nn_cells = {n}\nt_end = {t_end}\nq_exp = 1.5\n")
-    summaries = []
-    for window in (1, 7, 32):
-        use_window(monkeypatch, window, n)
-        out = tmp_path / f"w{window}"
-        assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == 0
-        summaries.append((out / "run-summary.txt").read_bytes())
-    steps = int(dict(line.split(" = ") for line in summaries[0].decode().splitlines())["steps"])
-    assert steps % 7 and steps % 32  # the last window is a partial one
-    assert summaries[1] == summaries[0]
-    assert summaries[2] == summaries[0]
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 128\nt_end = 0.2\n"
+                   f"record_every = {record_every}\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"]) == 0
+    summary = (tmp_path / "out" / "run-summary.txt").read_text()
+    steps = int(dict(line.split(" = ") for line in summary.splitlines())["steps"])
+    window = diagnostics.window_length(128)
+    assert steps % window > 1  # the partial last window is stacked too
+    assert [len(states) for states in built] == \
+        [window + 1] * (steps // window) + [steps % window + 1]
+    for first, second in zip(built, built[1:]):
+        assert second[0] is first[-1]  # a window starts where the last one ended
+
+
+def test_pairs_that_are_not_chained_give_the_records_of_one_step_at_a_time(monkeypatch):
+    # a window of pairs that do not chain stacks its distinct states once
+    # and must still give each pair its own records
+    params = PhysParams(q_exp=1.5)
+    grid, steps = pairs("vacuum-pocket", 16, params, count=6)
+    states = [steps[0][0]] + [a for _, a, _ in steps]
+    held = [(states[b], states[a], states[a].time - states[b].time)
+            for b, a in ((0, 2), (1, 3), (0, 4), (2, 3), (5, 6), (1, 3))]
+    init = scenario("vacuum-pocket", grid)
+
+    def records(window):
+        use_window(monkeypatch, window, 16)
+        acc = DiagnosticsAccumulator(init, grid, params)
+        got = []
+        for before, after, dt in held:
+            got += acc.hold(before, after, dt, due=True)
+        return [hexed(r) for r in got + acc.flush()]
+
+    want = records(1)
+    assert len(want) == len(held)
+    assert records(4) == want
+    assert records(len(held)) == want
 
 
 def pairs(name, n, params, count=5):

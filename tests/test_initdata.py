@@ -1,4 +1,7 @@
-"""Initial data: regularization, admissibility residuals, scenario library."""
+"""Initial data: regularization, admissibility residuals, scenario library,
+and the state tables they are read from."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from planar_mhd.initial import (
     SCENARIOS,
 )
 from planar_mhd.model import Grid, PhysParams
-from planar_mhd.tables import write_state_table
+from planar_mhd.tables import read_state_table, write_state_table
 
 
 def constant_data(n):
@@ -200,3 +203,43 @@ def test_table_rejects_short_rows(tmp_path):
     path.write_text("# time = 0\n0.25 1.0 0.0\n")
     with pytest.raises(ValueError):
         load_initial_table(path)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/snapshot_t*.dat")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_golden_snapshots_round_trip_byte_for_byte(tmp_path, path):
+    time, grid, state = read_state_table(path)
+    copy = tmp_path / path.name
+    write_state_table(copy, grid, state)
+    assert copy.read_bytes() == path.read_bytes()
+    again = read_state_table(copy)[2]
+    assert again.time.hex() == state.time.hex() == time.hex()
+    for name in ("rho", "u", "w", "b", "theta"):
+        assert getattr(again, name).tobytes() == getattr(state, name).tobytes()
+
+
+@pytest.mark.parametrize("row,message", [
+    ("0.0625 1 0 0 0 0 0", "expected 8 columns per row, got 7"),
+    ("0.0625 1 0 0 0 0 0 1 2", "expected 8 columns per row, got 9"),
+    ("0.0625 1 0 0 0 0 0 x", "could not convert string to float: 'x'"),
+    ("0.0625 1 0 0 0 1.5e 0 1", "could not convert string to float: '1.5e'"),
+])
+def test_a_bad_row_is_named_as_before(tmp_path, row, message):
+    # one bad row among good ones, anywhere in the table
+    good = [f"{(i + 0.5) / 8!r} 1 0 0 0 0 0 1" for i in range(8)]
+    for at in (0, 4, 7):
+        path = tmp_path / f"bad{at}.dat"
+        path.write_text("# time = 0\n" + "\n".join(good[:at] + [row] + good[at + 1:]) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_state_table(path)
+        assert str(err.value).removeprefix(f"{path}: ") == message
+
+
+def test_a_table_without_rows_is_refused(tmp_path):
+    path = tmp_path / "empty.dat"
+    path.write_text("# time = 0\n# columns: x rho u w1 w2 b1 b2 theta\n\n")
+    with pytest.raises(ValueError, match="table contains no data rows"):
+        read_state_table(path)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import planar_mhd.verification as verification
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State, kappa, mechanical_heating, pressure
 from planar_mhd.operators import dot2, l2
@@ -388,3 +389,51 @@ def test_embedding_check_requires_mass():
                   np.zeros((n, 2)), np.zeros(n))
     with pytest.raises(ValueError):
         embedding_check(empty, grid)
+
+
+def fresh_embedding_check(*args, **kwargs):
+    verification._DRAWN[:] = None, None
+    return embedding_check(*args, **kwargs)
+
+
+def test_embedding_check_draws_its_test_functions_once_per_key(monkeypatch):
+    # an audit checks every snapshot against one seeded draw: the test
+    # functions are drawn for the first state and reused for the rest
+    grid = Grid.uniform(64)
+    params = PhysParams()
+    states = [scenario("magnetic-pulse", grid).to_state()]
+    for _ in range(4):
+        s = states[-1]
+        states.append(step(s, 1e-3, grid, params, SchemeConfig())[0])
+    exponents = (1.0, 2.0, params.q_exp + 1.0)
+    want = [fresh_embedding_check(s, grid, trials=50, seed=23, exponents=exponents).hex()
+            for s in states]
+    draws = []
+    original = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: draws.append(seed) or
+                        original(seed))
+    verification._DRAWN[:] = None, None
+    got = [embedding_check(s, grid, trials=50, seed=23, exponents=exponents).hex()
+           for s in states]
+    assert got == want
+    assert draws == [23]
+
+
+@pytest.mark.parametrize("change", ["grid", "trials", "seed", "exponents"])
+def test_embedding_check_redraws_when_its_key_changes(change):
+    grid = Grid.uniform(64)
+    other = {"grid": Grid.uniform(96), "trials": 20, "seed": 5, "exponents": (3.0,)}
+    base = {"grid": grid, "trials": 10, "seed": 4, "exponents": (1.0, 2.0)}
+    changed = dict(base, **{change: other[change]})
+    states = {n: scenario("vacuum-pocket", Grid.uniform(n)).to_state() for n in (64, 96)}
+
+    def check(args, fresh=False):
+        call = fresh_embedding_check if fresh else embedding_check
+        return call(states[args["grid"].n_cells], args["grid"], trials=args["trials"],
+                    seed=args["seed"], exponents=args["exponents"]).hex()
+
+    want_base, want_changed = check(base, fresh=True), check(changed, fresh=True)
+    assert want_base != want_changed
+    for args, want in [(base, want_base), (changed, want_changed), (base, want_base),
+                       (base, want_base), (changed, want_changed)]:
+        assert check(args) == want
