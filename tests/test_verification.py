@@ -155,6 +155,78 @@ PARAM_SETS = {
 }
 
 
+def _literal_smooth_wave():
+    # the closed forms written out as full expressions, with no kept profile
+    def rho(x, t):
+        return 1.0 + 0.25 * np.cos(2.0 * np.pi * x) * np.exp(-t)
+
+    def u(x, t):
+        return 0.2 * np.sin(2.0 * np.pi * x) * np.cos(6.0 * t)
+
+    def w(x, t):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = 0.15 * np.sin(np.pi * x) * np.cos(5.0 * t)
+        out[..., 1] = -0.12 * np.sin(2.0 * np.pi * x) * np.sin(6.0 * t)
+        return out
+
+    def b(x, t):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape + (2,))
+        out[..., 0] = 0.2 * np.sin(np.pi * x) * np.cos(7.0 * t)
+        out[..., 1] = 0.15 * np.sin(2.0 * np.pi * x) * np.sin(5.0 * t)
+        return out
+
+    def theta(x, t):
+        return 1.0 + 0.15 * np.cos(np.pi * x) ** 2 * (1.0 + 0.5 * np.sin(6.0 * t))
+
+    return {"rho": rho, "u": u, "w": w, "b": b, "theta": theta}
+
+
+def _literal_constant():
+    def one(x, t):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    def zero(x, t):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def zero2(x, t):
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape + (2,))
+
+    return {"rho": one, "u": zero, "w": zero2, "b": zero2, "theta": one}
+
+
+LITERAL_FORMS = {"smooth-wave": _literal_smooth_wave(), "constant": _literal_constant()}
+# the cases with their forms replaced by the literal expressions: no kept
+# profile anywhere, so their nested residuals are a cache-free evaluation
+LITERAL_CASES = {name: dataclasses.replace(MMS_CASES[name], profiles=(), **forms)
+                 for name, forms in LITERAL_FORMS.items()}
+
+
+def _stencils(n):
+    """x of the shapes a forced step calls the forms on: the cell centres
+    (n,), their x-stencil rows (5, n) and the nested rows (5, 5, n)."""
+    x = Grid.uniform(n).cell_centers
+    xs = verification._rows(x, _H)
+    return x, xs, verification._rows(xs, _H)
+
+
+@pytest.mark.parametrize("name", sorted(MMS_CASES))
+def test_closed_forms_return_the_bytes_of_their_literal_expressions(name):
+    case, literal = MMS_CASES[name], LITERAL_FORMS[name]
+    for n in (4, 64, 256):
+        # every t on every shape in turn, so each kept profile is both
+        # recomputed (a new shape or x) and reused (the same x again);
+        # t - 2h is negative at t = 0
+        for t in (-0.001, 0.0, 0.0123, 0.25):
+            for x in _stencils(n):
+                for form in CLOSED_FORMS:
+                    got, want = getattr(case, form)(x, t), literal[form](x, t)
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes(), (n, t, x.shape, form)
+
+
 @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS)
 @pytest.mark.parametrize("name", sorted(MMS_CASES))
 def test_residual_table_matches_nested_stencils_bitwise(name, params):
@@ -202,7 +274,12 @@ def test_residual_table_is_recomputed_whenever_x_or_t_changes():
     x = Grid.uniform(48).cell_centers.copy()  # writeable, edited in place below
 
     def fresh(x, t, h=_H):
-        entries = case.residuals(params, h)
+        # nested stencils of the literal forms: no table, no kept rows or
+        # profiles, so nothing a cache could have kept
+        entries = nested_residuals(LITERAL_CASES["smooth-wave"], params, h)
+        return {entry: entries[entry](x, t).tobytes() for entry in ENTRIES}
+
+    def table(entries, x, t):
         return {entry: entries[entry](x, t).tobytes() for entry in ENTRIES}
 
     entries = case.residuals(params)
@@ -218,19 +295,90 @@ def test_residual_table_is_recomputed_whenever_x_or_t_changes():
     # a new t recomputes
     later = fresh(x, 0.2)
     assert later["rho"] != want["rho"]
-    assert {entry: entries[entry](x, 0.2).tobytes() for entry in ENTRIES} == later
+    assert table(entries, x, 0.2) == later
+
+    # so do x of other ranks, alternating with x, whose kept profiles and
+    # stencil rows sit in other slots
+    wide = np.stack([x * (1.0 - 0.01 * k) for k in range(5)])
+    deep = np.stack([wide * (1.0 + 0.02 * k) for k in range(5)])
+    by_shape = {y.shape: fresh(y, 0.2) for y in (wide, deep)}
+    by_shape[x.shape] = later
+    for y in (wide, x, deep, wide, deep, x, deep):
+        assert table(entries, y, 0.2) == by_shape[y.shape], y.shape
+
+    # and a change of h with the same x, back and forth
+    doubled = case.residuals(params, 2.0 * _H)
+    want_2h = fresh(x, 0.2, 2.0 * _H)
+    assert want_2h["u"] != later["u"]
+    for entries_h, want_h in ((doubled, want_2h), (entries, later), (doubled, want_2h)):
+        assert table(entries_h, x, 0.2) == want_h
+
+    # and an x of a new length
+    longer = Grid.uniform(49).cell_centers
+    assert table(entries, longer, 0.2) == fresh(longer, 0.2)
 
     # so does an x of the same length with one changed value
     y = x.copy()
     y[7] += 1e-3
     moved = fresh(y, 0.2)
     assert moved["u"] != later["u"]
-    assert {entry: entries[entry](y, 0.2).tobytes() for entry in ENTRIES} == moved
+    assert table(entries, y, 0.2) == moved
 
     # and an in-place edit of x between two calls
     assert entries["b"](x, 0.2).tobytes() == later["b"]
     x[7] += 1e-3
-    assert {entry: entries[entry](x, 0.2).tobytes() for entry in ENTRIES} == moved
+    assert table(entries, x, 0.2) == moved
+
+
+def test_kept_profiles_and_stencil_rows_do_not_grow_with_the_ladder():
+    # one slot per rank of x, the last x of that rank: after the default
+    # ladder only its n = 256 shapes are kept, not one per resolution
+    case = MMS_CASES["smooth-wave"]
+    assert len(case.profiles) == 5
+    for memo in (*case.profiles, verification._stencil):
+        memo.slots.clear()  # drop what other tests' x of other ranks left
+    mms_convergence(case, (16, 32), PhysParams(), t_end=0.01)
+    mms_convergence(case, (64, 128, 256), PhysParams())
+    last = {(256,), (5, 256), (5, 5, 256)}
+    for memo in case.profiles:
+        shapes = [key[0] for key, _ in memo.slots.values()]
+        assert len(shapes) == len(set(shapes)) <= 3
+        assert set(shapes) <= last, shapes
+        assert not any(kept.flags.writeable for _, kept in memo.slots.values())
+    assert [key[0] for key, _ in verification._stencil.slots.values()] == [(256,)]
+
+
+def test_ten_forced_steps_build_the_stencil_rows_once(monkeypatch):
+    case, params, grid = MMS_CASES["smooth-wave"], PhysParams(), Grid.uniform(32)
+    verification._stencil.slots.clear()
+    counts = {"_rows": 0, "stack": 0}
+    rows = verification._rows
+
+    def counted_rows(x, h):
+        counts["_rows"] += 1
+        return rows(x, h)
+
+    class CountingNumpy:
+        # numpy as verification sees it, with np.stack counted
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def stack(self, *args, **kwargs):
+            counts["stack"] += 1
+            return np.stack(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "_rows", counted_rows)
+    monkeypatch.setattr(verification, "np", CountingNumpy())
+    state, forcing = case.initial_data(grid).to_state(), case.forcing(params)
+    state, _ = step(state, 1e-3, grid, params, SchemeConfig(), forcing)
+    assert counts["_rows"] == 2  # x-stencil rows and nested rows, one (x, h) key
+    first = counts["stack"]
+    for _ in range(9):
+        state, _ = step(state, 1e-3, grid, params, SchemeConfig(), forcing)
+    assert counts == {"_rows": 2, "stack": first}
+    assert state.time == pytest.approx(1e-2)
+    monkeypatch.undo()
+    assert verification.np is np and verification._rows is rows
 
 
 def test_self_check_step_sets_keep_their_own_tables():
