@@ -2,17 +2,19 @@
 
    solve_flux_system is the subtraction-free pivot recursion behind
    planar_mhd.operators.solve_flux_system.  step_explicit runs stages 1-4
-   of solver.step and the explicit part of stage 5; conduction_pass runs
-   one Picard pass of solver.conduction_update.  All three go through the
+   of solver.step and the explicit part of stage 5; conduction_solve runs
+   the Picard loop of solver.conduction_update.  All three go through the
    one copy of the recursion, pivot_solve.
 
    Every floating-point operation happens in the same order as in the
    numpy reference (operators._solve_flux_system_py, solver._explicit_stages
-   and solver._numpy_pass), so the two agree bit for bit.  That holds only
+   and solver._numpy_solve), so the two agree bit for bit.  That holds only
    without FMA contraction and without value-changing optimizations: build
    with -O3 -ffp-contract=off, never -ffast-math.  No libm function is
-   called, because numpy's transcendental loops need not give libm's bits:
-   kappa(theta) comes in evaluated by numpy. */
+   called, because numpy's transcendental loops need not give libm's bits.
+   kappa(theta) is computed here only at q_exp = 2, as kappa_a + kappa_b *
+   (theta * theta), which is how numpy evaluates theta ** 2.0; for any
+   other exponent it comes in evaluated by numpy. */
 
 #include <math.h>
 #include <stddef.h>
@@ -139,16 +141,20 @@ static void couplings(ptrdiff_t n, double coeff, double dx, const double *rho,
                 off[j] = 0.0;
 }
 
-/* solver._require_nonnegative: 1 when min(0, f) is NaN or below -tol.
-   Otherwise, if some entry is negative, every entry is clipped as
-   np.maximum(f, 0.0) clips it, which gives +0.0 for -0.0 too. */
+/* solver._require_nonnegative: 1 when an entry is NaN or infinite, or
+   min(0, f) is below -tol.  Otherwise, if some entry is negative, every
+   entry is clipped as np.maximum(f, 0.0) clips it, which gives +0.0 for
+   -0.0 too. */
 static int require_nonnegative(ptrdiff_t n, double *f, double tol)
 {
     double low = 0.0;
-    for (ptrdiff_t i = 0; i < n; i++)
-        if (f[i] < low || f[i] != f[i])  /* a NaN, once in low, stays */
+    for (ptrdiff_t i = 0; i < n; i++) {
+        if (!isfinite(f[i]))
+            return 1;
+        if (f[i] < low)
             low = f[i];
-    if (!(low >= -tol))
+    }
+    if (low < -tol)
         return 1;
     if (low < 0.0)
         for (ptrdiff_t i = 0; i < n; i++)
@@ -282,16 +288,23 @@ ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
     return clipped;
 }
 
-/* One pass of the Picard loop of solver.conduction_update, as
-   solver._numpy_pass does it.
+/* The Picard loop of solver.conduction_update, as solver._numpy_solve
+   runs it, with its stop test and its non-finite test.
 
-   ws holds 8n + 3 doubles: theta_tilde, rho, the iterate theta_k, then
-   scratch, then two report slots.  kappa is kappa(max(theta_k, 0)) per
-   cell.  The pass replaces theta_k by the next iterate and reports
-   max|theta_next - theta_k| and max|theta_k| (NaN if any entry is NaN, as
-   numpy's max) in the last two slots.  Returns 0, or 1 on a zero pivot. */
-int conduction_pass(ptrdiff_t n, double dx, double c_v, double dt,
-                    double vacuum_rho, const double *kappa, double *ws)
+   ws holds 8n + 4 doubles: theta_tilde, rho, the iterate theta_k
+   (theta_tilde at first), scratch, then three report slots: the passes
+   run so far (0 before the first call), and the last pass's
+   max|theta_next - theta_k| and max|theta_k| + 1e-30, the scale of the
+   stop test (a max is NaN if any entry is NaN, as numpy's max).  With
+   kappa NULL (q_exp = 2), each pass takes kappa_a + kappa_b * (m * m) with
+   m = max(theta_k, 0), a NaN kept, and passes run until one of the
+   returns below or until max_passes have run; otherwise kappa holds
+   kappa(max(theta_k, 0)) per cell and one pass runs.  Returns 0 when the
+   stop test holds, 1 when it does not, 2 when the change is not finite,
+   3 on a zero pivot. */
+int conduction_solve(ptrdiff_t n, double dx, double c_v, double dt, double vacuum_rho,
+                     double kappa_a, double kappa_b, double tol, ptrdiff_t max_passes,
+                     const double *kappa, double *ws)
 {
     const double *theta_tilde = ws, *rho = ws + n;
     double *theta_k = ws + 2 * n, *x = ws + 3 * n, *cap = ws + 4 * n, *off = ws + 5 * n,
@@ -299,21 +312,37 @@ int conduction_pass(ptrdiff_t n, double dx, double c_v, double dt,
 
     for (ptrdiff_t i = 0; i < n; i++)
         cap[i] = rho[i] <= vacuum_rho ? 1.0 : c_v * rho[i] / dt;
-    for (ptrdiff_t j = 0; j <= n; j++)  /* walls and vacuum faces are insulated */
-        off[j] = j == 0 || j == n || vacuum_face(rho, n, j, vacuum_rho) ? 0.0
-            : 0.5 * (kappa[j - 1] + kappa[j]) / (dx * dx);
-    flux_laplacian(n, 1, off, theta_tilde, x);
-    if (pivot_solve(n, 1, cap, off, x, work))
-        return 1;
-    double change = 0.0, scale = 0.0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        double next = theta_tilde[i] + x[i];
-        double d = fabs(next - theta_k[i]), a = fabs(theta_k[i]);
-        change = d > change || d != d ? d : change;
-        scale = a > scale || a != a ? a : scale;
-        theta_k[i] = next;
+    while (report[0] < max_passes) {
+        report[0] += 1.0;
+        if (!kappa)  /* x is free until the flux Laplacian fills it */
+            for (ptrdiff_t i = 0; i < n; i++) {
+                double m = theta_k[i] > 0.0 || theta_k[i] != theta_k[i] ? theta_k[i] : 0.0;
+                x[i] = kappa_a + kappa_b * (m * m);
+            }
+        const double *kap = kappa ? kappa : x;
+        for (ptrdiff_t j = 0; j <= n; j++)  /* walls and vacuum faces are insulated */
+            off[j] = j == 0 || j == n || vacuum_face(rho, n, j, vacuum_rho) ? 0.0
+                : 0.5 * (kap[j - 1] + kap[j]) / (dx * dx);
+        flux_laplacian(n, 1, off, theta_tilde, x);
+        if (pivot_solve(n, 1, cap, off, x, work))
+            return 3;
+        double change = 0.0, scale = 0.0;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double next = theta_tilde[i] + x[i];
+            double d = fabs(next - theta_k[i]), a = fabs(theta_k[i]);
+            change = d > change || d != d ? d : change;
+            scale = a > scale || a != a ? a : scale;
+            theta_k[i] = next;
+        }
+        scale += 1e-30;
+        report[1] = change;
+        report[2] = scale;
+        if (!isfinite(change))
+            return 2;
+        if (change <= tol * scale)
+            return 0;
+        if (kappa)
+            return 1;
     }
-    report[0] = change;
-    report[1] = scale;
-    return 0;
+    return 1;
 }

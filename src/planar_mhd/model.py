@@ -153,8 +153,9 @@ class State(DerivedFields):
     its (n,) and (n, 2) arrays, each bit for bit the operator call it stands
     for on a grid of n_cells cells.
 
-    Arrays are copied on construction and marked read-only, so states can be
-    shared freely between the stepper, diagnostics, and sinks.
+    Arrays are copied, checked and marked read-only on construction, so
+    states can be shared freely between the stepper, diagnostics, and sinks
+    (the compiled step's States come from _trusted, without copy or check).
     """
 
     time: float
@@ -171,6 +172,15 @@ class State(DerivedFields):
         object.__setattr__(self, "w", _frozen_array(self.w, (n, 2), "w"))
         object.__setattr__(self, "b", _frozen_array(self.b, (n, 2), "b"))
         object.__setattr__(self, "theta", _frozen_array(self.theta, (n,), "theta", nonnegative=True))
+
+    @classmethod
+    def _trusted(cls, time, rho, u, w, b, theta):
+        """A State of arrays that solver.step's compiled path has checked
+        and holds nowhere else: marked read-only, not copied or checked."""
+        state = cls.__new__(cls)
+        state.__dict__.update(time=time, rho=_read_only(rho), u=_read_only(u),
+                              w=_read_only(w), b=_read_only(b), theta=_read_only(theta))
+        return state
 
     @property
     def n_cells(self):

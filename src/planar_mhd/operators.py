@@ -17,8 +17,8 @@ with ctypes) with the Python loop as reference and fallback; both give the
 same bits.
 
 The same library holds the compiled step of solver.step: step_explicit
-(stages 1-4 and the explicit part of stage 5) and conduction_pass (one
-Picard pass).  _KERNEL is that library, or None when it cannot be built;
+(stages 1-4 and the explicit part of stage 5) and conduction_solve (the
+Picard loop).  _KERNEL is that library, or None when it cannot be built;
 it is the one switch between the compiled step and solve and the numpy
 step and Python loop.
 """
@@ -241,7 +241,7 @@ _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
     "step_explicit": ([_SIZE] + [_DOUBLE] * 10 + [_POINTER] * 6, _SIZE),
-    "conduction_pass": ([_SIZE] + [_DOUBLE] * 4 + [_POINTER] * 2, ctypes.c_int),
+    "conduction_solve": ([_SIZE] + [_DOUBLE] * 7 + [_SIZE] + [_POINTER] * 2, ctypes.c_int),
 }
 
 

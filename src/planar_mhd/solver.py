@@ -26,11 +26,12 @@ of every density-weighted solve) is the discrete version of that statement.
 Magnetic diffusion is the one exception; b stays meaningful in vacuum.
 
 Where the compiled kernel is loaded (operators._KERNEL), stages 1-4 and the
-explicit part of stage 5 run as one step_explicit call and each Picard pass
-as one conduction_pass call; otherwise they run as numpy calls
-(_explicit_stages, _numpy_pass), which stay as the bitwise reference.  The
-forcing callables, kappa(theta) of each pass, State construction and every
-error message stay in Python on both paths.
+explicit part of stage 5 run as one step_explicit call, the Picard loop as
+one conduction_solve call (one per pass unless q_exp = 2, with kappa from
+numpy), and the new State takes the kernel's output unchecked
+(State._trusted); otherwise numpy calls (_explicit_stages, _numpy_solve)
+and the checking State constructor, the bitwise reference, do it all.  The
+forcing callables and every error message stay in Python on both paths.
 """
 
 from __future__ import annotations
@@ -154,14 +155,14 @@ def advect_density(rho, u, dt, grid):
 
 def _require_nonnegative(arr, floor_tol, what, stage):
     """Clip roundoff-level undershoots to zero; fail on genuine ones and on
-    NaN, naming the stage that produced it."""
+    NaN or inf, naming the stage that produced it."""
     low = float(arr.min(initial=0.0))
-    if not low >= -floor_tol:
-        if np.isnan(low):
-            raise NumericalError(f"{stage} produced a non-finite {what}")
+    if not (math.isfinite(low) and math.isfinite(arr.max(initial=0.0))):
+        raise NumericalError(f"{stage} produced a non-finite {what}")
+    if low < -floor_tol:
         raise PositivityError(f"{what} reached {low:.6g}, beyond the allowed undershoot"
                               f" {floor_tol:.3g}; the step size is too large for this data")
-    if not low >= 0.0:
+    if low < 0.0:
         arr = np.maximum(arr, 0.0)
     return arr
 
@@ -207,58 +208,61 @@ def _implicit(cap, off, tilde):
     return tilde + solve_flux_system(cap, off, flux_laplacian(off, tilde))
 
 
-def _numpy_pass(theta_tilde, rho, dt, grid, params):
-    """The Picard passes of conduction_update as numpy calls: each call of
-    advance() runs the next pass from the iterate theta_k (theta_tilde at
-    first) and returns (theta_next, max|theta_next - theta_k|,
-    max|theta_k|).  The reference that the compiled pass matches bit for
-    bit."""
+_CONVERGED, _NOT_CONVERGED, _NON_FINITE, _ZERO_PIVOT = range(4)  # conduction_solve's codes
+
+
+def _numpy_solve(theta_tilde, rho, dt, grid, params, cfg):
+    """The Picard loop of conduction_update as numpy calls, the reference
+    that conduction_solve of the compiled kernel matches bit for bit.
+    Returns (theta, code, passes, change, scale): the last iterate, one of
+    the codes above, the passes run, and the last pass's max|theta_next -
+    theta_k| and max|theta_k| + 1e-30, the scale of the stop test."""
     dx = grid.dx
     vac = rho <= VACUUM_RHO
     face_insulated = _vacuum_faces(vac)
     face_insulated[[0, -1]] = True  # insulated walls
     cap = np.where(vac, 1.0, params.c_v * rho / dt)
     theta_k = theta_tilde
-
-    def advance():
-        nonlocal theta_k
+    for passes in range(1, cfg.picard_max_iters + 1):
         kf = face_average(kappa(np.maximum(theta_k, 0.0), params), EVEN)
         off = kf / (dx * dx)
         off[face_insulated] = 0.0
-        theta_next = _implicit(cap, off, theta_tilde)
+        try:
+            theta_next = _implicit(cap, off, theta_tilde)
+        except np.linalg.LinAlgError:  # pragma: no cover - defensive
+            return theta_k, _ZERO_PIVOT, passes, math.nan, math.nan
         change = float(np.abs(theta_next - theta_k).max())
-        scale = float(np.abs(theta_k).max())
+        scale = float(np.abs(theta_k).max()) + 1e-30
         theta_k = theta_next
-        return theta_next, change, scale
+        if not math.isfinite(change):
+            return theta_k, _NON_FINITE, passes, change, scale
+        if change <= cfg.picard_tol * scale:
+            return theta_k, _CONVERGED, passes, change, scale
+    return theta_k, _NOT_CONVERGED, passes, change, scale
 
-    return advance
 
-
-def _compiled_pass(kernel, theta_tilde, rho, dt, grid, params):
-    """The passes of _numpy_pass, each as one conduction_pass call of the
-    compiled kernel.  The iterate lives in the kernel's workspace, which
-    each call updates in place, so advance() returns that same array every
-    pass.  The workspace is allocated and its address read once per
-    conduction_update."""
-    n = grid.n_cells
-    ws = np.empty(8 * n + 3)  # layout in _pivot.c
-    ws[:n] = theta_tilde
-    ws[n:2 * n] = rho
+def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg):
+    """_numpy_solve in the compiled kernel: one conduction_solve call at
+    q_exp = 2, where the kernel evaluates kappa as numpy evaluates theta **
+    2.0, and one call per pass on kappa by numpy otherwise.  The returned
+    theta is a copy, so it does not keep the workspace alive."""
+    kernel, n = operators._KERNEL, grid.n_cells
+    ws = np.zeros(8 * n + 4)  # layout in _pivot.c; no passes run yet
+    np.concatenate((theta_tilde, rho, theta_tilde), out=ws[:3 * n])
     theta_k = ws[2 * n:3 * n]
-    theta_k[:] = theta_tilde
-    report = ws[-2:]
+    consts = (n, grid.dx, params.c_v, dt, VACUUM_RHO, params.kappa_a, params.kappa_b,
+              cfg.picard_tol, cfg.picard_max_iters)
     address = ws.ctypes.data
-    run_pass = kernel.conduction_pass
-    consts = (n, grid.dx, params.c_v, dt, VACUUM_RHO)
-
-    def advance():
-        kap = kappa(np.maximum(theta_k, 0.0), params)
-        if run_pass(*consts, kap.ctypes.data, address):
-            raise np.linalg.LinAlgError("flux system has a zero pivot")
-        change, scale = report.tolist()
-        return theta_k, change, scale
-
-    return advance
+    if params.q_exp == 2.0:
+        code = kernel.conduction_solve(*consts, None, address)
+    else:
+        for _ in range(cfg.picard_max_iters):
+            kap = kappa(np.maximum(theta_k, 0.0), params)
+            code = kernel.conduction_solve(*consts, kap.ctypes.data, address)
+            if code != _NOT_CONVERGED:
+                break
+    passes, change, scale = ws[-3:].tolist()
+    return theta_k.copy(), code, int(passes), change, scale
 
 
 def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
@@ -270,28 +274,21 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
     insulated and vacuum cells are pinned at their incoming value, which is
     how "temperature is carried through vacuum" is realized.  Each linear
     pass is a symmetric M-matrix solve, so the update obeys the discrete
-    maximum principle with respect to theta_tilde.  A pass is one call of
-    the compiled kernel when it is loaded (operators._KERNEL), numpy calls
-    otherwise; kappa is evaluated by numpy either way.
+    maximum principle with respect to theta_tilde.  The loop runs in the
+    compiled kernel when it is loaded (operators._KERNEL), which evaluates
+    kappa too at q_exp = 2, and as numpy calls otherwise.
 
     Returns (theta_new, picard_iterations).
     """
-    kernel = operators._KERNEL
-    if kernel is None:
-        advance = _numpy_pass(theta_tilde, rho, dt, grid, params)
-    else:
-        advance = _compiled_pass(kernel, theta_tilde, rho, dt, grid, params)
-    for iteration in range(1, cfg.picard_max_iters + 1):
-        try:
-            theta_k, change, scale = advance()
-        except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
-            raise NumericalError(f"conduction solve failed: {err}") from err
-        if not math.isfinite(change):
-            raise NumericalError(f"conduction pass {iteration} produced a non-finite"
-                                 f" temperature (change {change})")
-        scale += 1e-30
-        if change <= cfg.picard_tol * scale:
-            return theta_k, iteration
+    solve = _numpy_solve if operators._KERNEL is None else _compiled_solve
+    theta, code, passes, change, scale = solve(theta_tilde, rho, dt, grid, params, cfg)
+    if code == _CONVERGED:
+        return theta, passes
+    if code == _ZERO_PIVOT:  # pragma: no cover - defensive
+        raise NumericalError("conduction solve failed: flux system has a zero pivot")
+    if code == _NON_FINITE:
+        raise NumericalError(f"conduction pass {passes} produced a non-finite"
+                             f" temperature (change {change})")
     raise PicardError(
         f"conduction iteration did not converge within {cfg.picard_max_iters} passes"
         f" (last relative change {change / scale:.3g})",
@@ -385,9 +382,9 @@ def _compiled_stages(kernel, state, dt, grid, params, cfg, terms, scale_tol):
     if clipped < 0:
         _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol)
         raise RuntimeError("the compiled step failed a check that the numpy step passes")
-    out = ws[7 * n:14 * n]
+    out = ws[7 * n:13 * n].copy()  # the new State's block, without the scratch
     return (out[:n], out[n:2 * n], out[2 * n:4 * n].reshape(n, 2),
-            out[4 * n:6 * n].reshape(n, 2), out[6 * n:], clipped)
+            out[4 * n:].reshape(n, 2), ws[13 * n:14 * n], clipped)
 
 
 def step(state, dt, grid, params, cfg, forcing=None):
@@ -414,8 +411,8 @@ def step(state, dt, grid, params, cfg, forcing=None):
     theta1, iters = conduction_update(theta_tilde, rho1, dt, grid, params, cfg)
     theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)",
                                   "stage 5 (conduction)")
-
-    return State(t_new, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
+    new = State if kernel is None else State._trusted  # the kernel checked its output
+    return new(t_new, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
 
 
 def consistency_residuals(state_before, state_after, dt, grid, params):

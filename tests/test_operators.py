@@ -409,7 +409,7 @@ def test_compiled_solve_is_active_where_a_compiler_is():
         function = getattr(operators._KERNEL, name)
         assert function.argtypes == argtypes and function.restype is restype
     assert set(operators._SIGNATURES) == {"solve_flux_system", "step_explicit",
-                                          "conduction_pass"}
+                                          "conduction_solve"}
 
 
 def test_kernel_flags_keep_the_numpy_bits():

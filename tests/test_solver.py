@@ -321,8 +321,9 @@ def test_conduction_carries_temperature_through_vacuum():
 def test_conduction_fails_fast_on_a_non_finite_temperature(monkeypatch, each_path):
     # kappa(1e60) = 1 + 1e360 overflows, so the first solve is all NaN; the
     # Picard loop must stop there, not after picard_max_iters passes.  A
-    # pass is one _implicit call on the numpy path and one conduction_pass
-    # call of the kernel on the compiled path; both are counted.
+    # pass is one _implicit call on the numpy path and, at q_exp = 6, one
+    # conduction_solve call of the kernel on the compiled path; both are
+    # counted.
     n = 16
     theta_tilde = np.ones(n)
     theta_tilde[7] = 1e60
@@ -336,8 +337,8 @@ def test_conduction_fails_fast_on_a_non_finite_temperature(monkeypatch, each_pat
 
     monkeypatch.setattr(solver, "_implicit", counting(solver._implicit))
     if operators._KERNEL is not None:
-        monkeypatch.setattr(operators._KERNEL, "conduction_pass",
-                            counting(operators._KERNEL.conduction_pass))
+        monkeypatch.setattr(operators._KERNEL, "conduction_solve",
+                            counting(operators._KERNEL.conduction_solve))
     for _ in each_path():
         passes.clear()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -480,6 +481,7 @@ def test_step_failures_are_annotated_with_time():
     ("w", np.inf, "stage 3 (transverse momentum)", "w"),
     ("b", np.nan, "stage 4 (induction)", "b"),
     ("e", np.nan, "stage 5 (internal energy)", "temperature"),
+    ("e", np.inf, "stage 5 (internal energy)", "temperature"),
 ])
 def test_a_non_finite_value_is_caught_at_the_stage_that_made_it(name, value, stage, field,
                                                                 each_path):
@@ -491,6 +493,18 @@ def test_a_non_finite_value_is_caught_at_the_stage_that_made_it(name, value, sta
                      rf"step 0 at t = 0: {re.escape(stage)} produced a non-finite {field}$",
                      run, scenario("magnetic-pulse", grid), 0.01, grid, PhysParams(),
                      forcing=bad)
+
+
+def test_an_infinite_density_is_caught_at_stage_1(each_path):
+    # +inf passes a check that looks only at the minimum; it must be named
+    # at stage 1, not as the non-finite u that stage 2 makes of it
+    n = 16
+    grid = Grid.uniform(n)
+    flood = Forcing(rho=lambda x, t: np.full(x.size, np.inf))
+    with np.errstate(invalid="ignore", over="ignore"):
+        raises_alike(each_path, NumericalError,
+                     r"^stage 1 \(continuity\) produced a non-finite density$",
+                     step, uniform_state(n), 1e-3, grid, PhysParams(), SchemeConfig(), flood)
 
 
 def coarsen(field):
