@@ -350,7 +350,7 @@ def _audit(cfg, args, outdir, logger):
     first = snaps[0]
     init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
     acc = diagnostics.DiagnosticsAccumulator(init, grid, params, alpha=cfg.alpha)
-    records = [acc.record(first)]
+    records = acc.record([first])
     for before, after in zip(snaps, snaps[1:]):
         records += acc.hold(before, after, after.time - before.time, due=True)
     records += acc.flush()

@@ -17,31 +17,32 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import DerivedFields, State
+from .model import DerivedFields
 from .operators import EVEN, cell_grad, column_sums, dot2, l2_columns, second_diff_onesided
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
 
-# A run folds WINDOW_CELLS // n_cells accepted steps at a time, or one step
-# when that is fewer than MIN_WINDOW: the diagnostics accumulator and the
-# consistency residual of simulate alike.  Measured per step against one
-# step at a time: 16 steps at n = 128 take 0.34 of the time, 8 at n = 256
-# 0.44 and 4 at n = 512 0.77, while windows of 2 or 3 steps (1.2 at
-# n = 128) and any window from n = 1024 up (1.2 for 4 steps) are slower.
+# A run folds WINDOW_CELLS // n_cells accepted steps at a time, and never
+# fewer than MIN_WINDOW: the diagnostics accumulator and the consistency
+# residual of simulate alike.  Measured per step against one step at a
+# time: 16 steps at n = 128 take 0.34 of the time, 8 at n = 256 0.44 and 4
+# at n = 512 0.77.  At n = 2048 a window of 4 steps costs about what
+# per-step diagnostics did, one of 1 step 1.1-1.2 times that (each state's
+# derived fields are computed twice, as an after and as the next before),
+# and one of 8 steps is faster but peaks about 3.3 MiB higher than 4.
 WINDOW_CELLS = 2048
 MIN_WINDOW = 4
 
 
 def window_length(n_cells):
     """The number of accepted steps folded at a time on n_cells cells."""
-    window = WINDOW_CELLS // n_cells
-    return window if window >= MIN_WINDOW else 1
+    return max(MIN_WINDOW, WINDOW_CELLS // n_cells)
 
 
 # Every functional below takes a State, whose fields are (n,) and (n, 2)
-# arrays, and gives floats, or a _Stack of k states (or k _Columns of
-# one), whose fields are (n, k) and (n, k, 2), and gives (k,) arrays.  Every operation is
+# arrays, and gives floats, or k columns of a _Stack, whose fields are
+# (n, k) and (n, k, 2), and gives (k,) arrays.  Every operation is
 # elementwise or acts along the cell axis 0, and the sums go through
 # column_sums, so a state gets the same bits alone as in a stack.
 
@@ -59,13 +60,13 @@ class _Stack(DerivedFields):
         for name in ("rho", "u", "w", "b", "theta"):
             setattr(self, name, _columns([getattr(s, name) for s in states]))
 
-    def picks(self, states):
-        """The columns of states in this stack, as a slice when they are
-        consecutive, or None when one of them is not in it."""
-        cols = [self._index.get(id(s)) for s in states]
-        if None in cols:
-            return None
-        return slice(cols[0], cols[-1] + 1) if cols == [*range(cols[0], cols[-1] + 1)] else cols
+    def columns(self, states):
+        """The columns of states, which this stack holds, as one argument;
+        a slice of the stack when they are consecutive."""
+        cols = [self._index[id(s)] for s in states]
+        first = cols[0]
+        consecutive = cols == [*range(first, first + len(cols))]
+        return _Columns(self, slice(first, first + len(cols)) if consecutive else cols)
 
 
 class _Columns:
@@ -90,17 +91,13 @@ class _Columns:
 
 
 def _columns(arrays):
-    return np.array(arrays).swapaxes(0, 1) if len(arrays) > 1 else arrays[0]
+    return np.array(arrays).swapaxes(0, 1)
 
 
-def stack(states, within=None):
-    """A window of states as one argument: the State itself when alone, else
-    their columns of the stack `within` when it holds them all, else a new
-    stack."""
-    if len(states) == 1:
-        return states[0]
-    picks = within.picks(states) if within is not None else None
-    return _Stack(states) if picks is None else _Columns(within, picks)
+def _chain(befores, afters):
+    """One stack of the distinct states of some step pairs, once each and in
+    order: for a chain of W steps its first before, then each after."""
+    return _Stack(list({id(s): s for pair in zip(befores, afters) for s in pair}.values()))
 
 
 def _value(result):
@@ -241,15 +238,15 @@ def norm_suite(state_before, state_after, dt, grid, params):
     central stencils; rho_x uses one-sided differences at the walls (density
     carries no boundary condition).  Second derivatives use the 3-point
     stencil with one-sided copies at the walls.  Time-difference norms use
-    the given state pair and are zero when dt == 0 (initial record).  Two
-    stacks take the (k,) dts of their pairs, none of them 0.
+    the given state pair and are zero when dt == 0 (initial record).  The k
+    columns of two stacks take the (k,) dts of their pairs, none of them 0.
     """
     dx = grid.dx
     sa, sb = state_after, state_before
-    if not isinstance(dt, np.ndarray) and dt == 0.0:
+    if np.ndim(dt) == 0 and dt == 0.0:
         sb, dt = sa, 1.0  # zero differences over a unit step
     # a stack's (n, k, 2) fields take their column's dt along axis 1
-    dt2 = dt[:, None] if isinstance(dt, np.ndarray) else dt
+    dt2 = dt[:, None] if np.ndim(dt) else dt
     sqrt_rho = np.sqrt(sa.rho)
 
     def length(v):
@@ -334,20 +331,20 @@ class DiagnosticsAccumulator:
 
     update(befores, afters, dts) folds consecutive accepted steps as one
     stacked pass, in step order, and returns the mark of each step.
-    record() gives the DiagnosticsRecord of a state, or the list of records
-    of a sequence of states, each as of its mark in `marks` or else of the
-    current mark; a state whose mark has no before is paired with itself.
-    hold() takes each accepted step and whether its record is due and, once
-    `window` steps are held, folds them and records the due ones with their
-    marks; flush() does the same for whatever is held.  Either way the
-    records have the bits of one update() and record() per step.
+    record(states) gives the list of DiagnosticsRecords of a sequence of
+    states, each as of its mark in `marks` or else of the current mark; a
+    state whose mark has no before is paired with itself.  hold() takes
+    each accepted step and whether its record is due and, once `window`
+    steps are held, folds them and records the due ones with their marks;
+    flush() does the same for whatever is held.  Either way the records
+    have the bits of one update() and record() per step.
 
-    A fold of more than one step stacks the window's distinct states once,
-    in order (the W + 1 states of a chain of steps: its first before, then
-    each after), and hands on_fold(befores, afters, dt), update and record
-    their columns of that one stack, so each derived field is computed
-    once per window.  A fold of one step stacks nothing: on_fold gets the
-    State pair and the float dt.
+    Every fold, of one step or of `window`, stacks the window's distinct
+    states once, in order (the W + 1 states of a chain of steps: its first
+    before, then each after), and hands on_fold(befores, afters, dts),
+    update and record their columns of that one stack and the (W,) array
+    of the dts, so each derived field is computed once per window.  An
+    update or record called on its own stacks its own distinct states.
     """
 
     def __init__(self, init, grid, params, alpha=None, on_fold=None):
@@ -358,7 +355,6 @@ class DiagnosticsAccumulator:
         self.window = window_length(grid.n_cells)
         self.on_fold = on_fold
         self._held = []
-        self._window = None  # the one stack of the window being folded
 
     def hold(self, state_before, state_after, dt, due):
         self._held.append((state_before, state_after, dt, due))
@@ -369,28 +365,22 @@ class DiagnosticsAccumulator:
             return []
         befores, afters, dts, dues = zip(*self._held)
         self._held = []
-        if len(dts) > 1:
-            chain = {id(s): s for pair in zip(befores, afters) for s in pair}
-            self._window = _Stack(list(chain.values()))
-        try:
-            if self.on_fold is not None:
-                dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
-                self.on_fold(stack(befores, self._window), stack(afters, self._window), dt)
-            marks = self.update(befores, afters, dts)
-            due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
-            return self.record(*zip(*due)) if due else []
-        finally:
-            self._window = None
+        window = _chain(befores, afters)
+        if self.on_fold is not None:
+            self.on_fold(window.columns(befores), window.columns(afters),
+                         np.array(dts, dtype=float))
+        marks = self.update(befores, afters, dts, window)
+        due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
+        return self.record(*zip(*due), window) if due else []
 
-    def update(self, befores, afters, dts):
-        dt = np.array(dts, dtype=float) if len(dts) > 1 else dts[0]
-        sa = stack(afters, self._window)
+    def update(self, befores, afters, dts, window=None):
+        window = window or _chain(befores, afters)
+        dt = np.array(dts, dtype=float)
+        sa = window.columns(afters)
         ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
         # the six ledger totals in record order, then the steps' theta sup
-        entries = (ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))
-        rows = np.array(entries).reshape(len(entries), -1).T.tolist()
-        sb = stack(befores, self._window)
-        increments = (_ptilde(sb, self.params) * dt).T.reshape(len(dts), -1)
+        rows = np.array((ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))).T.tolist()
+        increments = (_ptilde(window.columns(befores), self.params) * dt).T
         power = self.params.q_exp - self.alpha + 1.0
         totals, phi = self.mark[2:]
         marks = []
@@ -403,29 +393,27 @@ class DiagnosticsAccumulator:
         self.mark = marks[-1]
         return marks
 
-    def record(self, state, marks=None):
-        states = [state] if isinstance(state, State) else list(state)
+    def record(self, states, marks=None, window=None):
         marks = marks or [self.mark] * len(states)
         grid, params = self.grid, self.params
-        sa = stack(states, self._window)
+        befores = [s if m[0] is None else m[0] for s, m in zip(states, marks)]
+        window = window or _chain(befores, states)
+        sa = window.columns(states)
         phis = _columns([m[3] for m in marks])
         # a record before any step pairs its state with itself, so dt = 1 is exact
-        dts = np.array([m[1] or 1.0 for m in marks]) if len(marks) > 1 else marks[0][1]
-        befores = stack([s if m[0] is None else m[0] for s, m in zip(states, marks)],
-                        self._window)
-        norms = norm_suite(befores, sa, dts, grid, params)
+        dts = np.array([m[1] or 1.0 for m in marks])
+        norms = norm_suite(window.columns(befores), sa, dts, grid, params)
         norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
         scalars = (total_mass(sa, grid), total_energy(sa, grid, params),
                    entropy_functional(sa, grid),
                    sa.rho.max(axis=0), sa.theta.min(axis=0), sa.theta.max(axis=0),
                    density_bound_monitor(phis, sa))
         names = list(norms)
-        table = np.array([*scalars, *norms.values()]).reshape(len(scalars) + len(names), -1)
         records = []
-        for s, m, row in zip(states, marks, table.T.tolist()):
+        for s, m, row in zip(states, marks, np.array([*scalars, *norms.values()]).T.tolist()):
             mass, energy, entropy_fn, max_rho, min_theta, max_theta, rho_F_max = row[:7]
             norms = dict(zip(names, row[7:]), theta_sup_cum=m[2][6])
             records.append(DiagnosticsRecord(s.time, mass, energy, entropy_fn, *m[2][:6],
                                              max_rho, min_theta, max_theta, rho_F_max,
                                              norms=norms))
-        return records[0] if isinstance(state, State) else records
+        return records

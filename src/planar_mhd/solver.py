@@ -429,9 +429,10 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
             = (gas_R/c_v)(lambda u_x^2 + mu |w_x|^2 + nu |b_x|^2 - P u_x).
 
     Returns the discrete L2 norms (r_mag, r_pressure), with time derivatives
-    from the state pair and spatial terms at state_after.  Two stacks of a
-    diagnostics window (diagnostics.stack) take the (k,) dts of their pairs
-    and give two (k,) arrays, each column with the bits of its pair alone.
+    from the state pair and spatial terms at state_after.  The k columns of
+    a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
+    of their pairs and give two (k,) arrays, each entry with the bits of its
+    pair alone.
     """
     if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")
@@ -477,10 +478,10 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     After each accepted step, on_step(before, after, report) gets the state
     the step started from (the previous call's after), the state it made and
     its StepReport, with after.time == before.time + report.dt_used.  With
-    a sink, on_fold(befores, afters, dt) gets each window as the accumulator
-    folds it: its befores and afters as columns of the window's one stack
-    and the (W,) array of their dts, or a State pair and a float for a
-    window of one (DiagnosticsAccumulator).
+    a sink, on_fold(befores, afters, dts) gets each window as the
+    accumulator folds it: its befores and afters as columns of the window's
+    one stack and the (W,) array of their dts, also for a window of one
+    step (DiagnosticsAccumulator).
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
@@ -490,7 +491,7 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     acc = (DiagnosticsAccumulator(init, grid, params, alpha=alpha, on_fold=on_fold)
            if sink is not None else None)
     if sink is not None:
-        sink(acc.record(state))
+        sink(*acc.record([state]))
 
     snaps = []
     if snapshot_sink is not None:

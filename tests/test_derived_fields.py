@@ -167,7 +167,7 @@ def test_a_stacks_derived_fields_are_the_per_state_fields_bitwise(name, n, param
     # a diagnostics window computes its derived fields once on the stacked
     # fields; each column must be the field its state computes alone
     _, states = trajectory(name, n, params, steps=3)
-    window = diagnostics.stack([fresh(s) for s in states])
+    window = diagnostics._Stack([fresh(s) for s in states])
     for field in FIELDS:
         got = getattr(window, field)
         want = np.stack([getattr(s, field) for s in states], axis=1)

@@ -291,6 +291,28 @@ def test_norm_suite_scales_linearly_in_velocity():
     assert c["u_xx"] == 2.0 * a["u_xx"]
 
 
+def test_norm_suite_takes_any_scalar_dt():
+    # a float, a numpy scalar and a 0-d array are the same dt to a State
+    # pair, and a 0-d zero is the initial record's dt == 0
+    grid = Grid.uniform(64)
+    params = PhysParams(q_exp=1.5)
+    cfg = SchemeConfig()
+    before = scenario("magnetic-pulse", grid).to_state()
+    dt = stable_dt(before, grid, params, cfg)
+    after, _ = step(before, dt, grid, params, cfg)
+
+    def hexed(norms):
+        assert all(type(v) is float for v in norms.values())
+        return {name: value.hex() for name, value in norms.items()}
+
+    want = hexed(norm_suite(before, after, float(dt), grid, params))
+    assert hexed(norm_suite(before, after, np.float64(dt), grid, params)) == want
+    assert hexed(norm_suite(before, after, np.array(dt), grid, params)) == want
+    zero = hexed(norm_suite(before, after, 0.0, grid, params))
+    assert zero["b_t"] == (0.0).hex() and want["b_t"] != zero["b_t"]
+    assert hexed(norm_suite(before, after, np.array(0.0), grid, params)) == zero
+
+
 def test_csv_schema():
     assert csv_header() == ",".join(CSV_COLUMNS)
     assert len(CSV_COLUMNS) == len(SCALAR_COLUMNS) + len(NORM_NAMES)
@@ -302,7 +324,7 @@ def test_csv_row_round_trips_floats():
     grid = Grid.uniform(32)
     init = scenario("gaussian-density", grid)
     acc = DiagnosticsAccumulator(init, grid, PhysParams())
-    rec = acc.record(init.to_state())
+    [rec] = acc.record([init.to_state()])
     row = csv_row(rec)
     parts = row.split(",")
     assert len(parts) == len(CSV_COLUMNS)
@@ -318,7 +340,7 @@ def test_record_extrema_are_not_clamped():
     init = scenario("uniform-rest", grid)
     acc = DiagnosticsAccumulator(init, grid, PhysParams())
     s = flat_state(n, rho=2.5, theta=3.5)
-    rec = acc.record(s)
+    [rec] = acc.record([s])
     assert rec.max_rho == 2.5
     assert rec.min_theta == 3.5
     assert rec.max_theta == 3.5
@@ -346,7 +368,7 @@ def test_a_lone_record_after_a_window_is_as_of_the_last_step():
         return ([getattr(record, name).hex() for name in SCALAR_COLUMNS]
                 + [record.norms[name].hex() for name in NORM_NAMES])
 
-    assert hexed(acc.record(state)) == hexed(records[-1])
+    assert [hexed(r) for r in acc.record([state])] == [hexed(records[-1])]
 
 
 def test_accumulator_series_are_monotone():

@@ -8,8 +8,19 @@ import numpy as np
 import pytest
 
 import planar_mhd.diagnostics as diagnostics
-from planar_mhd.cli import main
-from planar_mhd.diagnostics import NORM_NAMES, SCALAR_COLUMNS, DiagnosticsAccumulator
+from planar_mhd.cli import EXIT_OK, main
+from planar_mhd.diagnostics import (
+    NORM_NAMES,
+    SCALAR_COLUMNS,
+    DiagnosticsAccumulator,
+    density_bound_monitor,
+    entropy_functional,
+    initial_phi,
+    norm_suite,
+    phi_momentum_residual,
+    total_energy,
+    total_mass,
+)
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
 from planar_mhd.solver import (
@@ -21,6 +32,7 @@ from planar_mhd.solver import (
     stable_dt,
     step,
 )
+from planar_mhd.tables import write_state_table
 
 # (scenario, t_end) per grid: about 40 steps each
 CASES = {4: ("magnetic-pulse", 2.0), 128: ("vacuum-pocket", 0.15), 2048: ("vacuum-pocket", 0.01)}
@@ -54,7 +66,8 @@ def test_windowed_records_match_one_step_at_a_time(monkeypatch, n, record_every)
     want, want_snaps, steps, final = simulate(n, record_every)
     assert len(steps) > 32
     assert len(want) == 2 + (len(steps) - 1) // record_every
-    for window in (2, 7, 32, len(steps) + 5):
+    # n = 2048 folds 4 steps at a time by default; 8 is the next longer window
+    for window in (2, 7, 32, len(steps) + 5) + ((4, 8) if n == 2048 else ()):
         use_window(monkeypatch, window, n)
         got, snaps, _, got_final = simulate(n, record_every)
         assert [hexed(r) for r in got] == [hexed(r) for r in want], window
@@ -98,13 +111,14 @@ def test_window_lengths_follow_the_cell_budget():
     lengths = {n: DiagnosticsAccumulator(scenario("magnetic-pulse", Grid.uniform(n)),
                                          Grid.uniform(n), PhysParams()).window
                for n in (4, 128, 256, 512, 1024, 2048)}
-    assert lengths == {4: 512, 128: 16, 256: 8, 512: 4, 1024: 1, 2048: 1}
+    assert lengths == {4: 512, 128: 16, 256: 8, 512: 4, 1024: 4, 2048: 4}
 
 
-def test_a_stack_records_each_state_as_alone():
+@pytest.mark.parametrize("n", [64, 2048])
+def test_a_stack_records_each_state_as_alone(n):
     # states with vacuum cells, a cold cell (entropy +inf) and plain ones,
-    # recorded together and one at a time
-    n = 64
+    # recorded together and one at a time, must give the floats of the
+    # public functionals called on each State, as of a fresh accumulator
     grid = Grid.uniform(n)
     params = PhysParams(q_exp=0.7)
     init = scenario("vacuum-pocket", grid)
@@ -113,9 +127,25 @@ def test_a_stack_records_each_state_as_alone():
     cold_theta[np.argmax(base.rho)] = 0.0
     cold = State(0.5, base.rho, base.u, base.w, base.b, cold_theta)
     states = [base, cold, scenario("magnetic-pulse", grid).to_state()]
-    alone = [hexed(DiagnosticsAccumulator(init, grid, params).record(s)) for s in states]
+    phi = initial_phi(init, grid)
+
+    def alone(s):
+        scalars = dict.fromkeys(SCALAR_COLUMNS, 0.0)  # no step folded yet
+        scalars.update(time=s.time, mass=total_mass(s, grid),
+                       energy=total_energy(s, grid, params),
+                       entropy_fn=entropy_functional(s, grid), max_rho=float(s.rho.max()),
+                       min_theta=float(s.theta.min()), max_theta=float(s.theta.max()),
+                       rho_F_max=density_bound_monitor(phi, s))
+        norms = dict(norm_suite(s, s, 0.0, grid, params), theta_sup_cum=0.0,
+                     phi_residual=phi_momentum_residual(phi, s, grid))
+        return ([scalars[name].hex() for name in SCALAR_COLUMNS]
+                + [norms[name].hex() for name in NORM_NAMES])
+
+    want = [alone(s) for s in states]
     together = DiagnosticsAccumulator(init, grid, params).record(states)
-    assert [hexed(r) for r in together] == alone
+    assert [hexed(r) for r in together] == want
+    one_by_one = [DiagnosticsAccumulator(init, grid, params).record([s]) for s in states]
+    assert [hexed(r) for [r] in one_by_one] == want
     assert together[1].entropy_fn == float("inf")
 
 
@@ -143,11 +173,8 @@ def test_windowed_residual_gives_the_summary_of_one_step_at_a_time(monkeypatch, 
         assert outputs[2] == outputs[0]
 
 
-@pytest.mark.parametrize("record_every", [1, 3])
-def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, record_every):
-    # the residual, update and record of a window share one stack of its
-    # W + 1 chained states (the first before, then each after), so a run
-    # builds one stack per window of more than one step and no other
+def counted_stacks(monkeypatch):
+    """The states of every _Stack built from now on, in order."""
     built = []
     original = diagnostics._Stack.__init__
 
@@ -156,18 +183,62 @@ def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, record_every):
         original(self, states)
 
     monkeypatch.setattr(diagnostics._Stack, "__init__", counted)
+    return built
+
+
+def chained_folds(steps, window):
+    """The sizes of one stack per fold of `steps` chained steps: W + 1
+    states per full window, then the partial last one."""
+    return [window + 1] * (steps // window) + ([steps % window + 1] if steps % window else [])
+
+
+def assert_chained(built):
+    for first, second in zip(built, built[1:]):
+        assert second[0] is first[-1]  # a window starts where the last one ended
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("n,t_end,last", [(128, 0.2, 4), (128, 0.25, 1), (2048, 0.005, 1),
+                                          (2048, 0.01, 2)])
+def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, n, t_end, last, record_every):
+    # the residual, update and record of a window share one stack of its
+    # W + 1 chained states (the first before, then each after), also when
+    # the last window holds one step, and the initial record stacks the
+    # initial state alone: a run builds no other stack
+    built = counted_stacks(monkeypatch)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scenario = magnetic-pulse\nn_cells = 128\nt_end = 0.2\n"
+    cfg.write_text(f"scenario = magnetic-pulse\nn_cells = {n}\nt_end = {t_end}\n"
                    f"record_every = {record_every}\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"]) == 0
     summary = (tmp_path / "out" / "run-summary.txt").read_text()
     steps = int(dict(line.split(" = ") for line in summary.splitlines())["steps"])
-    window = diagnostics.window_length(128)
-    assert steps % window > 1  # the partial last window is stacked too
-    assert [len(states) for states in built] == \
-        [window + 1] * (steps // window) + [steps % window + 1]
-    for first, second in zip(built, built[1:]):
-        assert second[0] is first[-1]  # a window starts where the last one ended
+    window = diagnostics.window_length(n)
+    assert steps % window == last
+    assert [len(states) for states in built] == [1] + chained_folds(steps, window)
+    assert_chained(built)
+
+
+@pytest.mark.parametrize("n,count", [(128, 18), (2048, 6)])
+def test_an_audit_stacks_each_window_once(monkeypatch, tmp_path, n, count):
+    # audit folds its snapshot pairs by the same windows, the last of them
+    # one pair, after a lone record of the first snapshot
+    grid = Grid.uniform(n)
+    t_end = 0.04 * 128 / n
+    snaps = tmp_path / "snaps"
+    snaps.mkdir()
+    states = []
+    run(scenario("magnetic-pulse", grid), t_end, grid, PhysParams(),
+        snapshot_times=np.linspace(0.0, t_end, count), snapshot_sink=states.append)
+    assert len(states) == count
+    for state in states:
+        write_state_table(snaps / f"snapshot_t{state.time:.6f}.dat", grid, state)
+    built = counted_stacks(monkeypatch)
+    assert main(["--out", str(tmp_path / "audit"), "audit", "--input", str(snaps)]) == EXIT_OK
+    window = diagnostics.window_length(n)
+    assert (count - 1) % window == 1
+    assert [len(states) for states in built] == [1] + chained_folds(count - 1, window)
+    assert_chained(built)
+    assert [s.time for s in built[0] + built[-1]] == [s.time for s in states[:1] + states[-2:]]
 
 
 def test_pairs_that_are_not_chained_give_the_records_of_one_step_at_a_time(monkeypatch):
@@ -216,12 +287,12 @@ def test_a_stacked_residual_gives_each_pair_its_own_floats(name, n, q_exp):
     assert all(type(r) is float for pair in alone for r in pair)
     assert any(r > 0.0 for pair in alone for r in pair)
     befores, afters, dts = zip(*steps)
-    r_mag, r_pre = consistency_residuals(diagnostics.stack(befores), diagnostics.stack(afters),
+    r_mag, r_pre = consistency_residuals(diagnostics._Stack(befores), diagnostics._Stack(afters),
                                          np.array(dts), grid, params)
     assert r_mag.shape == r_pre.shape == (len(steps),)
     together = list(zip(r_mag.tolist(), r_pre.tolist()))
     assert [[r.hex() for r in pair] for pair in together] == \
         [[r.hex() for r in pair] for pair in alone]
     with pytest.raises(ValueError, match="dt must be positive"):
-        consistency_residuals(diagnostics.stack(befores), diagnostics.stack(afters),
+        consistency_residuals(diagnostics._Stack(befores), diagnostics._Stack(afters),
                               np.array(dts[:-1] + (0.0,)), grid, params)
