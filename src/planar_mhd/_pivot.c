@@ -1,17 +1,24 @@
-/* Compiled kernels behind planar_mhd's time step.
+/* Compiled kernels behind planar_mhd's time step and diagnostics.
 
    solve_flux_system is the subtraction-free pivot recursion behind
    planar_mhd.operators.solve_flux_system.  step_explicit runs stages 1-4
    of solver.step and the explicit part of stage 5; conduction_solve runs
    the Picard loop of solver.conduction_update.  All three go through the
-   one copy of the recursion, pivot_solve.
+   one copy of the recursion, pivot_solve.  residual_rows, norm_rows and
+   ledger_rows write the integrands of solver.consistency_residuals,
+   diagnostics.norm_suite and diagnostics.dissipation_ledger for the
+   columns of a diagnostics window; numpy sums them.
 
    Every floating-point operation happens in the same order as in the
-   numpy reference (operators._solve_flux_system_py, solver._explicit_stages
-   and solver._numpy_solve), so the two agree bit for bit.  That holds only
+   numpy reference (operators._solve_flux_system_py, solver._explicit_stages,
+   solver._numpy_solve and the numpy bodies of the diagnostics), so the
+   two agree bit for bit.  That holds only
    without FMA contraction and without value-changing optimizations: build
    with -O3 -ffp-contract=off, never -ffast-math.  No libm function is
-   called, because numpy's transcendental loops need not give libm's bits.
+   called but sqrt, because numpy's transcendental loops need not give
+   libm's bits; sqrt is correctly rounded under IEEE 754, so it gives
+   np.sqrt's.  Every pow, exp and log comes in evaluated by numpy, and so
+   does every sum: numpy's pairwise summation stays in numpy.
    kappa(theta) is computed here only at q_exp = 2, as kappa_a + kappa_b *
    (theta * theta), which is how numpy evaluates theta ** 2.0; for any
    other exponent it comes in evaluated by numpy. */
@@ -64,6 +71,14 @@ static double cell(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i,
 {
     double v = f[(i < 0 ? 0 : i >= n ? n - 1 : i) * k + c];
     return odd && (i < 0 || i >= n) ? -v : v;
+}
+
+/* operators.cell_grad at cell i, component c: the central difference
+   over the ghost-extended field. */
+static double grad(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i,
+                   ptrdiff_t c, int odd, double dx)
+{
+    return (cell(f, n, k, i + 1, c, odd) - cell(f, n, k, i - 1, c, odd)) / (2.0 * dx);
 }
 
 /* operators.face_average on the n+1 faces. */
@@ -209,9 +224,8 @@ ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
     }
     upwind_flux(n, 1, uf, tilde, flux);
     for (ptrdiff_t i = 0; i < n; i++) {
-        double grad = (cell(work, n, 1, i + 1, 0, 0) - cell(work, n, 1, i - 1, 0, 0))
-                      / (2.0 * dx);
-        double m = tilde[i] - dt * div_faces(flux, 1, i, 0, dx) - dt * grad;
+        double m = tilde[i] - dt * div_faces(flux, 1, i, 0, dx)
+                   - dt * grad(work, n, 1, i, 0, 0, dx);
         if (force_u)
             m = m + force_u[i];
         tilde[i] = rho1[i] <= vacuum_rho ? 0.0 : m / rho1[i];
@@ -275,7 +289,7 @@ ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
     }
     ptrdiff_t clipped = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double u_x = (cell(u1, n, 1, i + 1, 0, 1) - cell(u1, n, 1, i - 1, 0, 1)) / (2.0 * dx);
+        double u_x = grad(u1, n, 1, i, 0, 1, dx);
         double source = 0.5 * (off[i] + off[i + 1]) - gas_R * rho1[i] * th0[i] * u_x;
         if (force_e)
             source = source + force_e[i];
@@ -345,4 +359,247 @@ int conduction_solve(ptrdiff_t n, double dx, double c_v, double dt, double vacuu
             return 1;
     }
     return 1;
+}
+
+
+/* ------------------------------------------------------------------------
+   Diagnostics integrands.  The fields of the K states of a window
+   (diagnostics._Stack) lie as rows: rho, u, theta, p and kappa are K x n,
+   w and b K x n x 2; p and kappa are the stack's pressure(params) and
+   kappa(params), evaluated by numpy.  Each entry reads k columns of them,
+   after column cols_a[j] and before column cols_b[j] with step dts[j], and
+   writes row r of column j at out[(r * k + j) * n + i]; the caller sums
+   each row. */
+struct rows {
+    const double *rho, *u, *w, *b, *theta, *p, *kappa;
+};
+
+/* Column c of struct rows on n cells. */
+static struct rows column(const struct rows *r, ptrdiff_t c, ptrdiff_t n)
+{
+    struct rows col = {r->rho + c * n, r->u + c * n, r->w + 2 * c * n, r->b + 2 * c * n,
+                       r->theta + c * n, r->p + c * n, r->kappa + c * n};
+    return col;
+}
+
+/* The square of length(v) of diagnostics.norm_suite: the square of
+   sqrt(v0 * v0 + v1 * v1), not the sum itself. */
+static double length_sq(double v0, double v1)
+{
+    double length = sqrt(v0 * v0 + v1 * v1);
+    return length * length;
+}
+
+/* operators.second_diff_onesided at cell i, component c. */
+static double onesided(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i,
+                       ptrdiff_t c, double dx)
+{
+    if (i == 0)
+        return (f[c] - 2.0 * f[k + c] + f[2 * k + c]) / (dx * dx);
+    ptrdiff_t m = i < n - 1 ? i : n - 2;
+    return (f[(m + 1) * k + c] - 2.0 * f[m * k + c] + f[(m - 1) * k + c]) / (dx * dx);
+}
+
+/* u b - w of solver.consistency_residuals at cell i (ghosts included),
+   component c: the odd reflection negates the edge value. */
+static double induction(const double *u, const double *w, const double *b,
+                        ptrdiff_t n, ptrdiff_t i, ptrdiff_t c)
+{
+    ptrdiff_t m = i < 0 ? 0 : i >= n ? n - 1 : i;
+    double v = u[m] * b[2 * m + c] - w[2 * m + c];
+    return i < 0 || i >= n ? -v : v;
+}
+
+/* b . b_x on face j and the flux u P - (gas_R / c_v) kappa theta_x on
+   face j, as solver.consistency_residuals forms them. */
+static void residual_faces(const double *u, const double *b, const double *theta,
+                           const double *p, const double *kappa, ptrdiff_t n,
+                           ptrdiff_t j, double dx, double r_over_cv, double *bbx,
+                           double *flux)
+{
+    for (ptrdiff_t c = 0; c < 2; c++) {
+        double left = cell(b, n, 2, j - 1, c, 1), right = cell(b, n, 2, j, c, 1);
+        double term = 0.5 * (left + right) * ((right - left) / dx);
+        *bbx = c ? *bbx + term : term;
+    }
+    double cond = 0.5 * (cell(kappa, n, 1, j - 1, 0, 0) + cell(kappa, n, 1, j, 0, 0))
+                  * ((cell(theta, n, 1, j, 0, 0) - cell(theta, n, 1, j - 1, 0, 0)) / dx);
+    *flux = 0.5 * (cell(u, n, 1, j - 1, 0, 1) + cell(u, n, 1, j, 0, 1))
+            * (0.5 * (cell(p, n, 1, j - 1, 0, 0) + cell(p, n, 1, j, 0, 0)))
+            - r_over_cv * cond;
+}
+
+/* The squares of r_mag and r_pressure of solver.consistency_residuals:
+   rows 0 and 1. */
+void residual_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
+                   double nu, double gas_R, double c_v, const struct rows *bef,
+                   const ptrdiff_t *cols_b, const struct rows *aft,
+                   const ptrdiff_t *cols_a, const double *dts, double *out)
+{
+    double r_over_cv = gas_R / c_v;
+    for (ptrdiff_t j = 0; j < k; j++) {
+        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
+        const double *u = a.u, *w = a.w, *b = a.b, *theta = a.theta, *p = a.p,
+                     *kappa = a.kappa, *b0 = z.b, *p0 = z.p;
+        double dt = dts[j];
+        double *r_mag = out + j * n, *r_pre = out + (k + j) * n;
+        double bbx, flux, bbx_next, flux_next;
+        residual_faces(u, b, theta, p, kappa, n, 0, dx, r_over_cv, &bbx, &flux);
+        for (ptrdiff_t i = 0; i < n; i++) {
+            residual_faces(u, b, theta, p, kappa, n, i + 1, dx, r_over_cv, &bbx_next,
+                           &flux_next);
+            double b_sq = b[2 * i] * b[2 * i] + b[2 * i + 1] * b[2 * i + 1];
+            double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
+            double advect = 0.0, bx[2], wx[2];
+            for (ptrdiff_t c = 0; c < 2; c++) {
+                double g = (induction(u, w, b, n, i + 1, c) - induction(u, w, b, n, i - 1, c))
+                           / (2.0 * dx);
+                advect = c ? advect + b[2 * i + c] * g : b[2 * i + c] * g;
+                bx[c] = grad(b, n, 2, i, c, 1, dx);
+                wx[c] = grad(w, n, 2, i, c, 1, dx);
+            }
+            double rm = 0.5 * (b_sq - b0_sq) / dt + advect - nu * ((bbx_next - bbx) / dx)
+                        + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
+            double ux = grad(u, n, 1, i, 0, 1, dx);
+            double mech = lambda * ux * ux + mu * (wx[0] * wx[0] + wx[1] * wx[1])
+                          + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
+            double rp = (p[i] - p0[i]) / dt + (flux_next - flux) / dx
+                        - r_over_cv * (mech - p[i] * ux);
+            r_mag[i] = rm * rm;
+            r_pre[i] = rp * rp;
+            bbx = bbx_next;
+            flux = flux_next;
+        }
+    }
+}
+
+/* Integrand r of norm_rows at cell i, for after column a and before z. */
+static double norm_integrand(int r, ptrdiff_t n, ptrdiff_t i, double dx, double dt,
+                             double c_v, const struct rows *a, const struct rows *z,
+                             const double *tq2, const double *phi)
+{
+    double f, v[2];
+    switch (r) {
+    case 0:
+        for (ptrdiff_t c = 0; c < 2; c++)
+            v[c] = (a->b[2 * i + c] - z->b[2 * i + c]) / dt;
+        return length_sq(v[0], v[1]);
+    case 1:
+        return length_sq(grad(a->b, n, 2, i, 0, 1, dx), grad(a->b, n, 2, i, 1, 1, dx));
+    case 2:
+        return length_sq(onesided(a->b, n, 2, i, 0, dx), onesided(a->b, n, 2, i, 1, dx));
+    case 3:
+        f = a->kappa[i] * grad(a->theta, n, 1, i, 0, 0, dx);
+        return f * f;
+    case 4:
+        return a->p[i] * a->p[i];
+    case 5:
+        f = (a->rho[i] - z->rho[i]) / dt;
+        return f * f;
+    case 6:
+        return a->rho[i] * tq2[i];
+    case 7:  /* np.gradient: one-sided first differences at the walls */
+        f = i == 0 ? (a->rho[1] - a->rho[0]) / dx
+            : i == n - 1 ? (a->rho[n - 1] - a->rho[n - 2]) / dx
+            : (a->rho[i + 1] - a->rho[i - 1]) / (2.0 * dx);
+        return f * f;
+    case 8:
+        f = sqrt(a->rho[i]) * ((a->theta[i] - z->theta[i]) / dt);
+        return f * f;
+    case 9:
+        f = sqrt(a->rho[i]) * ((a->u[i] - z->u[i]) / dt);
+        return f * f;
+    case 10:
+        for (ptrdiff_t c = 0; c < 2; c++)
+            v[c] = sqrt(a->rho[i]) * ((a->w[2 * i + c] - z->w[2 * i + c]) / dt);
+        return length_sq(v[0], v[1]);
+    case 11:
+        f = onesided(a->theta, n, 1, i, 0, dx);
+        return f * f;
+    case 12:
+        f = grad(a->u, n, 1, i, 0, 1, dx);
+        return f * f;
+    case 13:
+        f = onesided(a->u, n, 1, i, 0, dx);
+        return f * f;
+    case 14:
+        return length_sq(grad(a->w, n, 2, i, 0, 1, dx), grad(a->w, n, 2, i, 1, 1, dx));
+    case 15:
+        return length_sq(onesided(a->w, n, 2, i, 0, dx), onesided(a->w, n, 2, i, 1, dx));
+    case 16:
+        return a->rho[i];
+    case 17:
+        f = 0.5 * (a->u[i] * a->u[i] + (a->w[2 * i] * a->w[2 * i]
+                                        + a->w[2 * i + 1] * a->w[2 * i + 1]));
+        return a->rho[i] * (c_v * a->theta[i] + f)
+               + 0.5 * (a->b[2 * i] * a->b[2 * i] + a->b[2 * i + 1] * a->b[2 * i + 1]);
+    default:
+        f = grad(phi, n, 1, i, 0, 0, dx) - a->rho[i] * a->u[i];
+        return f * f;
+    }
+}
+
+/* The sixteen integrands of diagnostics.norm_suite in its order, rows
+   0-15: squares, but row 6, rho theta^(q_exp + 2), with theta_q2 the
+   stack's theta ** (q_exp + 2) from numpy.  With phi (k x n, column j's
+   potential) not NULL, rows 16-18 are the integrands of total_mass,
+   total_energy and the square of phi_momentum_residual's defect.  Each
+   row is written in one sweep: rows k * n doubles apart, written side by
+   side, would share cache sets. */
+void norm_rows(ptrdiff_t n, ptrdiff_t k, double dx, double c_v, const struct rows *bef,
+               const ptrdiff_t *cols_b, const struct rows *aft, const ptrdiff_t *cols_a,
+               const double *dts, const double *theta_q2, const double *phi, double *out)
+{
+    int rows = phi ? 19 : 16;
+    for (ptrdiff_t j = 0; j < k; j++) {
+        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
+        const double *tq2 = theta_q2 + cols_a[j] * n, *phi_j = phi ? phi + j * n : NULL;
+        for (int r = 0; r < rows; r++) {
+            double *row = out + (r * k + j) * n;
+            for (ptrdiff_t i = 0; i < n; i++)
+                row[i] = norm_integrand(r, n, i, dx, dts[j], c_v, &a, &z, tq2, phi_j);
+        }
+    }
+}
+
+/* The six integrands of diagnostics.dissipation_ledger in its order, rows
+   0-5, with theta_safe = max(theta, THETA_FLOOR) and its powers
+   theta_safe ** alpha, ** q_exp and ** (1 + alpha) from numpy, all K x n.
+   Row 6 is the phi increment of the update, ptilde of the before column
+   times dt. */
+void ledger_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
+                 double nu, const struct rows *bef, const ptrdiff_t *cols_b,
+                 const struct rows *aft, const ptrdiff_t *cols_a, const double *dts,
+                 const double *theta_safe, const double *pow_alpha, const double *pow_q,
+                 const double *pow_1_alpha, double *out)
+{
+    ptrdiff_t next = k * n;
+    for (ptrdiff_t j = 0; j < k; j++) {
+        ptrdiff_t at = cols_a[j] * n;
+        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
+        const double *u = a.u, *w = a.w, *b = a.b, *theta = a.theta, *kappa = a.kappa,
+                     *ts = theta_safe + at, *ta = pow_alpha + at, *tq = pow_q + at,
+                     *t1a = pow_1_alpha + at, *rho0 = z.rho, *u0 = z.u, *b0 = z.b, *p0 = z.p;
+        double dt = dts[j];
+        double *row = out + j * n;
+        for (ptrdiff_t i = 0; i < n; i++) {
+            double ux = grad(u, n, 1, i, 0, 1, dx), tx = grad(theta, n, 1, i, 0, 0, dx);
+            double wx0 = grad(w, n, 2, i, 0, 1, dx), wx1 = grad(w, n, 2, i, 1, 1, dx);
+            double bx0 = grad(b, n, 2, i, 0, 1, dx), bx1 = grad(b, n, 2, i, 1, 1, dx);
+            double ux2 = ux * ux, wx2 = wx0 * wx0 + wx1 * wx1, bx2 = bx0 * bx0 + bx1 * bx1;
+            double ratio = tx / ts[i];
+            double heat = kappa[i] * ratio * ratio;
+            double mech = lambda * ux2 + mu * wx2 + nu * bx2;
+            row[i] = ux2;
+            row[next + i] = wx2;
+            row[2 * next + i] = bx2;
+            row[3 * next + i] = heat;
+            row[4 * next + i] = mech / ta[i] + (1.0 + tq[i]) * tx * tx / t1a[i];
+            row[5 * next + i] = mech / ts[i] + heat;
+            double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
+            double ptilde = lambda * grad(u0, n, 1, i, 0, 1, dx) - rho0[i] * u0[i] * u0[i]
+                            - p0[i] - 0.5 * b0_sq;
+            row[6 * next + i] = ptilde * dt;
+        }
+    }
 }

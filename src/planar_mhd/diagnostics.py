@@ -13,10 +13,12 @@ read-only (n,) array; DiagnosticsAccumulator's fold is its one advance.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import operators
 from .model import DerivedFields
 from .operators import EVEN, cell_grad, column_sums, dot2, l2_columns, second_diff_onesided
 
@@ -45,6 +47,13 @@ def window_length(n_cells):
 # (n, k) and (n, k, 2), and gives (k,) arrays.  Every operation is
 # elementwise or acts along the cell axis 0, and the sums go through
 # column_sums, so a state gets the same bits alone as in a stack.
+#
+# Where the compiled kernel is loaded (operators._KERNEL), the residual, the
+# norm suite and the ledger (with the mass, energy and phi defect of a
+# record and the phi increments of an update) take their integrands from
+# one C pass over the stack's rows (_kernel_block), with P, kappa and every
+# pow from numpy, and numpy sums each integrand row as column_sums does:
+# the same bits as the numpy bodies, which stay as the reference.
 
 
 class _Stack(DerivedFields):
@@ -92,6 +101,55 @@ class _Columns:
 
 def _columns(arrays):
     return np.array(arrays).swapaxes(0, 1)
+
+
+def _held(x):
+    """The _Stack that holds x (a State, a _Stack or _Columns of one) and
+    the indices of x's columns in it; a State is stacked alone."""
+    if isinstance(x, _Columns):
+        return x._whole, np.arange(len(x._whole._states))[x._picks]
+    if not isinstance(x, _Stack):
+        x = _Stack([x])
+    return x, np.arange(len(x._states))
+
+
+def _per_state(values, like):
+    """(rows, k) kernel sums as like's functional gives them: a State's
+    (rows,) floats, columns' (rows, k) arrays."""
+    return values if isinstance(like, (_Stack, _Columns)) else values[:, 0]
+
+
+def _kernel_block(entry, rows, coefficients, before, after, dt, params, factors):
+    """The (rows, k, n) integrand block that kernel `entry` writes for the
+    k columns of after and before, each (stack, columns) of _held, with
+    their (k,) dts (a scalar dt is every column's) and the numpy factors,
+    (K, n) arrays on after's stack or None."""
+    (sb, cols_b), (sa, cols_a) = before, after
+    n, k = sa.n_cells, len(cols_a)
+    dts = np.ascontiguousarray(np.broadcast_to(np.asarray(dt, dtype=float), (k,)))
+    block = np.empty((rows, k, n))
+    bef, aft = _kernel_rows(sb, params), _kernel_rows(sa, params)
+    getattr(operators._KERNEL, entry)(
+        n, k, 1.0 / n, *coefficients, ctypes.addressof(bef), cols_b.ctypes.data,
+        ctypes.addressof(aft), cols_a.ctypes.data, dts.ctypes.data,
+        *(None if f is None else f.ctypes.data for f in factors), block.ctypes.data)
+    return block
+
+
+def _kernel_rows(stack, params):
+    """The kernels' struct rows of a stack under params: its fields as
+    (K, n) and (K, n, 2) rows, and its P and kappa from numpy; kept for
+    the last params, as P and kappa are."""
+    kept = stack.__dict__.get("_kernel_rows")
+    if kept is None or kept[0] is not params:
+        arrays = [np.ascontiguousarray(getattr(stack, name).swapaxes(0, 1))
+                  for name in ("rho", "u", "w", "b", "theta")]
+        arrays += [np.ascontiguousarray(stack.pressure(params).T),
+                   np.ascontiguousarray(stack.kappa(params).T)]
+        rows = operators._Rows(*(a.ctypes.data for a in arrays))
+        rows.arrays = arrays  # alive as long as the pointers
+        kept = stack.__dict__["_kernel_rows"] = (params, rows)
+    return kept[1]
 
 
 def _chain(befores, afters):
@@ -164,7 +222,9 @@ def dissipation_ledger(state, dt, grid, params, alpha):
       plus the conductive part.  Nonnegative by construction.
     """
     alpha = check_alpha(alpha, params)
-    dx = grid.dx
+    if operators._KERNEL is not None:
+        sums = _ledger_block(state, state, dt, params, alpha)[:6].sum(axis=-1)
+        return _ledger_totals(_per_state(sums, state), dt, grid.dx, params)
     ux, wx, bx, tx = state.u_x, state.w_x, state.b_x, state.theta_x
     ux2, wx2, bx2 = ux * ux, dot2(wx, wx), dot2(bx, bx)
     theta_safe = np.maximum(state.theta, THETA_FLOOR)
@@ -173,13 +233,26 @@ def dissipation_ledger(state, dt, grid, params, alpha):
     mech = params.lambda_visc * ux2 + params.mu_visc * wx2 + params.nu_mag * bx2
     weighted = (mech / theta_safe ** alpha
                 + (1.0 + theta_safe ** params.q_exp) * tx * tx / theta_safe ** (1.0 + alpha))
+    integrands = (ux2, wx2, bx2, heat, weighted, mech / theta_safe + heat)
+    return _ledger_totals([column_sums(f) for f in integrands], dt, grid.dx, params)
+
+
+def _ledger_totals(sums, dt, dx, params):
+    visc, shear, mag, heat, weighted, production = sums
     return tuple(_value(dt * integral) for integral in (
-        params.lambda_visc * column_sums(ux2) * dx,
-        params.mu_visc * column_sums(wx2) * dx,
-        params.nu_mag * column_sums(bx2) * dx,
-        column_sums(heat) * dx,
-        column_sums(weighted) * dx,
-        column_sums(mech / theta_safe + heat) * dx))
+        params.lambda_visc * visc * dx, params.mu_visc * shear * dx,
+        params.nu_mag * mag * dx, heat * dx, weighted * dx, production * dx))
+
+
+def _ledger_block(before, after, dt, params, alpha):
+    """ledger_rows' block: rows 0-5 the ledger's integrands at after's
+    columns, row 6 the phi increments ptilde * dt of before's."""
+    held = _held(after)
+    theta_safe = np.maximum(held[0].theta.T, THETA_FLOOR)
+    factors = (theta_safe, theta_safe ** alpha, theta_safe ** params.q_exp,
+               theta_safe ** (1.0 + alpha))
+    return _kernel_block("ledger_rows", 7, (params.lambda_visc, params.mu_visc, params.nu_mag),
+                         _held(before), held, dt, params, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +318,9 @@ def norm_suite(state_before, state_after, dt, grid, params):
     sa, sb = state_after, state_before
     if np.ndim(dt) == 0 and dt == 0.0:
         sb, dt = sa, 1.0  # zero differences over a unit step
+    if operators._KERNEL is not None:
+        sums = _norm_block(sb, sa, dt, params).sum(axis=-1)
+        return {name: _value(value) for name, value in _norms(_per_state(sums, sa), dx).items()}
     # a stack's (n, k, 2) fields take their column's dt along axis 1
     dt2 = dt[:, None] if np.ndim(dt) else dt
     sqrt_rho = np.sqrt(sa.rho)
@@ -271,6 +347,24 @@ def norm_suite(state_before, state_after, dt, grid, params):
         "w_xx": l2_columns(length(second_diff_onesided(sa.w, dx)), dx),
     }
     return {name: _value(value) for name, value in norms.items()}
+
+
+def _norms(sums, dx):
+    """norm_suite's dict from the sixteen sums of norm_rows' integrands:
+    l2_columns' sqrt(sum * dx), but the plain integral rho_theta_q2."""
+    integrals = sums * dx
+    return {name: value if name == "rho_theta_q2" else np.sqrt(value)
+            for name, value in zip(_SUITE_NAMES, integrals)}
+
+
+def _norm_block(before, after, dt, params, phi=None):
+    """norm_rows' block at after's columns against before's with their dts;
+    with phi, the (k, n) potentials of the columns, 19 rows: norm_suite's,
+    then the integrands of total_mass, total_energy and the phi defect."""
+    held = _held(after)
+    theta_q2 = held[0].theta.T ** (params.q_exp + 2.0)
+    return _kernel_block("norm_rows", 16 if phi is None else 19, (params.c_v,), _held(before),
+                         held, dt, params, (theta_q2, phi))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +400,9 @@ NORM_NAMES = (
 )
 
 CSV_COLUMNS = SCALAR_COLUMNS + NORM_NAMES
+
+# norm_suite's entries, in the order of its dict and of norm_rows' rows
+_SUITE_NAMES = tuple(name for name in NORM_NAMES if name not in ("phi_residual", "theta_sup_cum"))
 
 
 def csv_header():
@@ -376,11 +473,16 @@ class DiagnosticsAccumulator:
     def update(self, befores, afters, dts, window=None):
         window = window or _chain(befores, afters)
         dt = np.array(dts, dtype=float)
-        sa = window.columns(afters)
-        ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
+        sa, sb = window.columns(afters), window.columns(befores)
+        if operators._KERNEL is None:
+            ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
+            increments = (_ptilde(sb, self.params) * dt).T
+        else:
+            block = _ledger_block(sb, sa, dt, self.params, self.alpha)
+            ledger = _ledger_totals(block[:6].sum(axis=-1), dt, self.grid.dx, self.params)
+            increments = block[6]
         # the six ledger totals in record order, then the steps' theta sup
         rows = np.array((ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))).T.tolist()
-        increments = (_ptilde(window.columns(befores), self.params) * dt).T
         power = self.params.q_exp - self.alpha + 1.0
         totals, phi = self.mark[2:]
         marks = []
@@ -398,14 +500,21 @@ class DiagnosticsAccumulator:
         grid, params = self.grid, self.params
         befores = [s if m[0] is None else m[0] for s, m in zip(states, marks)]
         window = window or _chain(befores, states)
-        sa = window.columns(states)
-        phis = _columns([m[3] for m in marks])
+        sa, sb = window.columns(states), window.columns(befores)
+        phi_rows = np.array([m[3] for m in marks])
+        phis = phi_rows.swapaxes(0, 1)
         # a record before any step pairs its state with itself, so dt = 1 is exact
         dts = np.array([m[1] or 1.0 for m in marks])
-        norms = norm_suite(window.columns(befores), sa, dts, grid, params)
-        norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
-        scalars = (total_mass(sa, grid), total_energy(sa, grid, params),
-                   entropy_functional(sa, grid),
+        if operators._KERNEL is None:
+            norms = norm_suite(sb, sa, dts, grid, params)
+            norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
+            mass, energy = total_mass(sa, grid), total_energy(sa, grid, params)
+        else:
+            sums = _norm_block(sb, sa, dts, params, phi_rows).sum(axis=-1)
+            norms = _norms(sums[:16], grid.dx)
+            mass, energy = sums[16] * grid.dx, sums[17] * grid.dx
+            norms["phi_residual"] = np.sqrt(sums[18] * grid.dx)
+        scalars = (mass, energy, entropy_functional(sa, grid),
                    sa.rho.max(axis=0), sa.theta.min(axis=0), sa.theta.max(axis=0),
                    density_bound_monitor(phis, sa))
         names = list(norms)

@@ -242,7 +242,19 @@ _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
     "step_explicit": ([_SIZE] + [_DOUBLE] * 10 + [_POINTER] * 6, _SIZE),
     "conduction_solve": ([_SIZE] + [_DOUBLE] * 7 + [_SIZE] + [_POINTER] * 2, ctypes.c_int),
+    # n, k, dx, the coefficients, the two struct rows with their columns,
+    # the dts, the numpy factors and the (rows, k, n) block
+    "residual_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 6 + [_POINTER] * 6, None),
+    "norm_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 2 + [_POINTER] * 8, None),
+    "ledger_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 4 + [_POINTER] * 10, None),
 }
+
+
+class _Rows(ctypes.Structure):
+    """struct rows of _pivot.c: the (K, n) rows of the fields of K stacked
+    states, of their pressure and of their kappa(theta)."""
+
+    _fields_ = [(name, _POINTER) for name in ("rho", "u", "w", "b", "theta", "p", "kappa")]
 
 
 def _load_kernel():

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .diagnostics import DiagnosticsAccumulator, _value
+from .diagnostics import DiagnosticsAccumulator, _held, _kernel_block, _per_state, _value
 from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
@@ -432,11 +432,19 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     from the state pair and spatial terms at state_after.  The k columns of
     a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
     of their pairs and give two (k,) arrays, each entry with the bits of its
-    pair alone.
+    pair alone.  Where the compiled kernel is loaded, residual_rows writes
+    both integrands and numpy sums them, with the same bits.
     """
     if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx = grid.dx
+    if operators._KERNEL is not None:
+        coefficients = (params.lambda_visc, params.mu_visc, params.nu_mag, params.gas_R,
+                        params.c_v)
+        block = _kernel_block("residual_rows", 2, coefficients, _held(state_before),
+                              _held(state_after), dt, params, ())
+        r_mag, r_pre = np.sqrt(_per_state(block.sum(axis=-1), state_after) * dx)
+        return _value(r_mag), _value(r_pre)
     sa, sb = state_after, state_before
     nu = params.nu_mag
     r_over_cv = params.gas_R / params.c_v

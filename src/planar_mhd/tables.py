@@ -2,8 +2,8 @@
 
 One row per cell, eight columns: x, rho, u, w1, w2, b1, b2, theta.  Values
 are written with 17 significant digits so a write/read round trip is exact.
-Lines starting with '#' are comments; a '# time = <t>' header carries the
-snapshot instant.
+Lines starting with '#' are comments; one '# time = <t>' header (the
+exact key time) carries the snapshot instant, 0 without one.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def read_state_table(path):
     The row count fixes the grid (at least four rows); the x column must
     match the uniform cell centers of (0, 1), and the time must be finite.
     """
-    time = 0.0
+    time = None
     rows = []
     with open(path) as fh:
         for line in fh:
@@ -53,9 +53,11 @@ def read_state_table(path):
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                body = stripped[1:].strip()
-                if body.startswith("time") and "=" in body:
-                    time = float(body.split("=", 1)[1])
+                key, equals, value = stripped[1:].partition("=")
+                if equals and key.strip() == "time":
+                    if time is not None:
+                        raise ValueError(f"{path}: more than one time header")
+                    time = float(value)
                     if not np.isfinite(time):
                         raise ValueError(f"{path}: time header must be finite, got {time!r}")
                 continue
@@ -72,5 +74,6 @@ def read_state_table(path):
     grid = Grid.uniform(n)
     if not np.allclose(data[:, 0], grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):
         raise ValueError(f"{path}: x column does not match uniform cell centers for n={n}")
+    time = 0.0 if time is None else time
     state = State(time, data[:, 1], data[:, 2], data[:, 3:5], data[:, 5:7], data[:, 7])
     return time, grid, state

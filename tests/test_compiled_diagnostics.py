@@ -1,0 +1,225 @@
+"""The compiled diagnostics against their numpy bodies: the same bits.
+
+Where the kernel is loaded, consistency_residuals, norm_suite and
+dissipation_ledger (with the mass, energy and phi defect of a record and
+the phi increments of an update) take their integrands from one C pass
+over a window's stacked rows, and numpy sums them; with operators._KERNEL
+off the numpy bodies, the reference, do it all.  Each case runs the same
+fold on both paths and compares every record field, both residuals and
+every update mark by .hex() or bytes: whole runs (consecutive columns, and
+the non-consecutive due steps of record_every = 3), audit's snapshot pairs,
+and the public functionals on lone States, the dt = 0 initial record
+included.  The data has exact vacuum (vacuum-pocket) and a cold cell
+(theta = 0, which takes the THETA_FLOOR branch of the ledger).
+"""
+
+import numpy as np
+import pytest
+
+import planar_mhd.diagnostics as diagnostics
+import planar_mhd.model as model
+import planar_mhd.operators as operators
+import planar_mhd.solver as solver
+from planar_mhd.diagnostics import (
+    NORM_NAMES,
+    SCALAR_COLUMNS,
+    DiagnosticsAccumulator,
+    dissipation_ledger,
+    norm_suite,
+)
+from planar_mhd.initial import InitialData, scenario
+from planar_mhd.model import Grid, PhysParams, State
+from planar_mhd.solver import consistency_residuals, run
+
+pytestmark = pytest.mark.skipif(operators._KERNEL is None,
+                                reason="no compiled kernel (no C compiler on PATH)")
+
+
+def hexed(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def record_hex(record):
+    return ([getattr(record, name).hex() for name in SCALAR_COLUMNS]
+            + [record.norms[name].hex() for name in NORM_NAMES])
+
+
+def mark_hex(mark):
+    before, dt, totals, phi = mark
+    return (before.time.hex(), float(dt).hex(), hexed(totals), phi.tobytes())
+
+
+def with_cold_cell(init):
+    """init with theta = 0 in its densest cell, whose density stays > 0."""
+    theta = init.theta0.copy()
+    theta[np.argmax(init.rho0)] = 0.0
+    return InitialData(init.rho0, init.u0, init.w0, init.b0, theta)
+
+
+def on_both_paths(monkeypatch, fold):
+    """fold() on the compiled path, then with operators._KERNEL off."""
+    kernel = operators._KERNEL
+    compiled = fold()
+    monkeypatch.setattr(operators, "_KERNEL", None)
+    try:
+        reference = fold()
+    finally:
+        monkeypatch.setattr(operators, "_KERNEL", kernel)
+    return compiled, reference
+
+
+def watched_run(monkeypatch, init, grid, params, t_end, record_every, alpha):
+    """Every record, residual pair and update mark of one run, as hex."""
+    records, residuals, marks = [], [], []
+    update = DiagnosticsAccumulator.update
+
+    def kept_marks(self, *args):
+        out = update(self, *args)
+        marks.extend(mark_hex(m) for m in out)
+        return out
+
+    def fold(befores, afters, dts):
+        residuals.append([hexed(r) for r in consistency_residuals(befores, afters, dts,
+                                                                   grid, params)])
+
+    monkeypatch.setattr(DiagnosticsAccumulator, "update", kept_marks)
+    final = run(init, t_end, grid, params, sink=records.append, record_every=record_every,
+                alpha=alpha, on_fold=fold)
+    monkeypatch.setattr(DiagnosticsAccumulator, "update", update)
+    return [record_hex(r) for r in records], residuals, marks, final.theta.tobytes()
+
+
+RUNS = [  # (scenario, n, q_exp, alpha, t_end, record_every)
+    ("vacuum-pocket", 4, 0.5, None, 1.0, 1),
+    ("magnetic-pulse", 5, 6.0, 0.3, 1.0, 3),
+    ("vacuum-pocket", 128, 1.5, None, 0.06, 3),
+    ("gaussian-density", 128, 2.0, 0.3, 0.03, 1),
+    ("magnetic-pulse", 128, 6.0, None, 0.03, 3),
+    ("vacuum-pocket", 2048, 2.0, 0.3, 0.0015, 1),
+    ("gaussian-density", 2048, 0.5, None, 0.001, 3),
+]
+
+
+@pytest.mark.parametrize("cold", [False, True], ids=["plain", "cold-cell"])
+@pytest.mark.parametrize("name, n, q_exp, alpha, t_end, record_every", RUNS)
+def test_a_run_folds_the_same_bits_on_both_paths(monkeypatch, name, n, q_exp, alpha, t_end,
+                                                 record_every, cold):
+    grid = Grid.uniform(n)
+    params = PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
+                        kappa_a=0.8, kappa_b=1.7, q_exp=q_exp)
+    init = scenario(name, grid)
+    if cold:
+        init = with_cold_cell(init)
+    compiled, reference = on_both_paths(
+        monkeypatch, lambda: watched_run(monkeypatch, init, grid, params, t_end,
+                                         record_every, alpha))
+    records, residuals, marks, _ = compiled
+    assert len(records) >= 3 and residuals and marks
+    assert compiled == reference
+    if cold:
+        assert records[0][SCALAR_COLUMNS.index("entropy_fn")] == float("inf").hex()
+
+
+@pytest.mark.parametrize("n", [4, 128])
+def test_audit_pairs_fold_the_same_bits_on_both_paths(monkeypatch, n):
+    # audit folds snapshot pairs of unequal dt through hold and flush
+    grid = Grid.uniform(n)
+    params = PhysParams(q_exp=1.5)
+    snaps = []
+    run(scenario("magnetic-pulse", grid), 0.02, grid, params,
+        snapshot_times=(0.0, 0.003, 0.0071, 0.012, 0.02), snapshot_sink=snaps.append)
+
+    def audit():
+        first = snaps[0]
+        init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
+        acc = DiagnosticsAccumulator(init, grid, params, alpha=0.3)
+        records = acc.record([first])
+        for before, after in zip(snaps, snaps[1:]):
+            records += acc.hold(before, after, after.time - before.time, due=True)
+        records += acc.flush()
+        return [record_hex(r) for r in records]
+
+    compiled, reference = on_both_paths(monkeypatch, audit)
+    assert len(compiled) == len(snaps)
+    assert compiled == reference
+
+
+@pytest.mark.parametrize("n", [4, 5, 128, 2048])
+@pytest.mark.parametrize("q_exp", [0.5, 1.5, 2.0, 6.0])
+def test_lone_states_and_picked_columns_give_the_same_bits(monkeypatch, n, q_exp):
+    grid = Grid.uniform(n)
+    params = PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
+                        kappa_a=0.8, kappa_b=1.7, q_exp=q_exp)
+    rng = np.random.default_rng(n)
+    base = with_cold_cell(scenario("vacuum-pocket", grid)).to_state()
+    states = [State(0.1 * i, base.rho * rng.uniform(0.9, 1.1, n),
+                    base.u + 0.05 * rng.standard_normal(n),
+                    base.w + 0.05 * rng.standard_normal((n, 2)),
+                    base.b + 0.05 * rng.standard_normal((n, 2)),
+                    base.theta * rng.uniform(0.9, 1.1, n)) for i in range(5)]
+    dts = np.array([0.01, 0.02, 0.005])
+
+    def functionals():
+        out = []
+        for alpha in (diagnostics.default_alpha(params), 0.3):
+            out.append(hexed(dissipation_ledger(states[1], 0.01, grid, params, alpha)))
+        out.append(hexed(list(norm_suite(states[0], states[0], 0.0, grid, params).values())))
+        out.append(hexed(list(norm_suite(states[0], states[2], 0.03, grid, params).values())))
+        out.append(hexed(consistency_residuals(states[0], states[2], 0.03, grid, params)))
+        # columns of one stack picked out of order, and two whole stacks
+        stack = diagnostics._Stack(states)
+        sa = stack.columns([states[4], states[0], states[2]])
+        befores = stack.columns([states[3], states[1], states[0]])
+        out.append(hexed(list(norm_suite(befores, sa, dts, grid, params).values())))
+        out.append(hexed(consistency_residuals(befores, sa, dts, grid, params)))
+        out.append(hexed(dissipation_ledger(sa, dts, grid, params, 0.3)))
+        out.append(hexed(consistency_residuals(diagnostics._Stack(states[:3]),
+                                               diagnostics._Stack(states[2:]), dts, grid,
+                                               params)))
+        return out
+
+    compiled, reference = on_both_paths(monkeypatch, functionals)
+    assert compiled == reference
+    # a stack's columns give each pair the bits it gets alone
+    alone = [consistency_residuals(states[b], states[a], dt, grid, params)
+             for b, a, dt in zip((3, 1, 0), (4, 0, 2), dts)]
+    assert compiled[-3] == hexed(np.array(alone).T)
+
+
+def test_the_compiled_residual_computes_no_derived_field(monkeypatch):
+    # solver.consistency_residuals.busy_s then times the residual itself,
+    # not the stack's lazily computed gradients and face averages
+    grid = Grid.uniform(64)
+    params = PhysParams(q_exp=1.5)
+    state = scenario("magnetic-pulse", grid).to_state()
+    after, _ = solver.step(state, 1e-3, grid, params, solver.SchemeConfig())
+    stack = diagnostics._Stack([state, after])
+    calls = []
+    for module in (operators, model, solver, diagnostics):
+        for name in ("cell_grad", "face_average"):
+            if hasattr(module, name):
+                original = getattr(operators, name)
+
+                def counted(*args, _original=original, _name=name):
+                    calls.append(_name)
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    consistency_residuals(stack.columns([state]), stack.columns([after]), np.array([1e-3]),
+                          grid, params)
+    assert calls == []
+    monkeypatch.setattr(operators, "_KERNEL", None)
+    consistency_residuals(stack.columns([state]), stack.columns([after]), np.array([1e-3]),
+                          grid, params)
+    assert calls  # the numpy body does compute them
+
+
+@pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 1000, 2048, 4099, 100_003])
+def test_a_block_sums_each_row_as_its_own_sum(n):
+    # the kernels' contract with numpy: block.sum(axis=-1) on a C-contiguous
+    # (rows, k, n) block gives each row the bits of its own 1-D .sum()
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((3, 2, n)) * np.exp(rng.uniform(-20, 20, (3, 2, n)))
+    sums = block.sum(axis=-1)
+    assert [[s.hex() for s in row] for row in sums.tolist()] == [
+        [float(block[r, j].copy().sum()).hex() for j in range(2)] for r in range(3)]

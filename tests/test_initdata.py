@@ -243,3 +243,18 @@ def test_a_table_without_rows_is_refused(tmp_path):
     path.write_text("# time = 0\n# columns: x rho u w1 w2 b1 b2 theta\n\n")
     with pytest.raises(ValueError, match="table contains no data rows"):
         read_state_table(path)
+
+
+def test_only_the_time_key_sets_the_snapshot_time(tmp_path):
+    grid = Grid.uniform(8)
+    path = tmp_path / "s.dat"
+    write_state_table(path, grid, scenario("magnetic-pulse", grid).to_state())
+    lines = path.read_text().splitlines(keepends=True)
+    # a comment whose key only starts with "time" is a comment like any other
+    path.write_text("# timestep = 7\n" + "".join(lines[1:]))
+    assert read_state_table(path)[0] == 0.0
+    path.write_text("# timestep = 7\n# time = 0.25\n" + "".join(lines[1:]))
+    assert read_state_table(path)[0] == 0.25
+    path.write_text("# time = 0.25\n# time = 0.5\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match=f"{path}: more than one time header"):
+        read_state_table(path)

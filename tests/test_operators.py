@@ -1,6 +1,8 @@
 """Stencil and flux-solver tests against independent dense oracles."""
 
 import ast
+import os
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -409,7 +411,8 @@ def test_compiled_solve_is_active_where_a_compiler_is():
         function = getattr(operators._KERNEL, name)
         assert function.argtypes == argtypes and function.restype is restype
     assert set(operators._SIGNATURES) == {"solve_flux_system", "step_explicit",
-                                          "conduction_solve"}
+                                          "conduction_solve", "residual_rows", "norm_rows",
+                                          "ledger_rows"}
 
 
 def test_kernel_flags_keep_the_numpy_bits():
@@ -418,6 +421,20 @@ def test_kernel_flags_keep_the_numpy_bits():
     assert "-ffp-contract=off" in operators._CFLAGS
     for flag in ("-ffast-math", "-Ofast", "-march=native"):
         assert flag not in operators._CFLAGS
+
+
+def test_kernel_calls_no_libm_function_but_sqrt():
+    # numpy's pow, exp and log loops need not give libm's bits; sqrt is
+    # correctly rounded, so it is the one libm call the kernels may make
+    path = os.path.join(os.path.dirname(operators.__file__), "_pivot.c")
+    with open(path) as fh:
+        code = re.sub(r"/\*.*?\*/", " ", fh.read(), flags=re.S)
+    banned = ("pow", "powf", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "cbrt",
+              "hypot", "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
+              "tanh", "fma", "erf", "lgamma", "tgamma")
+    calls = set(re.findall(r"\b([a-z_][a-z0-9_]*)\s*\(", code))
+    assert "sqrt" in calls
+    assert not calls & set(banned)
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
