@@ -1,13 +1,23 @@
-/* Compiled kernels behind planar_mhd's time step and diagnostics.
+/* Compiled kernels behind planar_mhd's time step, diagnostics and output.
 
    solve_flux_system is the subtraction-free pivot recursion behind
    planar_mhd.operators.solve_flux_system.  step_explicit runs stages 1-4
    of solver.step and the explicit part of stage 5; conduction_solve runs
    the Picard loop of solver.conduction_update.  All three go through the
-   one copy of the recursion, pivot_solve.  residual_rows, norm_rows and
-   ledger_rows write the integrands of solver.consistency_residuals,
-   diagnostics.norm_suite and diagnostics.dissipation_ledger for the
-   columns of a diagnostics window; numpy sums them.
+   one copy of the recursion, pivot_solve.  The two step entries read the
+   scalars of the run from one constants block and share one workspace per
+   step, and they make the step's checks: step_explicit computes scale_tol
+   and checks the density, the velocities and field, and the convected
+   temperature; conduction_solve checks each pass's change and reports the
+   lowest value of the temperature it returns, NaN if one is not finite, so
+   that Python scans it only to clip or to fail.  solver.step stays one
+   call per step, into these two, because perfbench's step counter, its
+   tracer and the tests count and wrap those calls.  residual_rows,
+   norm_rows and ledger_rows write the integrands of
+   solver.consistency_residuals, diagnostics.norm_suite and
+   diagnostics.dissipation_ledger for the columns of a diagnostics window;
+   numpy sums them.  format_rows writes the rows of diagnostics.csv and of
+   the state tables as Python's %.17g does, independent of the locale.
 
    Every floating-point operation happens in the same order as in the
    numpy reference (operators._solve_flux_system_py, solver._explicit_stages,
@@ -23,8 +33,13 @@
    (theta * theta), which is how numpy evaluates theta ** 2.0; for any
    other exponent it comes in evaluated by numpy. */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* n cells, k right-hand-side columns.  x holds the right-hand side on
    entry (row-major n x k) and the solution on return.  work holds 2n
@@ -177,30 +192,67 @@ static int require_nonnegative(ptrdiff_t n, double *f, double tol)
     return 0;
 }
 
-/* Stages 1-4 of solver.step and stage 5 up to theta_tilde, as
-   solver._explicit_stages does them.
-
-   ws holds 25n + 6 doubles.  On entry its first 7n are the state:
-   rho, u, w (n x 2), b (n x 2), theta.  On return the next 7n are rho1,
-   u1, w1, b1 and theta_tilde; the rest is scratch.  The force_* arrays
-   are the forcing terms already scaled (dt f, and f for the energy), or
-   NULL.  Returns the number of cells whose theta_tilde was negative
-   before the clip, or -1 when a check of the step fails; the numpy
-   stages then say which. */
-ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
-                        double mu, double nu, double gas_R, double c_v,
-                        double vacuum_rho, double scale_tol, double theta_tol,
-                        const double *force_rho, const double *force_u,
-                        const double *force_w, const double *force_b,
-                        const double *force_e, double *ws)
+/* min(0, f) as numpy's f.min(initial=0.0), or NaN when f holds a NaN or
+   an infinity: what the check of solver.step after conduction reads. */
+static double lowest(ptrdiff_t n, const double *f)
 {
-    const double *rho0 = ws, *u0 = ws + n, *w0 = ws + 2 * n, *b0 = ws + 4 * n,
-                 *th0 = ws + 6 * n;
-    double *rho1 = ws + 7 * n, *u1 = ws + 8 * n, *w1 = ws + 9 * n, *b1 = ws + 11 * n,
-           *theta_tilde = ws + 13 * n;
-    double *uf = ws + 14 * n, *bf = uf + (n + 1), *flux = bf + 2 * (n + 1),
+    double low = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        if (!isfinite(f[i]))
+            return NAN;
+        if (f[i] < low)
+            low = f[i];
+    }
+    return low;
+}
+
+/* The scalars of a (grid, params, cfg) in the one read-only block that
+   solver._constants packs, in this order. */
+enum { N_CELLS, DX, LAMBDA, MU, NU, GAS_R, C_V, VACUUM_RHO, THETA_TOL, KAPPA_A, KAPPA_B,
+       PICARD_TOL, MAX_PASSES };
+
+/* The workspace of one step, which step_explicit and conduction_solve
+   share, 20n + 11 doubles: the report (the passes run so far, the last
+   pass's max|theta_next - theta_k| and max|theta_k| + 1e-30, the lowest of
+   the theta returned, and the step's scale_tol), then theta_tilde and rho,
+   the incoming state (rho, u, w (n x 2), b (n x 2) and theta: 7n) and the
+   scratch (11n + 6). */
+enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
+#define SCRATCH(n) (REPORT + 9 * (n))
+
+/* Stages 1-4 of solver.step and stage 5 up to theta_tilde, as
+   solver._explicit_stages does them, with the scale_tol of solver.step:
+   (64 eps) max(1, max rho0), max taken as numpy takes it.
+
+   state holds the incoming rho, u, w (n x 2) and b (n x 2) end to end, as
+   the previous step's out or as the workspace's copy, and th0 its theta.
+   out gets rho1, u1, w1 and b1 the same way (the new State's block), and
+   the workspace theta_tilde, a copy of rho1, scale_tol and zero passes,
+   where conduction_solve takes them.  The force_* arrays are the forcing
+   terms already scaled (dt f, and f for the energy), or NULL.  Returns
+   the number of cells whose theta_tilde was negative before the clip, or
+   -1 when a check of the step fails; the numpy stages then say which. */
+ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
+                        const double *force_u, const double *force_w, const double *force_b,
+                        const double *force_e, const double *state, const double *th0,
+                        double *ws, double *out)
+{
+    ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
+    double dx = k[DX], lambda = k[LAMBDA], mu = k[MU], nu = k[NU], gas_R = k[GAS_R],
+           c_v = k[C_V], vacuum_rho = k[VACUUM_RHO];
+    const double *rho0 = state, *u0 = state + n, *w0 = state + 2 * n, *b0 = state + 4 * n;
+    double *rho1 = out, *u1 = out + n, *w1 = out + 2 * n, *b1 = out + 4 * n,
+           *theta_tilde = ws + REPORT;
+    double *uf = ws + SCRATCH(n), *bf = uf + (n + 1), *flux = bf + 2 * (n + 1),
            *off = flux + 2 * (n + 1), *cap = off + (n + 1), *tilde = cap + n,
            *work = tilde + 2 * n;
+
+    double top = 0.0;
+    for (ptrdiff_t i = 0; i < n; i++)
+        top = rho0[i] > top || rho0[i] != rho0[i] ? rho0[i] : top;
+    double scale_tol = 64.0 * DBL_EPSILON * (top > 1.0 ? top : 1.0);
+    ws[PASSES] = 0.0;
+    ws[SCALE_TOL] = scale_tol;
 
     /* stage 1: continuity */
     face_average(n, 1, u0, 1, uf);
@@ -296,38 +348,39 @@ ptrdiff_t step_explicit(ptrdiff_t n, double dx, double dt, double lambda,
         double energy = tilde[i] - dt * div_faces(flux, 1, i, 0, dx) + dt * source;
         theta_tilde[i] = rho1[i] <= vacuum_rho ? th0[i] : energy / (c_v * rho1[i]);
         clipped += theta_tilde[i] < 0.0;
+        theta_tilde[n + i] = rho1[i];  /* the rho that conduction_solve reads */
     }
-    if (require_nonnegative(n, theta_tilde, theta_tol))
+    if (require_nonnegative(n, theta_tilde, k[THETA_TOL]))
         return -1;
     return clipped;
 }
 
 /* The Picard loop of solver.conduction_update, as solver._numpy_solve
-   runs it, with its stop test and its non-finite test.
-
-   ws holds 8n + 4 doubles: theta_tilde, rho, the iterate theta_k
-   (theta_tilde at first), scratch, then three report slots: the passes
-   run so far (0 before the first call), and the last pass's
-   max|theta_next - theta_k| and max|theta_k| + 1e-30, the scale of the
-   stop test (a max is NaN if any entry is NaN, as numpy's max).  With
-   kappa NULL (q_exp = 2), each pass takes kappa_a + kappa_b * (m * m) with
-   m = max(theta_k, 0), a NaN kept, and passes run until one of the
-   returns below or until max_passes have run; otherwise kappa holds
-   kappa(max(theta_k, 0)) per cell and one pass runs.  Returns 0 when the
-   stop test holds, 1 when it does not, 2 when the change is not finite,
-   3 on a zero pivot. */
-int conduction_solve(ptrdiff_t n, double dx, double c_v, double dt, double vacuum_rho,
-                     double kappa_a, double kappa_b, double tol, ptrdiff_t max_passes,
-                     const double *kappa, double *ws)
+   runs it, with its stop test and its non-finite test, on the workspace's
+   theta_tilde and rho.  The iterate theta_k is theta_tilde before the
+   first pass and theta after it; each pass writes its result to theta.
+   The report gets the passes run (0 before the first call), the last
+   pass's max|theta_next - theta_k| and max|theta_k| + 1e-30, the scale of
+   the stop test (a max is NaN if any entry is NaN, as numpy's max), and,
+   once the stop test holds, lowest(theta).  With kappa NULL (q_exp = 2),
+   each pass takes kappa_a + kappa_b * (m * m) with m = max(theta_k, 0), a
+   NaN kept, and passes run until one of the returns below or until
+   MAX_PASSES have run; otherwise kappa holds kappa(max(theta_k, 0)) per
+   cell and one pass runs.  Returns 0 when the stop test holds, 1 when it
+   does not, 2 when the change is not finite, 3 on a zero pivot. */
+int conduction_solve(const double *k, double dt, const double *kappa, double *ws,
+                     double *theta)
 {
-    const double *theta_tilde = ws, *rho = ws + n;
-    double *theta_k = ws + 2 * n, *x = ws + 3 * n, *cap = ws + 4 * n, *off = ws + 5 * n,
-           *work = off + (n + 1), *report = work + 2 * n;
+    ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
+    double dx = k[DX], vacuum_rho = k[VACUUM_RHO], kappa_a = k[KAPPA_A], kappa_b = k[KAPPA_B];
+    const double *theta_tilde = ws + REPORT, *rho = theta_tilde + n;
+    double *x = ws + SCRATCH(n), *cap = x + n, *off = cap + n, *work = off + (n + 1);
 
     for (ptrdiff_t i = 0; i < n; i++)
-        cap[i] = rho[i] <= vacuum_rho ? 1.0 : c_v * rho[i] / dt;
-    while (report[0] < max_passes) {
-        report[0] += 1.0;
+        cap[i] = rho[i] <= vacuum_rho ? 1.0 : k[C_V] * rho[i] / dt;
+    while (ws[PASSES] < k[MAX_PASSES]) {
+        const double *theta_k = ws[PASSES] > 0.0 ? theta : theta_tilde;
+        ws[PASSES] += 1.0;
         if (!kappa)  /* x is free until the flux Laplacian fills it */
             for (ptrdiff_t i = 0; i < n; i++) {
                 double m = theta_k[i] > 0.0 || theta_k[i] != theta_k[i] ? theta_k[i] : 0.0;
@@ -346,15 +399,17 @@ int conduction_solve(ptrdiff_t n, double dx, double c_v, double dt, double vacuu
             double d = fabs(next - theta_k[i]), a = fabs(theta_k[i]);
             change = d > change || d != d ? d : change;
             scale = a > scale || a != a ? a : scale;
-            theta_k[i] = next;
+            theta[i] = next;
         }
         scale += 1e-30;
-        report[1] = change;
-        report[2] = scale;
+        ws[CHANGE] = change;
+        ws[SCALE] = scale;
         if (!isfinite(change))
             return 2;
-        if (change <= tol * scale)
+        if (change <= k[PICARD_TOL] * scale) {
+            ws[LOWEST] = lowest(n, theta);
             return 0;
+        }
         if (kappa)
             return 1;
     }
@@ -602,4 +657,155 @@ void ledger_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
             row[6 * next + i] = ptilde * dt;
         }
     }
+}
+
+
+/* ------------------------------------------------------------------------
+   Output rows.  format_rows writes a rows x cols block of doubles as text:
+   each value as Python's '%.17g' % v writes it, values separated by sep,
+   each row ended by a newline (diagnostics.csv and the state tables).  The
+   17 significant digits, correctly rounded half to even as Python rounds
+   them, come from exact 128-bit integer arithmetic for |v| from about
+   1e-16 up to 2^127, and from snprintf's "%.16e", which rounds the same
+   way but costs several times more, for the rest.  The %g layout is made
+   here from the digits and the exponent alone, so no radix character of
+   LC_NUMERIC shows, and a NaN is nan whatever its sign bit (glibc prints
+   -nan).  out holds rows * (cols * 25 + 1) bytes (tables._FIELD).
+   Returns the bytes written. */
+enum { DIGITS = 17 };
+typedef unsigned __int128 u128;
+
+static char *put(char *p, const char *s, ptrdiff_t count)
+{
+    memcpy(p, s, (size_t) count);
+    return p + count;
+}
+
+static u128 power_of_5(int k)
+{
+    u128 power = 1, base = 5;
+    for (; k > 0; k >>= 1, base *= base)
+        if (k & 1)
+            power *= base;
+    return power;
+}
+
+/* The digits of finite v > 0 rounded to DIGITS significant ones, and the
+   decimal exponent of the first, when v = m 2^e scaled to 17 digits,
+   m 5^p 2^(e + p) or m 2^(e - q) / 5^q, is exact in 128 bits; 0 otherwise. */
+static int exact_digits(double v, char *digits, int *exponent)
+{
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    int biased = (int) (bits >> 52 & 0x7ff);
+    if (biased == 0)
+        return 0;  /* subnormal */
+    uint64_t m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    int e = biased - 1075, k = e + 52;  /* v = m 2^e and 2^k <= v < 2^(k + 1) */
+    int x = k >= 0 ? k * 78913 >> 18 : -((-k * 78913 + (1 << 18) - 1) >> 18);
+    const u128 low = (u128) 10000000000000000ULL, high = 10 * low;
+    /* x = floor(k log10 2) is floor(log10 v) or one less */
+    for (int attempt = 0; attempt < 2; attempt++, x++) {
+        int p = DIGITS - 1 - x;  /* v 10^p in [1e16, 1e17) */
+        u128 q, rest, half;  /* truncated digits, remainder, and half a unit */
+        int even_tie;
+        if (p >= 0) {
+            int shift = -(e + p);
+            if (p > 32 || shift > 127)
+                return 0;
+            u128 n = (u128) m * power_of_5(p);  /* < 2^53 5^32 < 2^128 */
+            if (shift <= 0) {
+                if (shift < -10)
+                    return 0;
+                q = n << -shift, rest = 0, half = 1;
+            } else {
+                q = n >> shift, rest = n & (((u128) 1 << shift) - 1);
+                half = (u128) 1 << (shift - 1);
+            }
+            even_tie = rest == half;
+        } else {
+            int shift = e + p;  /* divide m 2^e by 5^-p 2^-p */
+            if (-p > 55 || shift < 0 || shift > 74)
+                return 0;
+            u128 n = (u128) m << shift, divisor = power_of_5(-p);
+            q = n / divisor, rest = n % divisor;
+            half = divisor / 2 + 1;  /* rest >= half: more than half, divisor odd */
+            even_tie = 0;
+        }
+        if (q >= high)
+            continue;
+        if (rest > half || (rest == half && !even_tie) || (even_tie && q & 1))
+            q++;
+        if (q == high)
+            q = low, x++;
+        uint64_t d = (uint64_t) q;
+        for (int i = DIGITS - 1; i >= 0; i--, d /= 10)
+            digits[i] = (char) ('0' + d % 10);
+        *exponent = x;
+        return 1;
+    }
+    return 0;
+}
+
+static char *format_value(double v, char *p)
+{
+    if (v != v)
+        return put(p, "nan", 3);
+    if (signbit(v))
+        *p++ = '-';
+    if (isinf(v))
+        return put(p, "inf", 3);
+    if (v == 0.0)
+        return put(p, "0", 1);
+    char digits[DIGITS];
+    int exponent;
+    if (!exact_digits(fabs(v), digits, &exponent)) {
+        char text[64];
+        snprintf(text, sizeof text, "%.16e", v);
+        const char *s = text;
+        int count = 0;
+        for (; *s != 'e'; s++)
+            if (*s >= '0' && *s <= '9' && count < DIGITS)
+                digits[count++] = *s;
+        exponent = atoi(s + 1);
+    }
+    int last = DIGITS - 1;  /* digits[last] is the last nonzero one */
+    while (last > 0 && digits[last] == '0')
+        last--;
+    if (exponent < -4 || exponent >= DIGITS) {
+        *p++ = digits[0];
+        if (last > 0) {
+            *p++ = '.';
+            p = put(p, digits + 1, last);
+        }
+        int magnitude = exponent < 0 ? -exponent : exponent;
+        *p++ = 'e';
+        *p++ = exponent < 0 ? '-' : '+';
+        if (magnitude >= 100)
+            *p++ = (char) ('0' + magnitude / 100);
+        *p++ = (char) ('0' + magnitude / 10 % 10);
+        *p++ = (char) ('0' + magnitude % 10);
+    } else if (exponent >= 0) {
+        p = put(p, digits, exponent + 1);
+        if (last > exponent) {
+            *p++ = '.';
+            p = put(p, digits + exponent + 1, last - exponent);
+        }
+    } else {  /* "0." and -exponent - 1 zeros, then the digits */
+        p = put(p, "0.000", 1 - exponent);
+        p = put(p, digits, last + 1);
+    }
+    return p;
+}
+
+ptrdiff_t format_rows(const double *values, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t sep,
+                      char *out)
+{
+    char *p = out;
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t c = 0; c < cols; c++) {
+            p = format_value(values[r * cols + c], p);
+            *p++ = c + 1 < cols ? (char) sep : '\n';
+        }
+    return p - out;
 }

@@ -29,7 +29,7 @@ from .initial import (
 )
 from .model import Grid
 from .solver import SimulationError, consistency_residuals, run
-from .tables import format_float, read_state_table, write_state_table
+from .tables import format_float, format_rows, read_state_table, write_state_table
 from .verification import MMS_CASES, continuation_study, embedding_check, mms_convergence
 
 EXIT_OK = 0
@@ -119,11 +119,15 @@ def _write(path, text):
         fh.write(text)
 
 
+_CSV_CHUNK = 64  # rows formatted at once: about 64 KiB of text, never the whole file
+
+
 def _write_records(path, records):
     with open(path, "w", newline="\n") as fh:
         fh.write(diagnostics.csv_header() + "\n")
-        for rec in records:
-            fh.write(diagnostics.csv_row(rec) + "\n")
+        for start in range(0, len(records), _CSV_CHUNK):
+            chunk = records[start:start + _CSV_CHUNK]
+            fh.write(format_rows(np.array([diagnostics.csv_values(rec) for rec in chunk]), ","))
 
 
 def _parse_list(text, what, kind=float):

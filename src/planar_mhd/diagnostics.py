@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -409,14 +410,13 @@ def csv_header():
     return ",".join(CSV_COLUMNS)
 
 
-# every value as tables.format_float writes it, one %-format per row
-_CSV_TEMPLATE = ",".join(["%.17g"] * len(CSV_COLUMNS))
+_SCALARS, _NORMS = attrgetter(*SCALAR_COLUMNS), itemgetter(*NORM_NAMES)
 
 
-def csv_row(record):
-    values = [getattr(record, name) for name in SCALAR_COLUMNS]
-    values += [record.norms[name] for name in NORM_NAMES]
-    return _CSV_TEMPLATE % tuple(values)
+def csv_values(record):
+    """The values of a record's diagnostics.csv row, in CSV_COLUMNS order,
+    for tables.format_rows."""
+    return _SCALARS(record) + _NORMS(record.norms)
 
 
 class DiagnosticsAccumulator:

@@ -240,14 +240,24 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
-    "step_explicit": ([_SIZE] + [_DOUBLE] * 10 + [_POINTER] * 6, _SIZE),
-    "conduction_solve": ([_SIZE] + [_DOUBLE] * 7 + [_SIZE] + [_POINTER] * 2, ctypes.c_int),
+    # the constants block, dt, then the arrays (the workspace is solver.step's)
+    "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 9, _SIZE),
+    "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 3, ctypes.c_int),
     # n, k, dx, the coefficients, the two struct rows with their columns,
     # the dts, the numpy factors and the (rows, k, n) block
     "residual_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 6 + [_POINTER] * 6, None),
     "norm_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 2 + [_POINTER] * 8, None),
     "ledger_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 4 + [_POINTER] * 10, None),
+    # values, rows, columns, the separator and the text buffer
+    "format_rows": ([_POINTER, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
 }
+
+
+def address(arr):
+    """The address of the first element of a writable array, for a pointer
+    argument of the kernel; the caller keeps arr alive through the call.
+    Cheaper than arr.ctypes.data, which builds an object per call."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(arr))
 
 
 class _Rows(ctypes.Structure):

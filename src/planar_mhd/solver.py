@@ -31,7 +31,14 @@ one conduction_solve call (one per pass unless q_exp = 2, with kappa from
 numpy), and the new State takes the kernel's output unchecked
 (State._trusted); otherwise numpy calls (_explicit_stages, _numpy_solve)
 and the checking State constructor, the bitwise reference, do it all.  The
+two calls share one fresh workspace and read the scalars of (grid, params,
+cfg) from one block packed once.  The kernel makes the checks: scale_tol,
+the density, finiteness and temperature checks of the stages, and min(0,
+theta) of the temperature it returns (NaN if not finite), so step scans
+theta only when that says there is a clip or an error to make.  The
 forcing callables and every error message stay in Python on both paths.
+run calls step, and step conduction_update, once per step by module name,
+because perfbench's step counter, its tracer and the tests wrap them.
 """
 
 from __future__ import annotations
@@ -187,12 +194,16 @@ def _vacuum_faces(vac):
     return faces
 
 
+_UNFORCED = (None,) * 5
+
+
 def _forcing_terms(forcing, x, t, dt):
     """The forcing terms of one step in field order (rho, u, w, b, e): dt *
     f(x, t) for the first four and f(x, t) for e, which enters the energy
-    source; None where there is no such entry.  Each entry is called once."""
+    source; None where there is no such entry, and _UNFORCED without
+    forcing.  Each entry is called once."""
     if forcing is None:
-        return (None,) * 5
+        return _UNFORCED
     return tuple(None if f is None else scale * f(x, t)
                  for f, scale in ((forcing.rho, dt), (forcing.u, dt), (forcing.w, dt),
                                   (forcing.b, dt), (forcing.e, 1.0)))
@@ -241,31 +252,58 @@ def _numpy_solve(theta_tilde, rho, dt, grid, params, cfg):
     return theta_k, _NOT_CONVERGED, passes, change, scale
 
 
-def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg):
+_REPORT = 5  # the report slots that open a workspace (layout in _pivot.c)
+_PASSES, _CHANGE, _SCALE, _LOWEST, _SCALE_TOL = range(_REPORT)
+_BOUND = (None,) * 4  # the last (grid, params, cfg) bound, and its constants
+
+
+def _constants(grid, params, cfg):
+    """The scalars both kernels read, packed once into a read-only block in
+    _pivot.c's order and kept for the last (grid, params, cfg): (block, its
+    address).  The caller holds the pair while the kernel reads it."""
+    global _BOUND
+    kept = _BOUND
+    if not (kept[0] is grid and kept[1] is params and kept[2] is cfg):
+        block = np.array([grid.n_cells, grid.dx, params.lambda_visc, params.mu_visc,
+                          params.nu_mag, params.gas_R, params.c_v, VACUUM_RHO,
+                          cfg.theta_floor_tol, params.kappa_a, params.kappa_b, cfg.picard_tol,
+                          cfg.picard_max_iters], dtype=np.float64)
+        kept = _BOUND = (grid, params, cfg, (block, operators.address(block)))
+        block.setflags(write=False)
+    return kept[3]
+
+
+def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     """_numpy_solve in the compiled kernel: one conduction_solve call at
     q_exp = 2, where the kernel evaluates kappa as numpy evaluates theta **
-    2.0, and one call per pass on kappa by numpy otherwise.  The returned
-    theta is a copy, so it does not keep the workspace alive."""
+    2.0, and one call per pass on kappa by numpy otherwise.  workspace is
+    step's (_constants, ws, theta, and the addresses of ws and theta),
+    whose ws holds theta_tilde and rho already; without it both go into a
+    fresh one.  The kernel writes the returned theta, an array of its own."""
     kernel, n = operators._KERNEL, grid.n_cells
-    ws = np.zeros(8 * n + 4)  # layout in _pivot.c; no passes run yet
-    np.concatenate((theta_tilde, rho, theta_tilde), out=ws[:3 * n])
-    theta_k = ws[2 * n:3 * n]
-    consts = (n, grid.dx, params.c_v, dt, VACUUM_RHO, params.kappa_a, params.kappa_b,
-              cfg.picard_tol, cfg.picard_max_iters)
-    address = ws.ctypes.data
+    if workspace is None:
+        ws, theta = np.empty(20 * n + 11), np.empty(n)
+        ws[_PASSES] = 0.0
+        np.concatenate((theta_tilde, rho), out=ws[_REPORT:_REPORT + 2 * n])
+        workspace = (_constants(grid, params, cfg), ws, theta, operators.address(ws),
+                     operators.address(theta))
+    consts, ws, theta, address, theta_at = workspace
     if params.q_exp == 2.0:
-        code = kernel.conduction_solve(*consts, None, address)
+        code = kernel.conduction_solve(consts[1], dt, None, address, theta_at)
     else:
+        theta_k = theta_tilde
         for _ in range(cfg.picard_max_iters):
-            kap = kappa(np.maximum(theta_k, 0.0), params)
-            code = kernel.conduction_solve(*consts, kap.ctypes.data, address)
+            kap = kappa(np.maximum(theta_k, 0.0), params)  # held while the kernel reads it
+            code = kernel.conduction_solve(consts[1], dt, operators.address(kap), address,
+                                           theta_at)
+            theta_k = theta
             if code != _NOT_CONVERGED:
                 break
-    passes, change, scale = ws[-3:].tolist()
-    return theta_k.copy(), code, int(passes), change, scale
+    passes, change, scale = ws[_PASSES:_SCALE + 1].tolist()
+    return theta, code, int(passes), change, scale
 
 
-def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
+def conduction_update(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     """Stage-5 implicit conduction solve (exposed for direct testing).
 
     Picard iteration on (c_v rho/dt)(theta - theta_tilde) = (kappa(theta)
@@ -276,12 +314,14 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg):
     pass is a symmetric M-matrix solve, so the update obeys the discrete
     maximum principle with respect to theta_tilde.  The loop runs in the
     compiled kernel when it is loaded (operators._KERNEL), which evaluates
-    kappa too at q_exp = 2, and as numpy calls otherwise.
+    kappa too at q_exp = 2, and as numpy calls otherwise; workspace is
+    step's, for the compiled loop (_compiled_solve).
 
     Returns (theta_new, picard_iterations).
     """
-    solve = _numpy_solve if operators._KERNEL is None else _compiled_solve
-    theta, code, passes, change, scale = solve(theta_tilde, rho, dt, grid, params, cfg)
+    args = theta_tilde, rho, dt, grid, params, cfg
+    theta, code, passes, change, scale = (_numpy_solve(*args) if operators._KERNEL is None
+                                          else _compiled_solve(*args, workspace))
     if code == _CONVERGED:
         return theta, passes
     if code == _ZERO_PIVOT:  # pragma: no cover - defensive
@@ -363,28 +403,49 @@ def _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol):
     return rho1, u1, w1, b1, theta_tilde, clipped
 
 
-def _compiled_stages(kernel, state, dt, grid, params, cfg, terms, scale_tol):
-    """_explicit_stages as one step_explicit call of the compiled kernel.
-    When a check fails there, the numpy stages run again on the same
-    forcing terms, so the error is raised, and worded, where they raise it."""
+def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
+    """step as one step_explicit call and one conduction_update in one
+    fresh workspace.  The new State owns the block step_explicit writes
+    (rho, u, w, b) and the theta conduction_solve writes, and the next
+    step reads them there (State._kernel_arrays); other States are copied
+    into the workspace.  When a check fails in step_explicit, the numpy
+    stages run again on the same terms, so the error is raised, and
+    worded, where they raise it."""
     n = grid.n_cells
-    ws = np.empty(25 * n + 6)  # layout in _pivot.c
-    np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
-                   out=ws[:7 * n])
-    shapes = ((n,), (n,), (n, 2), (n, 2), (n,))
-    forced = [None if term is None
-              else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=np.float64)
-              for term, shape in zip(terms, shapes)]
-    clipped = kernel.step_explicit(
-        n, grid.dx, dt, params.lambda_visc, params.mu_visc, params.nu_mag, params.gas_R,
-        params.c_v, VACUUM_RHO, scale_tol, cfg.theta_floor_tol,
-        *(None if f is None else f.ctypes.data for f in forced), ws.ctypes.data)
+    consts = _constants(grid, params, cfg)
+    ws, block, theta = np.empty(20 * n + 11), np.empty(6 * n), np.empty(n)
+    address, block_at = operators.address(ws), operators.address(block)
+    theta_at = operators.address(theta)
+    # set by _trusted; a pickled or deep copy of the State fails the identity checks
+    kept = state.__dict__.get("_kernel_arrays")
+    if kept and state.rho.base is kept[0] and state.theta is kept[1] and kept[1].size == n:
+        source, theta0 = kept[2], kept[3]
+    else:
+        np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
+                       out=ws[_REPORT + 2 * n:_REPORT + 9 * n])
+        source, theta0 = address + 8 * (_REPORT + 2 * n), address + 8 * (_REPORT + 8 * n)
+    forced = terms if terms is _UNFORCED else [
+        None if term is None else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=float)
+        for term, shape in zip(terms, ((n,), (n,), (n, 2), (n, 2), (n,)))]
+    pointers = terms if terms is _UNFORCED else [None if f is None else f.ctypes.data
+                                                 for f in forced]
+    clipped = kernel.step_explicit(consts[1], dt, *pointers, source, theta0, address, block_at)
     if clipped < 0:
-        _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol)
+        _explicit_stages(state, dt, grid, params, cfg, terms, float(ws[_SCALE_TOL]))
         raise RuntimeError("the compiled step failed a check that the numpy step passes")
-    out = ws[7 * n:13 * n].copy()  # the new State's block, without the scratch
-    return (out[:n], out[n:2 * n], out[2 * n:4 * n].reshape(n, 2),
-            out[4 * n:].reshape(n, 2), ws[13 * n:14 * n], clipped)
+    block.setflags(write=False)  # and so every view of it
+    theta1, iters = conduction_update(ws[_REPORT:_REPORT + n], block[:n], dt, grid, params, cfg,
+                                      (consts, ws, theta, address, theta_at))
+    # the kernel reports min(0, theta), NaN if not finite, for the theta it wrote
+    kept = (block, theta, block_at, theta_at)
+    if theta1 is not theta or not ws[_LOWEST] == 0.0:
+        theta1 = _require_nonnegative(theta1, float(ws[_SCALE_TOL]),
+                                      "temperature (post conduction)", "stage 5 (conduction)")
+    theta1.setflags(write=False)
+    pairs = block.reshape(3, n, 2)  # [1] and [2] are w and b
+    new = State._trusted(state.time + dt, block[:n], block[n:2 * n], pairs[1], pairs[2], theta1,
+                         kept if theta1 is theta else None)
+    return new, StepReport(dt, iters, clipped)
 
 
 def step(state, dt, grid, params, cfg, forcing=None):
@@ -392,27 +453,23 @@ def step(state, dt, grid, params, cfg, forcing=None):
 
     Returns (new_state, StepReport).  dt is trusted to satisfy the stable_dt
     bound; violating it surfaces as a positivity failure, not silent damage.
-    Each forcing entry is called once, before the stages run.  Stages 1-4
-    and the explicit part of stage 5 are one call of the compiled kernel
-    when it is loaded (operators._KERNEL), numpy calls otherwise; both give
-    the same bits.
+    Each forcing entry is called once, before the stages run.  The step is
+    _compiled_step where the compiled kernel is loaded (operators._KERNEL),
+    numpy calls otherwise; both give the same bits.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    t_new = state.time + dt
-    terms = _forcing_terms(forcing, grid.cell_centers, t_new, dt)
-    scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(state.rho.max(initial=0.0)))
+    terms = _forcing_terms(forcing, grid.cell_centers, state.time + dt, dt)
     kernel = operators._KERNEL
-    if kernel is None:
-        stages = _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol)
-    else:
-        stages = _compiled_stages(kernel, state, dt, grid, params, cfg, terms, scale_tol)
-    rho1, u1, w1, b1, theta_tilde, clipped = stages
+    if kernel is not None:
+        return _compiled_step(kernel, state, dt, grid, params, cfg, terms)
+    scale_tol = 64.0 * np.finfo(float).eps * max(1.0, float(state.rho.max(initial=0.0)))
+    rho1, u1, w1, b1, theta_tilde, clipped = _explicit_stages(state, dt, grid, params, cfg, terms,
+                                                              scale_tol)
     theta1, iters = conduction_update(theta_tilde, rho1, dt, grid, params, cfg)
     theta1 = _require_nonnegative(theta1, scale_tol, "temperature (post conduction)",
                                   "stage 5 (conduction)")
-    new = State if kernel is None else State._trusted  # the kernel checked its output
-    return new(t_new, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
+    return State(state.time + dt, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
 
 
 def consistency_residuals(state_before, state_after, dt, grid, params):

@@ -10,16 +10,33 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import operators
 from .model import Grid, State
 
 COLUMNS = ("x", "rho", "u", "w1", "w2", "b1", "b2", "theta")
 
-# a row of values as format_float writes them, formatted by one %-format
-_ROW = " ".join(["%.17g"] * len(COLUMNS)) + "\n"
+# the bytes of the longest value format_float writes, and a separator
+_FIELD = len(f"{-2.2250738585072014e-308:.17g}") + 1
 
 
 def format_float(v):
     return f"{v:.17g}"
+
+
+def format_rows(values, sep):
+    """The rows of a 2-D array as text: each value as format_float writes
+    it, joined by sep, each row ended by a newline.  The compiled kernel
+    does it when loaded (operators._KERNEL), Python's %-format otherwise;
+    the bytes are the same."""
+    rows, cols = values.shape
+    if operators._KERNEL is None:
+        template = sep.join(["%.17g"] * cols) + "\n"
+        return "".join([template % tuple(row) for row in values.tolist()])
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    text = np.empty(rows * (cols * _FIELD + 1), dtype=np.uint8)
+    size = operators._KERNEL.format_rows(values.ctypes.data, rows, cols, ord(sep),
+                                         operators.address(text))
+    return text[:size].tobytes().decode("ascii")
 
 
 def write_state_table(path, grid, state):
@@ -36,7 +53,7 @@ def write_state_table(path, grid, state):
     with open(path, "w") as fh:
         fh.write(f"# time = {format_float(state.time)}\n")
         fh.write("# columns: " + " ".join(COLUMNS) + "\n")
-        fh.write("".join([_ROW % tuple(row) for row in cols.tolist()]))
+        fh.write(format_rows(cols, " "))
 
 
 def read_state_table(path):
@@ -57,7 +74,11 @@ def read_state_table(path):
                 if equals and key.strip() == "time":
                     if time is not None:
                         raise ValueError(f"{path}: more than one time header")
-                    time = float(value)
+                    try:
+                        time = float(value)
+                    except ValueError:
+                        raise ValueError(f"{path}: time header {stripped!r} is not a"
+                                         " number") from None
                     if not np.isfinite(time):
                         raise ValueError(f"{path}: time header must be finite, got {time!r}")
                 continue

@@ -15,7 +15,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+import planar_mhd.solver as solver
 from planar_mhd.diagnostics import window_length
+from planar_mhd.initial import scenario
+from planar_mhd.model import Grid, PhysParams
+from planar_mhd.solver import Forcing, PositivityError, SchemeConfig, run, stable_dt
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -119,3 +126,37 @@ def test_benchmark_hooks_count_one_embedding_check_per_audited_table(tmp_path):
     assert tables == 3
     assert layers["verification.embedding_check.calls"] == tables
     assert layers["tables.read_state_table.calls"] == tables
+
+
+def test_run_calls_step_once_per_attempted_step(monkeypatch, each_path):
+    # perfbench's StepCounter counts calls of solver.step through the
+    # module attribute, and its check requires that count to equal the
+    # steps in run-summary.txt: run calls step by that name once per
+    # accepted step, plus once for a step that fails
+    calls, accepted = [], []
+    real = solver.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", counted)
+    grid, params = Grid(32), PhysParams()
+    init = scenario("magnetic-pulse", grid)
+    dt0 = stable_dt(init.to_state(), grid, params, SchemeConfig())
+    # from t > 6 dt0 on, the energy source drives the temperature far below zero
+    chill = Forcing(e=lambda x, t: np.full(x.size, -1e9 if t > 6.0 * dt0 else 0.0))
+    for _ in each_path():
+        calls.clear()
+        accepted.clear()
+        snapshots, records = [], []
+        run(init, 20.0 * dt0, grid, params, sink=records.append, snapshot_times=(0.0, 5.5 * dt0),
+            snapshot_sink=snapshots.append, on_step=lambda *step: accepted.append(1))
+        assert len(snapshots) == 2 and len(records) == len(accepted) + 1
+        assert len(calls) == len(accepted) >= 20
+        calls.clear()
+        accepted.clear()
+        with pytest.raises(PositivityError, match="^step 6 at t = "):
+            run(init, 20.0 * dt0, grid, params, sink=records.append, forcing=chill,
+                on_step=lambda *step: accepted.append(1))
+        assert len(calls) == len(accepted) + 1 == 7

@@ -12,16 +12,22 @@ data with seeded cell-to-cell noise, so every branch of the stencils sees
 data without symmetry.
 """
 
+import pickle
+import sys
+import threading
+from copy import deepcopy
+
 import numpy as np
 import pytest
 
 import planar_mhd.model as model
 import planar_mhd.operators as operators
 import planar_mhd.solver as solver
+from planar_mhd.diagnostics import csv_values
 from planar_mhd.initial import SCENARIOS, InitialData, scenario
 from planar_mhd.model import Grid, PhysParams, State
-from planar_mhd.solver import (Forcing, NumericalError, PicardError, SchemeConfig,
-                               conduction_update, run, stable_dt, step)
+from planar_mhd.solver import (Forcing, NumericalError, PicardError, PositivityError,
+                               SchemeConfig, conduction_update, run, stable_dt, step)
 from planar_mhd.verification import MMS_CASES
 
 pytestmark = pytest.mark.skipif(operators._KERNEL is None,
@@ -324,3 +330,188 @@ def test_a_compiled_step_leaves_kappa_and_the_state_checks_out(monkeypatch, q_ex
     assert calls == {"kappa": report.picard_iters, "post_init": 1}
     assert all(getattr(new_state, f).tobytes() == getattr(reference, f).tobytes()
                for f in FIELDS)
+
+
+# --- the lean step: whole runs, the check after conduction, threads -------
+
+
+def field_bytes(state):
+    return state.time, tuple(getattr(state, f).tobytes() for f in FIELDS)
+
+
+def run_record(init, grid, params, steps, **kwargs):
+    """A run of about `steps` steps: every State it makes, as bytes, with
+    its StepReport, then every snapshot and diagnostics row it delivers."""
+    made, snapshots, records = [], [], []
+    t_end = steps * stable_dt(init.to_state(), grid, params, SchemeConfig())
+    run(init, t_end, grid, params, sink=records.append,
+        on_step=lambda before, after, report: made.append((field_bytes(after), report)),
+        snapshot_sink=lambda state: snapshots.append(field_bytes(state)), **kwargs)
+    rows = [np.array(csv_values(record)).tobytes() for record in records]
+    return made, snapshots, rows
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("q_exp", [0.5, 2.0, 6.0])
+@pytest.mark.parametrize("n", [32, 128, 2048])
+def test_runs_make_the_same_states_and_reports_on_both_paths(each_path, n, q_exp, forced):
+    # every step after the first reads its input where the step before
+    # wrote it; MMS forcing goes in as five more arrays
+    grid, params = Grid(n), coefficients(q_exp)
+    if forced:
+        mms = MMS_CASES["smooth-wave"]
+        init, forcing = mms.initial_data(grid), mms.forcing(params)
+    else:
+        state = seeded(scenario("magnetic-pulse", grid).to_state(), seed=n)
+        init = InitialData(state.rho, state.u, state.w, state.b, state.theta)
+        forcing = None
+    steps = 3 if n > 128 else 6
+    compiled, reference = [run_record(init, grid, params, steps, forcing=forcing)
+                           for _ in each_path()]
+    assert len(compiled[0]) >= steps
+    assert compiled == reference
+
+
+def test_a_run_with_snapshots_is_alike_on_both_paths(each_path):
+    grid, params = Grid(128), coefficients(2.0)
+    init = scenario("vacuum-pocket", grid)
+    dt = stable_dt(init.to_state(), grid, params, SchemeConfig())
+    times = (0.0, 2.5 * dt, 7.5 * dt)
+    compiled, reference = [run_record(init, grid, params, 10, snapshot_times=times,
+                                      record_every=3) for _ in each_path()]
+    assert len(compiled[1]) == 3
+    assert compiled == reference
+
+
+def spike(rho, amp, kappa_a, q_exp):
+    """Cold gas at rest on 16 cells with one hot cell, and coefficients
+    whose conduction grades the faces so steeply that the solve rounds
+    some cell below zero."""
+    n = len(rho)
+    theta = np.zeros(n)
+    theta[2] = amp
+    state = State(0.0, np.asarray(rho), np.zeros(n), np.zeros((n, 2)), np.zeros((n, 2)), theta)
+    return state, Grid(n), PhysParams(kappa_a=kappa_a, kappa_b=1e-300, q_exp=q_exp)
+
+
+GRADED_RHO = [2e-06, 0.001, 7e-11, 0.1, 7e-06, 4e-05, 2e-06, 0.6, 0.002, 6e-06, 0.6, 0.3,
+              9e-09, 0.1, 3e-06, 0.9]
+
+
+@pytest.mark.parametrize("q_exp", [1.5, 2.0])
+def test_a_conduction_undershoot_within_the_roundoff_band_is_clipped_alike(monkeypatch,
+                                                                           q_exp):
+    # conduction leaves about -7e-15, inside 64 eps max(1, max rho); the
+    # compiled step learns it from the kernel's report, the numpy step from
+    # its own scan, and both clip to +0.0
+    state, grid, params = spike(GRADED_RHO, 1e-3, 3e7, q_exp)
+    lowest = []
+    real = solver.conduction_update
+
+    def seen(*args):
+        theta, passes = real(*args)
+        lowest.append(float(theta.min()))
+        return theta, passes
+
+    monkeypatch.setattr(solver, "conduction_update", seen)
+    new_state = assert_paths_agree(monkeypatch, state, 0.9, grid, params, SchemeConfig())
+    assert len(lowest) == 2 and lowest[0] == lowest[1] and -1e-14 < lowest[0] < 0.0
+    assert new_state.theta.min() == 0.0 and not np.signbit(new_state.theta).any()
+
+
+@pytest.mark.parametrize("q_exp", [1.5, 2.0])
+def test_a_conduction_undershoot_beyond_the_band_fails_alike(monkeypatch, q_exp):
+    state, grid, params = spike(np.full(16, 1e-8), 1e-2, 1e8, q_exp)
+    (kind, text), _ = outcome(state, 1.0, grid, params, SchemeConfig())
+    assert kind is PositivityError
+    assert text.startswith("temperature (post conduction) reached -")
+    assert text.endswith("beyond the allowed undershoot 1.42e-14; the step size is too large"
+                         " for this data")
+    assert assert_paths_agree(monkeypatch, state, 1.0, grid, params, SchemeConfig()) is None
+
+
+def test_the_kernel_reports_the_lowest_temperature_it_returns(monkeypatch):
+    # min(0, theta) of the theta conduction_solve wrote, with numpy's bits,
+    # in the workspace that step reads it from: for the convected
+    # temperature that undershoots above, and for a warm one
+    state, grid, params = spike(GRADED_RHO, 1e-3, 3e7, 2.0)
+    cfg, handed = SchemeConfig(), []
+    real = solver.conduction_update
+
+    def seen(theta_tilde, rho, *rest):
+        handed.append((theta_tilde.copy(), rho.copy()))
+        return real(theta_tilde, rho, *rest)
+
+    monkeypatch.setattr(solver, "conduction_update", seen)
+    step(state, 0.9, grid, params, cfg)
+    theta_tilde, rho = handed[0]
+    lows = []
+    for theta_tilde in (theta_tilde, np.linspace(0.5, 2.0, 16)):
+        ws, theta = np.zeros(20 * 16 + 11), np.empty(16)
+        ws[solver._REPORT:solver._REPORT + 32] = np.concatenate((theta_tilde, rho))
+        workspace = (solver._constants(grid, params, cfg), ws, theta, operators.address(ws),
+                     operators.address(theta))
+        out, code, _, _, _ = solver._compiled_solve(theta_tilde, rho, 0.9, grid, params, cfg,
+                                                    workspace)
+        assert code == 0 and out is theta
+        lows.append(ws[solver._LOWEST])
+        assert lows[-1].tobytes() == np.float64(min(0.0, theta.min())).tobytes()
+    assert lows[0] < 0.0 == lows[1]
+
+
+def test_a_non_finite_temperature_after_conduction_fails_alike(monkeypatch):
+    real = solver.conduction_update
+
+    def spoiled(*args):
+        theta, passes = real(*args)
+        theta = theta.copy()
+        theta[5] = np.nan
+        return theta, passes
+
+    monkeypatch.setattr(solver, "conduction_update", spoiled)
+    grid = Grid(32)
+    state = scenario("magnetic-pulse", grid).to_state()
+    (kind, text), _ = outcome(state, 1e-3, grid, PhysParams(), SchemeConfig())
+    assert (kind, text) == (NumericalError, "stage 5 (conduction) produced a non-finite"
+                                            " temperature (post conduction)")
+    assert_paths_agree(monkeypatch, state, 1e-3, grid, PhysParams(), SchemeConfig())
+
+
+def test_two_threads_stepping_at_once_give_the_bits_of_one_after_the_other():
+    # the kernel calls release the GIL, so both threads are in C at once;
+    # each step has its own workspace and reads its input only where its
+    # own previous step wrote it
+    cases = [(scenario("magnetic-pulse", Grid(128)), Grid(128), PhysParams()),
+             (scenario("smooth-shear", Grid(96)), Grid(96), coefficients(1.5))]
+    alone = [run_record(init, grid, params, 40) for init, grid, params in cases]
+    together = [None, None]
+
+    def work(i):
+        together[i] = run_record(*cases[i], 40)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
+
+
+def test_copies_of_a_compiled_state_step_from_their_own_arrays():
+    # a State made by the compiled step is read where the kernel wrote it;
+    # a pickled or deep copy carries the kept addresses of the original
+    # but new arrays, here with another theta, and must be read from those
+    grid, params, cfg = Grid(64), PhysParams(), SchemeConfig()
+    state = step(scenario("magnetic-pulse", grid).to_state(), 1e-3, grid, params, cfg)[0]
+    for twin in (pickle.loads(pickle.dumps(state)), deepcopy(state)):
+        twin.theta[:] *= 1.5
+        fresh = State(twin.time, twin.rho, twin.u, twin.w, twin.b, twin.theta)
+        assert (outcome(twin, 1e-3, grid, params, cfg)[0]
+                == outcome(fresh, 1e-3, grid, params, cfg)[0]
+                != outcome(state, 1e-3, grid, params, cfg)[0])

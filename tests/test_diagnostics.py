@@ -10,7 +10,7 @@ from planar_mhd.diagnostics import (
     SCALAR_COLUMNS,
     check_alpha,
     csv_header,
-    csv_row,
+    csv_values,
     default_alpha,
     density_bound_monitor,
     dissipation_ledger,
@@ -24,6 +24,7 @@ from planar_mhd.diagnostics import (
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
 from planar_mhd.solver import SchemeConfig, run, stable_dt, step
+from planar_mhd.tables import format_rows
 
 
 def flat_state(n, rho=1.0, theta=1.0, time=0.0):
@@ -320,13 +321,14 @@ def test_csv_schema():
     assert set(SCALAR_COLUMNS).isdisjoint(NORM_NAMES)
 
 
-def test_csv_row_round_trips_floats():
+def test_csv_values_round_trip_floats():
     grid = Grid.uniform(32)
     init = scenario("gaussian-density", grid)
     acc = DiagnosticsAccumulator(init, grid, PhysParams())
     [rec] = acc.record([init.to_state()])
-    row = csv_row(rec)
-    parts = row.split(",")
+    row = format_rows(np.array([csv_values(rec)]), ",")
+    assert row.endswith("\n") and row.count("\n") == 1
+    parts = row[:-1].split(",")
     assert len(parts) == len(CSV_COLUMNS)
     parsed = dict(zip(CSV_COLUMNS, (float(p) for p in parts)))
     assert parsed["mass"] == rec.mass

@@ -1,11 +1,14 @@
 """Initial data: regularization, admissibility residuals, scenario library,
 and the state tables they are read from."""
 
+import locale
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import planar_mhd.operators as operators
 from planar_mhd.diagnostics import total_energy
 from planar_mhd.initial import (
     InitialData,
@@ -16,7 +19,7 @@ from planar_mhd.initial import (
     SCENARIOS,
 )
 from planar_mhd.model import Grid, PhysParams
-from planar_mhd.tables import read_state_table, write_state_table
+from planar_mhd.tables import format_rows, read_state_table, write_state_table
 
 
 def constant_data(n):
@@ -258,3 +261,71 @@ def test_only_the_time_key_sets_the_snapshot_time(tmp_path):
     path.write_text("# time = 0.25\n# time = 0.5\n" + "".join(lines[1:]))
     with pytest.raises(ValueError, match=f"{path}: more than one time header"):
         read_state_table(path)
+
+
+@pytest.mark.parametrize("header", ["# time = abc0", "# time =", "# time = 1.5 s"])
+def test_a_time_header_that_is_not_a_number_is_named(tmp_path, header):
+    grid = Grid.uniform(8)
+    path = tmp_path / "s.dat"
+    write_state_table(path, grid, scenario("magnetic-pulse", grid).to_state())
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "\n" + "".join(lines[1:]))
+    message = f"{path}: time header {header!r} is not a number"
+    for reader in (read_state_table, load_initial_table):
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == message
+
+
+# Values whose '%.17g' spelling has a corner: signed zeros and NaNs, the
+# infinities, subnormals, the extremes, the switch to exponent notation at
+# 1e-4 / 1e-5 and 1e17, and halfway cases at the 17th digit.
+FORMAT_CASES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1e16, 1e17, 9.999999999999999e16, 1e-4, 1e-5,
+                9.9999999999999991e-5, 0.1, 1.0, -1.0, 100.0, 2251799813685247.25,
+                2251799813685247.75, 1152921504606846976.0, 123.456, 1 / 3]
+
+
+def compiled_and_python_rows(values, sep):
+    """format_rows on the compiled kernel, then on Python's %-format."""
+    text = format_rows(values, sep)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(operators, "_KERNEL", None)
+        return text, format_rows(values, sep)
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+def test_the_compiled_formatter_writes_what_python_writes():
+    rng = np.random.default_rng(17)
+    patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+    # 16 integer digits and a quarter: the 17th digit is often an exact tie
+    quarters = rng.integers(2 ** 50, 2 ** 53, size=1000) / 4.0
+    values = np.concatenate((FORMAT_CASES, -np.array(FORMAT_CASES), patterns, quarters))
+    assert np.isnan(values).sum() > 2 and np.signbit(values[np.isnan(values)]).any()
+    rows = values[:len(values) // 8 * 8].reshape(-1, 8)
+    for sep in (",", " "):
+        compiled, python = compiled_and_python_rows(rows, sep)
+        assert compiled == python
+        assert python == "".join(sep.join("%.17g" % v for v in row) + "\n"
+                                 for row in rows.tolist())
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+def test_the_compiled_formatter_ignores_the_numeric_locale():
+    # its digits come from snprintf, whose radix character follows
+    # LC_NUMERIC; a locale with a decimal comma must not show in the rows
+    previous = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        try:
+            rows = np.array([FORMAT_CASES[:24]]).reshape(3, 8)
+            compiled, python = compiled_and_python_rows(rows, ",")
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, previous)
+        assert compiled == python
+        return
+    pytest.skip("no locale with a decimal comma is installed")

@@ -412,7 +412,7 @@ def test_compiled_solve_is_active_where_a_compiler_is():
         assert function.argtypes == argtypes and function.restype is restype
     assert set(operators._SIGNATURES) == {"solve_flux_system", "step_explicit",
                                           "conduction_solve", "residual_rows", "norm_rows",
-                                          "ledger_rows"}
+                                          "ledger_rows", "format_rows"}
 
 
 def test_kernel_flags_keep_the_numpy_bits():
