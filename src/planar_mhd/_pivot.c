@@ -215,18 +215,18 @@ enum { N_CELLS, DX, LAMBDA, MU, NU, GAS_R, C_V, VACUUM_RHO, THETA_TOL, KAPPA_A, 
    share, 20n + 11 doubles: the report (the passes run so far, the last
    pass's max|theta_next - theta_k| and max|theta_k| + 1e-30, the lowest of
    the theta returned, and the step's scale_tol), then theta_tilde and rho,
-   the incoming state (rho, u, w (n x 2), b (n x 2) and theta: 7n) and the
-   scratch (11n + 6). */
+   the incoming state (rho, u, w (n x 2), b (n x 2) and theta: 7n), which
+   solver.step copies in, and the scratch (11n + 6). */
 enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
+#define STATE(n) (REPORT + 2 * (n))
 #define SCRATCH(n) (REPORT + 9 * (n))
 
 /* Stages 1-4 of solver.step and stage 5 up to theta_tilde, as
    solver._explicit_stages does them, with the scale_tol of solver.step:
    (64 eps) max(1, max rho0), max taken as numpy takes it.
 
-   state holds the incoming rho, u, w (n x 2) and b (n x 2) end to end, as
-   the previous step's out or as the workspace's copy, and th0 its theta.
-   out gets rho1, u1, w1 and b1 the same way (the new State's block), and
+   The incoming state is the workspace's.  out gets rho1, u1, w1 and b1
+   end to end (the new State's block), and
    the workspace theta_tilde, a copy of rho1, scale_tol and zero passes,
    where conduction_solve takes them.  The force_* arrays are the forcing
    terms already scaled (dt f, and f for the energy), or NULL.  Returns
@@ -234,13 +234,13 @@ enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
    -1 when a check of the step fails; the numpy stages then say which. */
 ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
                         const double *force_u, const double *force_w, const double *force_b,
-                        const double *force_e, const double *state, const double *th0,
-                        double *ws, double *out)
+                        const double *force_e, double *ws, double *out)
 {
     ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
     double dx = k[DX], lambda = k[LAMBDA], mu = k[MU], nu = k[NU], gas_R = k[GAS_R],
            c_v = k[C_V], vacuum_rho = k[VACUUM_RHO];
-    const double *rho0 = state, *u0 = state + n, *w0 = state + 2 * n, *b0 = state + 4 * n;
+    const double *rho0 = ws + STATE(n), *u0 = rho0 + n, *w0 = rho0 + 2 * n, *b0 = rho0 + 4 * n,
+                 *th0 = rho0 + 6 * n;
     double *rho1 = out, *u1 = out + n, *w1 = out + 2 * n, *b1 = out + 4 * n,
            *theta_tilde = ws + REPORT;
     double *uf = ws + SCRATCH(n), *bf = uf + (n + 1), *flux = bf + 2 * (n + 1),
@@ -666,8 +666,8 @@ void ledger_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
    each row ended by a newline (diagnostics.csv and the state tables).  The
    17 significant digits, correctly rounded half to even as Python rounds
    them, come from exact 128-bit integer arithmetic for |v| from about
-   1e-16 up to 2^127, and from snprintf's "%.16e", which rounds the same
-   way but costs several times more, for the rest.  The %g layout is made
+   1e-16 up to about 2^157, and from snprintf's "%.16e", which rounds the
+   same way but costs several times more, for the rest.  The %g layout is made
    here from the digits and the exponent alone, so no radix character of
    LC_NUMERIC shows, and a NaN is nan whatever its sign bit (glibc prints
    -nan).  out holds rows * (cols * 25 + 1) bytes (tables._FIELD).

@@ -174,14 +174,11 @@ class State(DerivedFields):
         object.__setattr__(self, "theta", _frozen_array(self.theta, (n,), "theta", nonnegative=True))
 
     @classmethod
-    def _trusted(cls, time, rho, u, w, b, theta, kernel_arrays=None):
+    def _trusted(cls, time, rho, u, w, b, theta):
         """A State of read-only arrays that solver.step's compiled path has
-        checked and holds nowhere else, not copied or checked.  It keeps
-        kernel_arrays as _kernel_arrays: the block the kernel wrote, of which
-        rho, u, w and b are views, theta, and the addresses of the two."""
+        checked and holds nowhere else, not copied or checked."""
         state = cls.__new__(cls)
-        state.__dict__.update(time=time, rho=rho, u=u, w=w, b=b, theta=theta,
-                              _kernel_arrays=kernel_arrays)
+        state.__dict__.update(time=time, rho=rho, u=u, w=w, b=b, theta=theta)
         return state
 
     @property

@@ -241,7 +241,7 @@ _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
     # the constants block, dt, then the arrays (the workspace is solver.step's)
-    "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 9, _SIZE),
+    "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 7, _SIZE),
     "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 3, ctypes.c_int),
     # n, k, dx, the coefficients, the two struct rows with their columns,
     # the dts, the numpy factors and the (rows, k, n) block

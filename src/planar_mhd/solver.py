@@ -194,16 +194,12 @@ def _vacuum_faces(vac):
     return faces
 
 
-_UNFORCED = (None,) * 5
-
-
 def _forcing_terms(forcing, x, t, dt):
     """The forcing terms of one step in field order (rho, u, w, b, e): dt *
     f(x, t) for the first four and f(x, t) for e, which enters the energy
-    source; None where there is no such entry, and _UNFORCED without
-    forcing.  Each entry is called once."""
+    source; None where there is no such entry.  Each entry is called once."""
     if forcing is None:
-        return _UNFORCED
+        return (None,) * 5
     return tuple(None if f is None else scale * f(x, t)
                  for f, scale in ((forcing.rho, dt), (forcing.u, dt), (forcing.w, dt),
                                   (forcing.b, dt), (forcing.e, 1.0)))
@@ -273,21 +269,31 @@ def _constants(grid, params, cfg):
     return kept[3]
 
 
+def _fresh_workspace(grid, params, cfg):
+    """One step's workspace (layout in _pivot.c) and the theta array that
+    conduction_solve writes: (_constants, ws, theta, and the addresses of
+    ws and theta)."""
+    n = grid.n_cells
+    ws, theta = np.empty(20 * n + 11), np.empty(n)
+    return (_constants(grid, params, cfg), ws, theta, operators.address(ws),
+            operators.address(theta))
+
+
 def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     """_numpy_solve in the compiled kernel: one conduction_solve call at
     q_exp = 2, where the kernel evaluates kappa as numpy evaluates theta **
     2.0, and one call per pass on kappa by numpy otherwise.  workspace is
-    step's (_constants, ws, theta, and the addresses of ws and theta),
-    whose ws holds theta_tilde and rho already; without it both go into a
-    fresh one.  The kernel writes the returned theta, an array of its own."""
+    step's _fresh_workspace, whose ws holds theta_tilde and rho already;
+    without it both go into a new one.  The kernel writes the returned
+    theta, an array of its own."""
     kernel, n = operators._KERNEL, grid.n_cells
     if workspace is None:
-        ws, theta = np.empty(20 * n + 11), np.empty(n)
-        ws[_PASSES] = 0.0
-        np.concatenate((theta_tilde, rho), out=ws[_REPORT:_REPORT + 2 * n])
-        workspace = (_constants(grid, params, cfg), ws, theta, operators.address(ws),
-                     operators.address(theta))
+        workspace = _fresh_workspace(grid, params, cfg)
+        workspace[1][_PASSES] = 0.0
+        np.concatenate((theta_tilde, rho), out=workspace[1][_REPORT:_REPORT + 2 * n])
     consts, ws, theta, address, theta_at = workspace
+    if ws.size != 20 * n + 11 or theta.size != n:
+        raise ValueError(f"a workspace of {n} cells needs 20n + 11 and n values")
     if params.q_exp == 2.0:
         code = kernel.conduction_solve(consts[1], dt, None, address, theta_at)
     else:
@@ -303,7 +309,7 @@ def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     return theta, code, int(passes), change, scale
 
 
-def conduction_update(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
+def conduction_update(theta_tilde, rho, dt, grid, params, cfg, _workspace=None):
     """Stage-5 implicit conduction solve (exposed for direct testing).
 
     Picard iteration on (c_v rho/dt)(theta - theta_tilde) = (kappa(theta)
@@ -314,14 +320,16 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     pass is a symmetric M-matrix solve, so the update obeys the discrete
     maximum principle with respect to theta_tilde.  The loop runs in the
     compiled kernel when it is loaded (operators._KERNEL), which evaluates
-    kappa too at q_exp = 2, and as numpy calls otherwise; workspace is
-    step's, for the compiled loop (_compiled_solve).
+    kappa too at q_exp = 2, and as numpy calls otherwise.  _workspace is
+    for step alone, passed by position so that wrappers pass it on: the
+    compiled step's workspace, whose ws holds theta_tilde and rho already
+    and whose addresses the kernel trusts (_compiled_solve).
 
     Returns (theta_new, picard_iterations).
     """
     args = theta_tilde, rho, dt, grid, params, cfg
     theta, code, passes, change, scale = (_numpy_solve(*args) if operators._KERNEL is None
-                                          else _compiled_solve(*args, workspace))
+                                          else _compiled_solve(*args, _workspace))
     if code == _CONVERGED:
         return theta, passes
     if code == _ZERO_PIVOT:  # pragma: no cover - defensive
@@ -405,46 +413,36 @@ def _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol):
 
 def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     """step as one step_explicit call and one conduction_update in one
-    fresh workspace.  The new State owns the block step_explicit writes
-    (rho, u, w, b) and the theta conduction_solve writes, and the next
-    step reads them there (State._kernel_arrays); other States are copied
-    into the workspace.  When a check fails in step_explicit, the numpy
-    stages run again on the same terms, so the error is raised, and
+    fresh workspace, into which the incoming State is copied.  The new
+    State owns the block step_explicit writes (rho, u, w, b) and the theta
+    conduction_solve writes.  When a check fails in step_explicit, the
+    numpy stages run again on the same terms, so the error is raised, and
     worded, where they raise it."""
     n = grid.n_cells
-    consts = _constants(grid, params, cfg)
-    ws, block, theta = np.empty(20 * n + 11), np.empty(6 * n), np.empty(n)
-    address, block_at = operators.address(ws), operators.address(block)
-    theta_at = operators.address(theta)
-    # set by _trusted; a pickled or deep copy of the State fails the identity checks
-    kept = state.__dict__.get("_kernel_arrays")
-    if kept and state.rho.base is kept[0] and state.theta is kept[1] and kept[1].size == n:
-        source, theta0 = kept[2], kept[3]
-    else:
-        np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
-                       out=ws[_REPORT + 2 * n:_REPORT + 9 * n])
-        source, theta0 = address + 8 * (_REPORT + 2 * n), address + 8 * (_REPORT + 8 * n)
-    forced = terms if terms is _UNFORCED else [
-        None if term is None else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=float)
-        for term, shape in zip(terms, ((n,), (n,), (n, 2), (n, 2), (n,)))]
-    pointers = terms if terms is _UNFORCED else [None if f is None else f.ctypes.data
-                                                 for f in forced]
-    clipped = kernel.step_explicit(consts[1], dt, *pointers, source, theta0, address, block_at)
+    workspace = _fresh_workspace(grid, params, cfg)
+    consts, ws, theta, address, _ = workspace
+    block = np.empty(6 * n)
+    np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
+                   out=ws[_REPORT + 2 * n:_REPORT + 9 * n])
+    forced = [None if term is None
+              else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=np.float64)
+              for term, shape in zip(terms, ((n,), (n,), (n, 2), (n, 2), (n,)))]
+    clipped = kernel.step_explicit(consts[1], dt, *(None if f is None else f.ctypes.data
+                                                    for f in forced),
+                                   address, operators.address(block))
     if clipped < 0:
         _explicit_stages(state, dt, grid, params, cfg, terms, float(ws[_SCALE_TOL]))
         raise RuntimeError("the compiled step failed a check that the numpy step passes")
     block.setflags(write=False)  # and so every view of it
     theta1, iters = conduction_update(ws[_REPORT:_REPORT + n], block[:n], dt, grid, params, cfg,
-                                      (consts, ws, theta, address, theta_at))
+                                      workspace)
     # the kernel reports min(0, theta), NaN if not finite, for the theta it wrote
-    kept = (block, theta, block_at, theta_at)
     if theta1 is not theta or not ws[_LOWEST] == 0.0:
         theta1 = _require_nonnegative(theta1, float(ws[_SCALE_TOL]),
                                       "temperature (post conduction)", "stage 5 (conduction)")
     theta1.setflags(write=False)
     pairs = block.reshape(3, n, 2)  # [1] and [2] are w and b
-    new = State._trusted(state.time + dt, block[:n], block[n:2 * n], pairs[1], pairs[2], theta1,
-                         kept if theta1 is theta else None)
+    new = State._trusted(state.time + dt, block[:n], block[n:2 * n], pairs[1], pairs[2], theta1)
     return new, StepReport(dt, iters, clipped)
 
 

@@ -313,8 +313,9 @@ def test_the_compiled_formatter_writes_what_python_writes():
 
 @pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
 def test_the_compiled_formatter_ignores_the_numeric_locale():
-    # its digits come from snprintf, whose radix character follows
-    # LC_NUMERIC; a locale with a decimal comma must not show in the rows
+    # outside the exact range its digits come from snprintf, whose radix
+    # character follows LC_NUMERIC, and the layout is built in C; a locale
+    # with a decimal comma must not show in the rows
     previous = locale.setlocale(locale.LC_NUMERIC)
     for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8"):
         try:
