@@ -498,3 +498,10 @@ def test_two_threads_stepping_at_once_give_the_bits_of_one_after_the_other():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert together == alone
+
+
+def test_a_workspace_of_the_wrong_size_is_refused_before_the_kernel_runs():
+    grid, params, cfg = Grid(16), PhysParams(), SchemeConfig()
+    small = solver._fresh_workspace(Grid(8), params, cfg)
+    with pytest.raises(ValueError, match=r"a workspace of 16 cells needs 20n \+ 11 and n values"):
+        conduction_update(np.linspace(0.5, 2.0, 16), np.ones(16), 1e-3, grid, params, cfg, small)
