@@ -274,7 +274,7 @@ def _fresh_workspace(grid, params, cfg):
     conduction_solve writes: (_constants, ws, theta, and the addresses of
     ws and theta)."""
     n = grid.n_cells
-    ws, theta = np.empty(20 * n + 11), np.empty(n)
+    ws, theta = np.empty(25 * n + 13), np.empty(n)
     return (_constants(grid, params, cfg), ws, theta, operators.address(ws),
             operators.address(theta))
 
@@ -292,8 +292,8 @@ def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
         workspace[1][_PASSES] = 0.0
         np.concatenate((theta_tilde, rho), out=workspace[1][_REPORT:_REPORT + 2 * n])
     consts, ws, theta, address, theta_at = workspace
-    if ws.size != 20 * n + 11 or theta.size != n:
-        raise ValueError(f"a workspace of {n} cells needs 20n + 11 and n values")
+    if ws.size != 25 * n + 13 or theta.size != n:
+        raise ValueError(f"a workspace of {n} cells needs 25n + 13 and n values")
     if params.q_exp == 2.0:
         code = kernel.conduction_solve(consts[1], dt, None, address, theta_at)
     else:

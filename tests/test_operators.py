@@ -423,6 +423,20 @@ def test_kernel_flags_keep_the_numpy_bits():
         assert flag not in operators._CFLAGS
 
 
+def test_kernel_flags_change_neither_values_nor_the_instruction_set():
+    # -fno-math-errno only stops sqrt from setting errno; each flag below
+    # lets gcc change a value (contraction, reassociation, reciprocals,
+    # assumed finite operands or unsigned zeros, narrow complex ranges) or build
+    # for an instruction set other than the baseline
+    flags = operators._CFLAGS
+    assert [f for f in flags if f.startswith("-ffp-contract=")] == ["-ffp-contract=off"]
+    value_changing = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                      "-fassociative-math", "-freciprocal-math", "-ffinite-math-only",
+                      "-fno-signed-zeros", "-fcx-limited-range"}
+    assert not value_changing & set(flags)
+    assert not [f for f in flags if f.startswith(("-march=", "-mavx", "-mfma"))]
+
+
 def test_kernel_calls_no_libm_function_but_sqrt():
     # numpy's pow, exp and log loops need not give libm's bits; sqrt is
     # correctly rounded, so it is the one libm call the kernels may make
