@@ -12,11 +12,11 @@
    not finite, so that Python scans it only to clip or to fail.
    solver.step stays one call per step, into these two, because perfbench's
    step counter, its tracer and the tests count and wrap those calls.
-   residual_rows, norm_rows and ledger_rows write the integrands of
-   solver.consistency_residuals, diagnostics.norm_suite and
-   diagnostics.dissipation_ledger for the columns of a diagnostics window;
-   numpy sums them.  format_rows writes the rows of diagnostics.csv and of
-   the state tables as Python's %.17g does, independent of the locale.
+   fold_rows writes a diagnostics window's integrands, phi and extrema in
+   one call; numpy sums them and evaluates every pow, log and exp (a flush:
+   0.65 -> 0.55 ms at n = 128, 1.19 -> 0.94 ms at n = 2048; README).
+   format_rows writes the rows of diagnostics.csv and of the state tables
+   as Python's %.17g does, independent of the locale.
 
    The pivot recursion lives in three places, each written so that the
    work that does not wait for its chain of divisions runs beside it:
@@ -68,6 +68,14 @@
 /* Inlined always, so that the constant `wall` and component counts of
    each call fold into the caller's loop. */
 #define INLINE static inline __attribute__((always_inline))
+
+/* Built also for AVX2 and AVX-512F on x86-64, the clone picked when the library
+   loads: the same correctly rounded operations in wider lanes, the same bits. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define WIDE __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define WIDE
+#endif
 
 /* Runs the statement for i = 0, ..., count - 1 with `wall` a constant: 0
    for the interior, 1 at the two edges i = 0 and count - 1, which run
@@ -143,12 +151,21 @@ INLINE void pick(double *out, int cond, double yes, double no)
         *out = yes;
 }
 
+/* x / d for d = dx, 2 dx or dx^2.  With exact set, dx is a power of two,
+   so 1 / d is exact and x times it has the quotient's bits: the fold's
+   copy of its loops for such n multiplies instead (fold_rows). */
+INLINE double by(double x, double d, int exact)
+{
+    return exact ? x * (1.0 / d) : x / d;
+}
+
 /* operators.cell_grad at cell i, component c: the central difference
    over the ghost-extended field. */
 INLINE double grad(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i, ptrdiff_t c,
-                   int odd, double dx, int wall)
+                   int odd, double dx, int wall, int exact)
 {
-    return (at(f, n, k, i + 1, c, odd, wall) - at(f, n, k, i - 1, c, odd, wall)) / (2.0 * dx);
+    return by(at(f, n, k, i + 1, c, odd, wall) - at(f, n, k, i - 1, c, odd, wall), 2.0 * dx,
+              exact);
 }
 
 /* operators.face_average on the n+1 faces. */
@@ -389,7 +406,7 @@ static void solve_factored(ptrdiff_t n, const double *restrict off, const double
    terms already scaled (dt f, and f for the energy), or NULL.  Returns
    the number of cells whose theta_tilde was negative before the clip, or
    -1 when a check of the step fails; the numpy stages then say which. */
-ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
+WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
                         const double *force_u, const double *force_w, const double *force_b,
                         const double *force_e, double *ws, double *out)
 {
@@ -437,7 +454,7 @@ ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
     upwind_flux(n, 1, uf, tilde_u, flux);
     FOR_EDGED(i, n, {
         double m = tilde_u[i] - dt * div_faces(flux, 1, i, 0, dx)
-                   - dt * grad(ptot, n, 1, i, 0, 0, dx, wall);
+                   - dt * grad(ptot, n, 1, i, 0, 0, dx, wall, 0);
         if (force_u)
             m = m + force_u[i];
         pick(&tilde_u[i], rho1[i] <= vacuum_rho, 0.0, m / rho1[i]);
@@ -504,7 +521,7 @@ ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
     });
     double *source = pu;  /* free since u and w are solved */
     FOR_EDGED(i, n, {
-        double u_x = grad(u1, n, 1, i, 0, 1, dx, wall);
+        double u_x = grad(u1, n, 1, i, 0, 1, dx, wall, 0);
         source[i] = 0.5 * (heat[i] + heat[i + 1]) - gas_R * rho1[i] * th0[i] * u_x;
         if (force_e)
             source[i] = source[i] + force_e[i];
@@ -548,7 +565,7 @@ INLINE double kappa_of(const double *kappa, const double *theta_k, ptrdiff_t i, 
    walls and at faces touching vacuum) and cell i's row of the Laplacian
    before its pivot, and the back substitution computes theta, the change
    and the scale of each cell as it solves it. */
-int conduction_solve(const double *k, double dt, const double *kappa, double *ws,
+WIDE int conduction_solve(const double *k, double dt, const double *kappa, double *ws,
                      double *theta)
 {
     ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
@@ -612,24 +629,52 @@ int conduction_solve(const double *k, double dt, const double *kappa, double *ws
 }
 
 /* ------------------------------------------------------------------------
-   Diagnostics integrands.  The fields of the K states of a window
-   (diagnostics._Stack) lie as rows: rho, u, theta, p and kappa are K x n,
-   w and b K x n x 2; p and kappa are the stack's pressure(params) and
-   kappa(params), evaluated by numpy.  Each entry reads k columns of them,
-   after column cols_a[j] and before column cols_b[j] with step dts[j], and
-   writes row r of column j at out[(r * k + j) * n + i]; the caller sums
-   each row.  Every cell loop is a FOR_EDGED one, so its interior runs two
-   cells per SSE2 instruction, divisions and square roots included. */
+   The diagnostics fold (diagnostics._fold).  The fields of the window's K
+   states (diagnostics._Stack) lie as rows, rho, u and theta K x n, w and b
+   K x n x 2.  Step j reads the after column cols_a[j] against the before
+   column cols_b[j] with step dts[j]; record d is step due[d].  A part
+   whose pointer is NULL is skipped; row r of step j of a part lies at
+   part + (r * steps + j) * n, of record d at record + (r * records + d) * n:
+   - residual, 2 rows: the squares of solver.consistency_residuals'
+     r_mag and r_pressure, with faces 2 (n + 1) doubles of scratch;
+   - ledger, 6 rows: the integrands of diagnostics.dissipation_ledger;
+   - phi, W x n: from phi0, each step's potential, the one before it plus
+     ptilde of its before column times dt; without phi0 it is read;
+   - record, 20 rows: the integrands of diagnostics.norm_suite, the square
+     of phi_momentum_residual's defect, and those of total_mass,
+     total_energy and entropy_functional;
+   - extrema, 3 x W: the max of rho and the min and max of theta at each
+     after column, NaN once one is NaN, as numpy's max and min give them.
+   P is gas_R * rho * theta as model.pressure forms it.  From numpy, by
+   step: kappa(theta), theta_safe = max(theta, THETA_FLOOR) and its powers
+   ** alpha, ** q_exp and ** (1 + alpha); by record: theta ** (q_exp + 2)
+   and np.log of rho and of theta. */
 struct rows {
-    const double *rho, *u, *w, *b, *theta, *p, *kappa;
+    const double *rho, *u, *w, *b, *theta;
+};
+
+struct fold {
+    ptrdiff_t n, steps, records;
+    double dx, lambda, mu, nu, gas_R, c_v;
+    const struct rows *bef, *aft;
+    const ptrdiff_t *cols_b, *cols_a, *due;
+    const double *dts, *kappa, *theta_safe, *pow_alpha, *pow_q, *pow_1_alpha, *theta_q2,
+        *log_rho, *log_theta, *phi0;
+    double *phi, *residual, *faces, *ledger, *record, *extrema;
 };
 
 /* Column c of struct rows on n cells. */
 static struct rows column(const struct rows *r, ptrdiff_t c, ptrdiff_t n)
 {
     struct rows col = {r->rho + c * n, r->u + c * n, r->w + 2 * c * n, r->b + 2 * c * n,
-                       r->theta + c * n, r->p + c * n, r->kappa + c * n};
+                       r->theta + c * n};
     return col;
+}
+
+/* P at cell i of column r, a ghost where wall is set (even reflection). */
+INLINE double pressure(const struct fold *f, const struct rows *r, ptrdiff_t i, int wall)
+{
+    return f->gas_R * at(r->rho, f->n, 1, i, 0, 0, wall) * at(r->theta, f->n, 1, i, 0, 0, wall);
 }
 
 INLINE double square(double f)
@@ -648,12 +693,12 @@ INLINE double length_sq(double v0, double v1)
 /* operators.second_diff_onesided at cell i, component c; only the wall
    cells take the one-sided copies. */
 INLINE double onesided(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i, ptrdiff_t c,
-                       double dx, int wall)
+                       double dx, int wall, int exact)
 {
     if (wall && i == 0)
-        return (f[c] - 2.0 * f[k + c] + f[2 * k + c]) / (dx * dx);
+        return by(f[c] - 2.0 * f[k + c] + f[2 * k + c], dx * dx, exact);
     ptrdiff_t m = wall && i >= n - 1 ? n - 2 : i;
-    return (f[(m + 1) * k + c] - 2.0 * f[m * k + c] + f[(m - 1) * k + c]) / (dx * dx);
+    return by(f[(m + 1) * k + c] - 2.0 * f[m * k + c] + f[(m - 1) * k + c], dx * dx, exact);
 }
 
 /* u b - w of solver.consistency_residuals at cell i (a ghost where wall
@@ -666,90 +711,126 @@ INLINE double induction(const double *u, const double *w, const double *b, ptrdi
     return wall && (i < 0 || i >= n) ? -v : v;
 }
 
+/* The derivatives of cell i in the cell loops below. */
+#define D1(g, k, c, odd) grad(g, n, k, i, c, odd, dx, wall, exact)
+#define D2(g, k, c) onesided(g, n, k, i, c, dx, wall, exact)
+
 /* b . b_x on face j and the flux u P - (gas_R / c_v) kappa theta_x on
    face j, as solver.consistency_residuals forms them. */
-INLINE void residual_face(const struct rows *a, ptrdiff_t n, ptrdiff_t j, double dx,
-                          double r_over_cv, int wall, double *bbx, double *flux)
+INLINE void residual_face(const struct fold *f, const struct rows *a, const double *kappa,
+                          ptrdiff_t j, int wall, int exact, double *bbx, double *flux)
 {
+    ptrdiff_t n = f->n;
+    double dx = f->dx;
     for (ptrdiff_t c = 0; c < 2; c++) {
         double left = at(a->b, n, 2, j - 1, c, 1, wall), right = at(a->b, n, 2, j, c, 1, wall);
-        double term = 0.5 * (left + right) * ((right - left) / dx);
+        double term = 0.5 * (left + right) * by(right - left, dx, exact);
         *bbx = c ? *bbx + term : term;
     }
-    double cond = 0.5 * (at(a->kappa, n, 1, j - 1, 0, 0, wall) + at(a->kappa, n, 1, j, 0, 0, wall))
-                  * ((at(a->theta, n, 1, j, 0, 0, wall) - at(a->theta, n, 1, j - 1, 0, 0, wall))
-                     / dx);
+    double cond = 0.5 * (at(kappa, n, 1, j - 1, 0, 0, wall) + at(kappa, n, 1, j, 0, 0, wall))
+                  * by(at(a->theta, n, 1, j, 0, 0, wall) - at(a->theta, n, 1, j - 1, 0, 0, wall),
+                       dx, exact);
     *flux = 0.5 * (at(a->u, n, 1, j - 1, 0, 1, wall) + at(a->u, n, 1, j, 0, 1, wall))
-            * (0.5 * (at(a->p, n, 1, j - 1, 0, 0, wall) + at(a->p, n, 1, j, 0, 0, wall)))
-            - r_over_cv * cond;
+            * (0.5 * (pressure(f, a, j - 1, wall) + pressure(f, a, j, wall)))
+            - f->gas_R / f->c_v * cond;
 }
 
-/* The squares of r_mag and r_pressure of solver.consistency_residuals:
-   rows 0 and 1.  Each cell computes both of its faces, so no value is
-   carried from one cell to the next. */
-void residual_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
-                   double nu, double gas_R, double c_v, const struct rows *bef,
-                   const ptrdiff_t *cols_b, const struct rows *aft,
-                   const ptrdiff_t *cols_a, const double *dts, double *restrict out)
+/* The residual part of step j: its n + 1 faces first, then its cells. */
+INLINE void residual_step(const struct fold *f, const struct rows *a, const struct rows *z,
+                          ptrdiff_t j, double *restrict r_mag, double *restrict r_pre,
+                          int exact)
 {
-    double r_over_cv = gas_R / c_v;
-    for (ptrdiff_t j = 0; j < k; j++) {
-        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
-        const double *u = a.u, *w = a.w, *b = a.b, *p = a.p, *b0 = z.b, *p0 = z.p;
-        double dt = dts[j];
-        double *r_mag = out + j * n, *r_pre = out + (k + j) * n;
-        FOR_EDGED(i, n, {
-            double bbx, flux, bbx_next, flux_next;
-            residual_face(&a, n, i, dx, r_over_cv, wall, &bbx, &flux);
-            residual_face(&a, n, i + 1, dx, r_over_cv, wall, &bbx_next, &flux_next);
-            double b_sq = b[2 * i] * b[2 * i] + b[2 * i + 1] * b[2 * i + 1];
-            double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
-            double advect = 0.0, bx[2], wx[2];
-            for (ptrdiff_t c = 0; c < 2; c++) {
-                double g = (induction(u, w, b, n, i + 1, c, wall)
-                            - induction(u, w, b, n, i - 1, c, wall)) / (2.0 * dx);
-                advect = c ? advect + b[2 * i + c] * g : b[2 * i + c] * g;
-                bx[c] = grad(b, n, 2, i, c, 1, dx, wall);
-                wx[c] = grad(w, n, 2, i, c, 1, dx, wall);
-            }
-            double rm = 0.5 * (b_sq - b0_sq) / dt + advect - nu * ((bbx_next - bbx) / dx)
-                        + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
-            double ux = grad(u, n, 1, i, 0, 1, dx, wall);
-            double mech = lambda * ux * ux + mu * (wx[0] * wx[0] + wx[1] * wx[1])
-                          + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
-            double rp = (p[i] - p0[i]) / dt + (flux_next - flux) / dx
-                        - r_over_cv * (mech - p[i] * ux);
-            r_mag[i] = rm * rm;
-            r_pre[i] = rp * rp;
-        });
-    }
+    ptrdiff_t n = f->n;
+    double dx = f->dx, dt = f->dts[j], nu = f->nu, r_over_cv = f->gas_R / f->c_v;
+    const double *u = a->u, *w = a->w, *b = a->b, *b0 = z->b, *kappa = f->kappa + j * n;
+    double *restrict bbx = f->faces, *restrict flux = f->faces + n + 1;
+    FOR_EDGED(i, n + 1, residual_face(f, a, kappa, i, wall, exact, bbx + i, flux + i));
+    FOR_EDGED(i, n, {
+        double p = pressure(f, a, i, 0);
+        double b_sq = b[2 * i] * b[2 * i] + b[2 * i + 1] * b[2 * i + 1];
+        double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
+        double advect = 0.0, bx[2], wx[2];
+        for (ptrdiff_t c = 0; c < 2; c++) {
+            double g = by(induction(u, w, b, n, i + 1, c, wall)
+                          - induction(u, w, b, n, i - 1, c, wall), 2.0 * dx, exact);
+            advect = c ? advect + b[2 * i + c] * g : b[2 * i + c] * g;
+            bx[c] = D1(b, 2, c, 1);
+            wx[c] = D1(w, 2, c, 1);
+        }
+        double rm = 0.5 * (b_sq - b0_sq) / dt + advect - nu * by(bbx[i + 1] - bbx[i], dx, exact)
+                    + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
+        double ux = D1(u, 1, 0, 1);
+        double mech = f->lambda * ux * ux + f->mu * (wx[0] * wx[0] + wx[1] * wx[1])
+                      + nu * (bx[0] * bx[0] + bx[1] * bx[1]);
+        double rp = (p - pressure(f, z, i, 0)) / dt + by(flux[i + 1] - flux[i], dx, exact)
+                    - r_over_cv * (mech - p * ux);
+        r_mag[i] = rm * rm;
+        r_pre[i] = rp * rp;
+    });
 }
 
-/* Row r of norm_rows for after column a and before column z. */
-static void norm_row(int r, ptrdiff_t n, double dx, double dt, double c_v,
-                     const struct rows *a, const struct rows *z, const double *tq2,
-                     const double *phi, double *restrict row)
+/* The ledger part of step j, each row its own restrict pointer so that
+   gcc knows they do not overlap. */
+INLINE void ledger_step(const struct fold *f, const struct rows *a, ptrdiff_t j, int exact,
+                        double *restrict ux2_row, double *restrict wx2_row,
+                        double *restrict bx2_row, double *restrict heat_row,
+                        double *restrict weighted_row, double *restrict entropy_row)
 {
-    const double *rho = a->rho, *u = a->u, *w = a->w, *b = a->b, *theta = a->theta;
+    ptrdiff_t n = f->n;
+    double dx = f->dx;
+    const double *u = a->u, *w = a->w, *b = a->b, *theta = a->theta, *kappa = f->kappa + j * n,
+                 *ts = f->theta_safe + j * n, *ta = f->pow_alpha + j * n,
+                 *tq = f->pow_q + j * n, *t1a = f->pow_1_alpha + j * n;
+    FOR_EDGED(i, n, {
+        double ux = D1(u, 1, 0, 1), tx = D1(theta, 1, 0, 0);
+        double wx0 = D1(w, 2, 0, 1), wx1 = D1(w, 2, 1, 1), bx0 = D1(b, 2, 0, 1),
+               bx1 = D1(b, 2, 1, 1);
+        double ux2 = ux * ux, wx2 = wx0 * wx0 + wx1 * wx1, bx2 = bx0 * bx0 + bx1 * bx1;
+        double ratio = tx / ts[i];
+        double heat = kappa[i] * ratio * ratio;
+        double mech = f->lambda * ux2 + f->mu * wx2 + f->nu * bx2;
+        ux2_row[i] = ux2;
+        wx2_row[i] = wx2;
+        bx2_row[i] = bx2;
+        heat_row[i] = heat;
+        weighted_row[i] = mech / ta[i] + (1.0 + tq[i]) * tx * tx / t1a[i];
+        entropy_row[i] = mech / ts[i] + heat;
+    });
+}
+
+/* numpy's maximum (sign 1) or minimum (sign -1): NaN once either is. */
+INLINE double extreme(double m, double v, double sign)
+{
+    return m != m || sign * m >= sign * v ? m : v;
+}
+
+INLINE void record_row(int r, const struct fold *f, ptrdiff_t d, const struct rows *a,
+                       const struct rows *z, double *restrict row, int exact)
+{
+    ptrdiff_t n = f->n, j = f->due[d];
+    double dx = f->dx, dt = f->dts[j];
+    const double *rho = a->rho, *u = a->u, *w = a->w, *b = a->b, *theta = a->theta,
+                 *tq2 = f->theta_q2 + d * n, *phi = f->phi + j * n,
+                 *lr = f->log_rho + d * n, *lt = f->log_theta + d * n;
 #define ROW(...) FOR_EDGED(i, n, row[i] = (__VA_ARGS__)); break
     switch (r) {
     case 0:
         ROW(length_sq((b[2 * i] - z->b[2 * i]) / dt, (b[2 * i + 1] - z->b[2 * i + 1]) / dt));
     case 1:
-        ROW(length_sq(grad(b, n, 2, i, 0, 1, dx, wall), grad(b, n, 2, i, 1, 1, dx, wall)));
+        ROW(length_sq(D1(b, 2, 0, 1), D1(b, 2, 1, 1)));
     case 2:
-        ROW(length_sq(onesided(b, n, 2, i, 0, dx, wall), onesided(b, n, 2, i, 1, dx, wall)));
+        ROW(length_sq(D2(b, 2, 0), D2(b, 2, 1)));
     case 3:
-        ROW(square(a->kappa[i] * grad(theta, n, 1, i, 0, 0, dx, wall)));
+        ROW(square(f->kappa[j * n + i] * D1(theta, 1, 0, 0)));
     case 4:
-        ROW(a->p[i] * a->p[i]);
+        ROW(square(pressure(f, a, i, 0)));
     case 5:
         ROW(square((rho[i] - z->rho[i]) / dt));
     case 6:
         ROW(rho[i] * tq2[i]);
     case 7:  /* np.gradient: one-sided first differences at the walls */
-        ROW(square(!wall ? (rho[i + 1] - rho[i - 1]) / (2.0 * dx)
-                   : i == 0 ? (rho[1] - rho[0]) / dx : (rho[n - 1] - rho[n - 2]) / dx));
+        ROW(square(!wall ? by(rho[i + 1] - rho[i - 1], 2.0 * dx, exact)
+                   : by(i == 0 ? rho[1] - rho[0] : rho[n - 1] - rho[n - 2], dx, exact)));
     case 8:
         ROW(square(sqrt(rho[i]) * ((theta[i] - z->theta[i]) / dt)));
     case 9:
@@ -758,101 +839,80 @@ static void norm_row(int r, ptrdiff_t n, double dx, double dt, double c_v,
         ROW(length_sq(sqrt(rho[i]) * ((w[2 * i] - z->w[2 * i]) / dt),
                       sqrt(rho[i]) * ((w[2 * i + 1] - z->w[2 * i + 1]) / dt)));
     case 11:
-        ROW(square(onesided(theta, n, 1, i, 0, dx, wall)));
+        ROW(square(D2(theta, 1, 0)));
     case 12:
-        ROW(square(grad(u, n, 1, i, 0, 1, dx, wall)));
+        ROW(square(D1(u, 1, 0, 1)));
     case 13:
-        ROW(square(onesided(u, n, 1, i, 0, dx, wall)));
+        ROW(square(D2(u, 1, 0)));
     case 14:
-        ROW(length_sq(grad(w, n, 2, i, 0, 1, dx, wall), grad(w, n, 2, i, 1, 1, dx, wall)));
+        ROW(length_sq(D1(w, 2, 0, 1), D1(w, 2, 1, 1)));
     case 15:
-        ROW(length_sq(onesided(w, n, 2, i, 0, dx, wall), onesided(w, n, 2, i, 1, dx, wall)));
+        ROW(length_sq(D2(w, 2, 0), D2(w, 2, 1)));
     case 16:
-        ROW(rho[i]);
+        ROW(square(D1(phi, 1, 0, 0) - rho[i] * u[i]));
     case 17:
-        ROW(rho[i] * (c_v * theta[i] + 0.5 * (u[i] * u[i] + (w[2 * i] * w[2 * i]
-                                                             + w[2 * i + 1] * w[2 * i + 1])))
+        ROW(rho[i]);
+    case 18:
+        ROW(rho[i] * (f->c_v * theta[i] + 0.5 * (u[i] * u[i] + (w[2 * i] * w[2 * i]
+                                                                + w[2 * i + 1] * w[2 * i + 1])))
             + 0.5 * (b[2 * i] * b[2 * i] + b[2 * i + 1] * b[2 * i + 1]));
-    default:
-        ROW(square(grad(phi, n, 1, i, 0, 0, dx, wall) - rho[i] * u[i]));
+    default:  /* a cell with rho > 0 and not theta > 0 makes the entropy +inf */
+        ROW(!(rho[i] > 0.0) ? 0.0 : theta[i] > 0.0 ? rho[i] * (lr[i] + fabs(lt[i])) : INFINITY);
     }
 #undef ROW
 }
 
-/* The sixteen integrands of diagnostics.norm_suite in its order, rows
-   0-15: squares, but row 6, rho theta^(q_exp + 2), with theta_q2 the
-   stack's theta ** (q_exp + 2) from numpy.  With phi (k x n, column j's
-   potential) not NULL, rows 16-18 are the integrands of total_mass,
-   total_energy and the square of phi_momentum_residual's defect.  Each
-   row is written in one sweep: rows k * n doubles apart, written side by
-   side, would share cache sets. */
-void norm_rows(ptrdiff_t n, ptrdiff_t k, double dx, double c_v, const struct rows *bef,
-               const ptrdiff_t *cols_b, const struct rows *aft, const ptrdiff_t *cols_a,
-               const double *dts, const double *theta_q2, const double *phi, double *out)
+/* Every part of struct fold.  Each record row is written in one sweep:
+   rows D * n doubles apart, written side by side, would share cache sets. */
+INLINE void fold_all(const struct fold *f, int exact)
 {
-    int rows = phi ? 19 : 16;
-    for (ptrdiff_t j = 0; j < k; j++) {
-        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
-        const double *tq2 = theta_q2 + cols_a[j] * n, *phi_j = phi ? phi + j * n : NULL;
-        for (int r = 0; r < rows; r++)
-            norm_row(r, n, dx, dts[j], c_v, &a, &z, tq2, phi_j, out + (r * k + j) * n);
+    ptrdiff_t n = f->n, w = f->steps, next = w * n;
+    for (ptrdiff_t j = 0; j < w; j++) {
+        struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
+        if (f->residual)
+            residual_step(f, &a, &z, j, f->residual + j * n, f->residual + (w + j) * n, exact);
+        if (f->ledger) {
+            double *row = f->ledger + j * n;
+            ledger_step(f, &a, j, exact, row, row + next, row + 2 * next, row + 3 * next,
+                        row + 4 * next, row + 5 * next);
+        }
+        const double *rho0 = z.rho, *u0 = z.u, *b0 = z.b,
+                     *restrict before = j ? f->phi + (j - 1) * n : f->phi0;
+        double *restrict phi = f->phi + j * n;
+        if (f->phi0)  /* as DiagnosticsAccumulator.update adds the increments */
+            FOR_EDGED(i, n, {
+                double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
+                double ptilde = f->lambda * grad(u0, n, 1, i, 0, 1, f->dx, wall, exact)
+                                - rho0[i] * u0[i] * u0[i] - pressure(f, &z, i, 0) - 0.5 * b0_sq;
+                phi[i] = before[i] + ptilde * f->dts[j];
+            });
+        /* the extrema over two chains of alternate cells, which overlap */
+        double e[2][3] = {{a.rho[0], a.theta[0], a.theta[0]},
+                          {a.rho[n - 1], a.theta[n - 1], a.theta[n - 1]}};
+        for (ptrdiff_t i = 1; i + 1 < n; i += 2)
+            for (int c = 0; c < 2; c++)
+                for (int q = 0; q < 3; q++)
+                    e[c][q] = extreme(e[c][q], (q ? a.theta : a.rho)[i + c], q == 1 ? -1 : 1);
+        for (int q = 0; q < 3; q++)
+            f->extrema[q * w + j] = extreme(e[0][q], e[1][q], q == 1 ? -1 : 1);
+    }
+    for (ptrdiff_t d = 0; d < f->records; d++) {
+        ptrdiff_t j = f->due[d];
+        struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
+        for (int r = 0; r < 20; r++)
+            record_row(r, f, d, &a, &z, f->record + (r * f->records + d) * n, exact);
     }
 }
 
-/* The rows of ledger_rows for after column a and before column z, each
-   row its own restrict pointer so that gcc knows they do not overlap. */
-static void ledger_column(ptrdiff_t n, double dx, double lambda, double mu, double nu,
-                          double dt, const struct rows *a, const struct rows *z,
-                          const double *ts, const double *ta, const double *tq,
-                          const double *t1a, double *restrict ux2_row,
-                          double *restrict wx2_row, double *restrict bx2_row,
-                          double *restrict heat_row, double *restrict weighted_row,
-                          double *restrict entropy_row, double *restrict phi_row)
+WIDE void fold_rows(const struct fold *f)
 {
-    const double *u = a->u, *w = a->w, *b = a->b, *theta = a->theta, *kappa = a->kappa,
-                 *rho0 = z->rho, *u0 = z->u, *b0 = z->b, *p0 = z->p;
-    FOR_EDGED(i, n, {
-        double ux = grad(u, n, 1, i, 0, 1, dx, wall), tx = grad(theta, n, 1, i, 0, 0, dx, wall);
-        double wx0 = grad(w, n, 2, i, 0, 1, dx, wall), wx1 = grad(w, n, 2, i, 1, 1, dx, wall);
-        double bx0 = grad(b, n, 2, i, 0, 1, dx, wall), bx1 = grad(b, n, 2, i, 1, 1, dx, wall);
-        double ux2 = ux * ux, wx2 = wx0 * wx0 + wx1 * wx1, bx2 = bx0 * bx0 + bx1 * bx1;
-        double ratio = tx / ts[i];
-        double heat = kappa[i] * ratio * ratio;
-        double mech = lambda * ux2 + mu * wx2 + nu * bx2;
-        ux2_row[i] = ux2;
-        wx2_row[i] = wx2;
-        bx2_row[i] = bx2;
-        heat_row[i] = heat;
-        weighted_row[i] = mech / ta[i] + (1.0 + tq[i]) * tx * tx / t1a[i];
-        entropy_row[i] = mech / ts[i] + heat;
-        double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
-        double ptilde = lambda * grad(u0, n, 1, i, 0, 1, dx, wall) - rho0[i] * u0[i] * u0[i]
-                        - p0[i] - 0.5 * b0_sq;
-        phi_row[i] = ptilde * dt;
-    });
+    if ((f->n & (f->n - 1)) == 0)
+        fold_all(f, 1);
+    else
+        fold_all(f, 0);
 }
-
-/* The six integrands of diagnostics.dissipation_ledger in its order, rows
-   0-5, with theta_safe = max(theta, THETA_FLOOR) and its powers
-   theta_safe ** alpha, ** q_exp and ** (1 + alpha) from numpy, all K x n.
-   Row 6 is the phi increment of the update, ptilde of the before column
-   times dt. */
-void ledger_rows(ptrdiff_t n, ptrdiff_t k, double dx, double lambda, double mu,
-                 double nu, const struct rows *bef, const ptrdiff_t *cols_b,
-                 const struct rows *aft, const ptrdiff_t *cols_a, const double *dts,
-                 const double *theta_safe, const double *pow_alpha, const double *pow_q,
-                 const double *pow_1_alpha, double *out)
-{
-    ptrdiff_t next = k * n;
-    for (ptrdiff_t j = 0; j < k; j++) {
-        ptrdiff_t c = cols_a[j] * n;
-        struct rows a = column(aft, cols_a[j], n), z = column(bef, cols_b[j], n);
-        double *row = out + j * n;
-        ledger_column(n, dx, lambda, mu, nu, dts[j], &a, &z, theta_safe + c, pow_alpha + c,
-                      pow_q + c, pow_1_alpha + c, row, row + next, row + 2 * next,
-                      row + 3 * next, row + 4 * next, row + 5 * next, row + 6 * next);
-    }
-}
+#undef D2
+#undef D1
 
 
 /* ------------------------------------------------------------------------

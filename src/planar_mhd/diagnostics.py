@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from operator import attrgetter, itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,12 +51,14 @@ def window_length(n_cells):
 # elementwise or acts along the cell axis 0, and the sums go through
 # column_sums, so a state gets the same bits alone as in a stack.
 #
-# Where the compiled kernel is loaded (operators._KERNEL), the residual, the
-# norm suite and the ledger (with the mass, energy and phi defect of a
-# record and the phi increments of an update) take their integrands from
-# one C pass over the stack's rows (_kernel_block), with P, kappa and every
-# pow from numpy, and numpy sums each integrand row as column_sums does:
-# the same bits as the numpy bodies, which stay as the reference.
+# Where the compiled kernel is loaded (operators._KERNEL), a window's
+# residual, ledger, potentials, norms and record scalars come from one C
+# pass over its stack's rows (_fold), with P, kappa, every pow, the
+# entropy's logs and the monitor's exp from numpy, and numpy sums each
+# integrand row as column_sums does: the same bits as the numpy bodies,
+# which stay as the reference.  flush keeps the pass on the window's
+# stack, where the residual, update and record of its steps read it
+# (_kept); a call on other columns makes a pass of its own.
 
 
 class _Stack(DerivedFields):
@@ -85,6 +89,7 @@ class _Columns:
 
     def __init__(self, whole, picks):
         self._whole, self._picks = whole, picks
+        self._cols = np.arange(len(whole._states))[picks]
         self.n_cells = whole.n_cells
 
     def __getattr__(self, name):  # the fields and the cached derived fields
@@ -105,13 +110,14 @@ def _columns(arrays):
 
 
 def _held(x):
-    """The _Stack that holds x (a State, a _Stack or _Columns of one) and
-    the indices of x's columns in it; a State is stacked alone."""
+    """The _Stack that holds x (a State, a _Stack or _Columns of one), x's
+    columns in it as a slice or a list, and their indices; a State is
+    stacked alone."""
     if isinstance(x, _Columns):
-        return x._whole, np.arange(len(x._whole._states))[x._picks]
+        return x._whole, x._picks, x._cols
     if not isinstance(x, _Stack):
         x = _Stack([x])
-    return x, np.arange(len(x._states))
+    return x, slice(None), np.arange(len(x._states))
 
 
 def _per_state(values, like):
@@ -120,37 +126,93 @@ def _per_state(values, like):
     return values if isinstance(like, (_Stack, _Columns)) else values[:, 0]
 
 
-def _kernel_block(entry, rows, coefficients, before, after, dt, params, factors):
-    """The (rows, k, n) integrand block that kernel `entry` writes for the
-    k columns of after and before, each (stack, columns) of _held, with
-    their (k,) dts (a scalar dt is every column's) and the numpy factors,
-    (K, n) arrays on after's stack or None."""
-    (sb, cols_b), (sa, cols_a) = before, after
+def _at(rows, due):
+    """The rows of the steps due, increasing indices: all of them as they are."""
+    return rows if len(due) == len(rows) else rows[due]
+
+
+def _fold(before, after, dt, params, *, alpha=None, residual=False, due=(), phi0=None,
+          phi=None):
+    """One fold_rows pass over the k pairs of before's and after's columns
+    (each a State, a _Stack or _Columns of one) with their (k,) dts, a
+    scalar dt being every pair's.  It sums the parts asked for: the
+    residual's integrands with residual, the ledger's with alpha, each
+    step's potential from phi0 (the one before the first step), and the
+    records of the steps `due` (None: every one), whose potentials come
+    from phi0 or as the (k, n) rows phi.  The extrema of every after column
+    come always.  Returns the parts as a SimpleNamespace."""
+    (sb, _, cols_b), (sa, picks, cols_a) = _held(before), _held(after)
     n, k = sa.n_cells, len(cols_a)
-    dts = np.ascontiguousarray(np.broadcast_to(np.asarray(dt, dtype=float), (k,)))
-    block = np.empty((rows, k, n))
-    bef, aft = _kernel_rows(sb, params), _kernel_rows(sa, params)
-    getattr(operators._KERNEL, entry)(
-        n, k, 1.0 / n, *coefficients, ctypes.addressof(bef), cols_b.ctypes.data,
-        ctypes.addressof(aft), cols_a.ctypes.data, dts.ctypes.data,
-        *(None if f is None else f.ctypes.data for f in factors), block.ctypes.data)
-    return block
+    dts = np.array(np.broadcast_to(dt, (k,)), dtype=float)
+    due = np.arange(k) if due is None else np.array(due, dtype=np.intp)
+    ends = list(accumulate((2 * k * residual, 6 * k * (alpha is not None), 20 * len(due))))
+    block, extrema = np.empty((ends[2], n)), np.empty((3, k))
+    theta = sa.theta.T[picks]
+    kappa = params.kappa_a + params.kappa_b * theta ** params.q_exp
+    address = operators.address
+    bef = _kernel_rows(sb)
+    aft = bef if sa is sb else _kernel_rows(sa)
+    f = operators._Fold(n, k, len(due), 1.0 / n, params.lambda_visc, params.mu_visc,
+                        params.nu_mag, params.gas_R, params.c_v, ctypes.addressof(bef),
+                        ctypes.addressof(aft), address(cols_b), address(cols_a),
+                        address(due) if len(due) else None, address(dts), address(kappa),
+                        extrema=address(extrema))
+    if residual:
+        faces = np.empty(2 * (n + 1))
+        f.residual, f.faces = address(block), address(faces)
+    if alpha is not None:
+        safe = np.maximum(theta, THETA_FLOOR)
+        powers = (safe, safe ** alpha, safe ** params.q_exp, safe ** (1.0 + alpha))
+        f.theta_safe, f.pow_alpha, f.pow_q, f.pow_1_alpha = map(address, powers)
+        f.ledger = address(block[ends[0]:])
+    if phi0 is not None:
+        phi, f.phi0 = np.empty((k, n)), phi0.ctypes.data
+    elif phi is not None:
+        phi = np.array(phi)
+    if phi is not None:
+        f.phi = address(phi)
+    if len(due):
+        theta_due = _at(theta, due)
+        with np.errstate(divide="ignore", invalid="ignore"):  # vacuum and cold cells
+            factors = (theta_due ** (params.q_exp + 2.0), np.log(_at(sa.rho.T[picks], due)),
+                       np.log(theta_due))
+        f.theta_q2, f.log_rho, f.log_theta = map(address, factors)
+        f.record = address(block[ends[1]:])
+    operators._KERNEL.fold_rows(ctypes.byref(f))
+    sums = block.sum(axis=-1)
+    if phi is not None:
+        phi.setflags(write=False)  # each row may become a mark's potential
+    return SimpleNamespace(
+        cols_b=cols_b, cols_a=cols_a, dts=dts, due=due, params=params, alpha=alpha,
+        phi0=phi0, extrema=extrema, phi=phi, phis=None if phi is None else list(phi),
+        residual=sums[:ends[0]].reshape(2, k) if residual else None,
+        ledger=sums[ends[0]:ends[1]].reshape(6, k) if alpha is not None else None,
+        record=sums[ends[1]:].reshape(20, -1) if len(due) else None)
 
 
-def _kernel_rows(stack, params):
-    """The kernels' struct rows of a stack under params: its fields as
-    (K, n) and (K, n, 2) rows, and its P and kappa from numpy; kept for
-    the last params, as P and kappa are."""
-    kept = stack.__dict__.get("_kernel_rows")
-    if kept is None or kept[0] is not params:
-        arrays = [np.ascontiguousarray(getattr(stack, name).swapaxes(0, 1))
-                  for name in ("rho", "u", "w", "b", "theta")]
-        arrays += [np.ascontiguousarray(stack.pressure(params).T),
-                   np.ascontiguousarray(stack.kappa(params).T)]
-        rows = operators._Rows(*(a.ctypes.data for a in arrays))
-        rows.arrays = arrays  # alive as long as the pointers
-        kept = stack.__dict__["_kernel_rows"] = (params, rows)
-    return kept[1]
+def _kept(before, after, dt, params, part):
+    """The pass that flush made on the window whose columns before and
+    after are, if it made `part` under params and their pairs and dts are
+    those of its steps (of its due steps for the record); else None."""
+    if not (isinstance(before, _Columns) and isinstance(after, _Columns)):
+        return None
+    fold = after._whole.__dict__.get("_fold")
+    if (fold is None or before._whole is not after._whole or fold.params is not params
+            or getattr(fold, part) is None):
+        return None
+    steps = fold.due if part == "record" else slice(None)
+    pairs = zip((_held(before)[2], _held(after)[2], np.asarray(dt, dtype=float)),
+                (fold.cols_b[steps], fold.cols_a[steps], fold.dts[steps]))
+    return fold if all(got.tobytes() == want.tobytes() for got, want in pairs) else None
+
+
+def _kernel_rows(stack):
+    """The kernel's struct rows of a stack: its fields as (K, n) and
+    (K, n, 2) rows."""
+    arrays = [getattr(stack, name).swapaxes(0, 1) for name in ("rho", "u", "w", "b", "theta")]
+    rows = operators._Rows(*map(operators.address, arrays))
+    rows.arrays = arrays  # alive as long as the pointers
+    return rows
 
 
 def _chain(befores, afters):
@@ -224,8 +286,8 @@ def dissipation_ledger(state, dt, grid, params, alpha):
     """
     alpha = check_alpha(alpha, params)
     if operators._KERNEL is not None:
-        sums = _ledger_block(state, state, dt, params, alpha)[:6].sum(axis=-1)
-        return _ledger_totals(_per_state(sums, state), dt, grid.dx, params)
+        sums = _fold(state, state, dt, params, alpha=alpha).ledger
+        return tuple(map(_value, _ledger_totals(_per_state(sums, state), dt, grid.dx, params)))
     ux, wx, bx, tx = state.u_x, state.w_x, state.b_x, state.theta_x
     ux2, wx2, bx2 = ux * ux, dot2(wx, wx), dot2(bx, bx)
     theta_safe = np.maximum(state.theta, THETA_FLOOR)
@@ -235,25 +297,16 @@ def dissipation_ledger(state, dt, grid, params, alpha):
     weighted = (mech / theta_safe ** alpha
                 + (1.0 + theta_safe ** params.q_exp) * tx * tx / theta_safe ** (1.0 + alpha))
     integrands = (ux2, wx2, bx2, heat, weighted, mech / theta_safe + heat)
-    return _ledger_totals([column_sums(f) for f in integrands], dt, grid.dx, params)
+    return tuple(map(_value, _ledger_totals([column_sums(f) for f in integrands], dt, grid.dx,
+                                            params)))
 
 
 def _ledger_totals(sums, dt, dx, params):
-    visc, shear, mag, heat, weighted, production = sums
-    return tuple(_value(dt * integral) for integral in (
-        params.lambda_visc * visc * dx, params.mu_visc * shear * dx,
-        params.nu_mag * mag * dx, heat * dx, weighted * dx, production * dx))
-
-
-def _ledger_block(before, after, dt, params, alpha):
-    """ledger_rows' block: rows 0-5 the ledger's integrands at after's
-    columns, row 6 the phi increments ptilde * dt of before's."""
-    held = _held(after)
-    theta_safe = np.maximum(held[0].theta.T, THETA_FLOOR)
-    factors = (theta_safe, theta_safe ** alpha, theta_safe ** params.q_exp,
-               theta_safe ** (1.0 + alpha))
-    return _kernel_block("ledger_rows", 7, (params.lambda_visc, params.mu_visc, params.nu_mag),
-                         _held(before), held, dt, params, factors)
+    """dt times the six integrals of the ledger's integrand sums, the first
+    three times their coefficients (1.0 * x is x), as one array."""
+    sums = np.asarray(sums)
+    coefficients = np.array((params.lambda_visc, params.mu_visc, params.nu_mag, 1.0, 1.0, 1.0))
+    return dt * (coefficients.reshape((6,) + (1,) * (sums.ndim - 1)) * sums * dx)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +334,11 @@ def phi_momentum_residual(phi, state, grid):
 
 
 def density_bound_monitor(phi, state):
-    """max_i rho_i * exp(phi_i); +inf sentinel on overflow."""
-    with np.errstate(over="ignore"):
+    """max_i rho_i * exp(phi_i); +inf sentinel on overflow.  A vacuum cell
+    (rho = 0) adds 0, also where exp(phi_i) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = state.rho * np.exp(phi)
+    vals[state.rho == 0.0] = 0.0
     return _value(vals.max(axis=0, initial=0.0))
 
 
@@ -320,8 +375,9 @@ def norm_suite(state_before, state_after, dt, grid, params):
     if np.ndim(dt) == 0 and dt == 0.0:
         sb, dt = sa, 1.0  # zero differences over a unit step
     if operators._KERNEL is not None:
-        sums = _norm_block(sb, sa, dt, params).sum(axis=-1)
-        return {name: _value(value) for name, value in _norms(_per_state(sums, sa), dx).items()}
+        phi = np.zeros((_held(sa)[2].size, sa.n_cells))  # the defect row goes unread
+        integrals = _per_state(_fold(sb, sa, dt, params, due=None, phi=phi).record, sa)[:16] * dx
+        return {name: _value(value) for name, value in _norms(integrals, np.sqrt(integrals))}
     # a stack's (n, k, 2) fields take their column's dt along axis 1
     dt2 = dt[:, None] if np.ndim(dt) else dt
     sqrt_rho = np.sqrt(sa.rho)
@@ -350,22 +406,12 @@ def norm_suite(state_before, state_after, dt, grid, params):
     return {name: _value(value) for name, value in norms.items()}
 
 
-def _norms(sums, dx):
-    """norm_suite's dict from the sixteen sums of norm_rows' integrands:
-    l2_columns' sqrt(sum * dx), but the plain integral rho_theta_q2."""
-    integrals = sums * dx
-    return {name: value if name == "rho_theta_q2" else np.sqrt(value)
-            for name, value in zip(_SUITE_NAMES, integrals)}
-
-
-def _norm_block(before, after, dt, params, phi=None):
-    """norm_rows' block at after's columns against before's with their dts;
-    with phi, the (k, n) potentials of the columns, 19 rows: norm_suite's,
-    then the integrands of total_mass, total_energy and the phi defect."""
-    held = _held(after)
-    theta_q2 = held[0].theta.T ** (params.q_exp + 2.0)
-    return _kernel_block("norm_rows", 16 if phi is None else 19, (params.c_v,), _held(before),
-                         held, dt, params, (theta_q2, phi))
+def _norms(integrals, roots):
+    """norm_suite's (name, value) pairs from the integrals of its sixteen
+    integrands, a fold's first record rows times dx, and their square
+    roots: l2_columns' sqrt(sum * dx), but the plain integral rho_theta_q2."""
+    return ((name, integrals[6] if name == "rho_theta_q2" else root)
+            for name, root in zip(_SUITE_NAMES, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +448,7 @@ NORM_NAMES = (
 
 CSV_COLUMNS = SCALAR_COLUMNS + NORM_NAMES
 
-# norm_suite's entries, in the order of its dict and of norm_rows' rows
+# norm_suite's entries, in the order of its dict and of a fold's record rows
 _SUITE_NAMES = tuple(name for name in NORM_NAMES if name not in ("phi_residual", "theta_sup_cum"))
 
 
@@ -440,8 +486,10 @@ class DiagnosticsAccumulator:
     states once, in order (the W + 1 states of a chain of steps: its first
     before, then each after), and hands on_fold(befores, afters, dts),
     update and record their columns of that one stack and the (W,) array
-    of the dts, so each derived field is computed once per window.  An
-    update or record called on its own stacks its own distinct states.
+    of the dts, so each derived field is computed once per window.  Where
+    the kernel is loaded, flush makes the window's one fold_rows pass
+    (_fold) first, which they read.  An update or record called on its own
+    stacks its own distinct states and makes its own pass.
     """
 
     def __init__(self, init, grid, params, alpha=None, on_fold=None):
@@ -463,9 +511,13 @@ class DiagnosticsAccumulator:
         befores, afters, dts, dues = zip(*self._held)
         self._held = []
         window = _chain(befores, afters)
+        sb, sa, dt = window.columns(befores), window.columns(afters), np.array(dts, dtype=float)
+        if operators._KERNEL is not None:
+            window.__dict__["_fold"] = _fold(
+                sb, sa, dt, self.params, alpha=self.alpha, residual=self.on_fold is not None,
+                due=np.flatnonzero(dues), phi0=self.mark[3])
         if self.on_fold is not None:
-            self.on_fold(window.columns(befores), window.columns(afters),
-                         np.array(dts, dtype=float))
+            self.on_fold(sb, sa, dt)
         marks = self.update(befores, afters, dts, window)
         due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
         return self.record(*zip(*due), window) if due else []
@@ -474,24 +526,29 @@ class DiagnosticsAccumulator:
         window = window or _chain(befores, afters)
         dt = np.array(dts, dtype=float)
         sa, sb = window.columns(afters), window.columns(befores)
-        if operators._KERNEL is None:
-            ledger = dissipation_ledger(sa, dt, self.grid, self.params, self.alpha)
-            increments = (_ptilde(sb, self.params) * dt).T
-        else:
-            block = _ledger_block(sb, sa, dt, self.params, self.alpha)
-            ledger = _ledger_totals(block[:6].sum(axis=-1), dt, self.grid.dx, self.params)
-            increments = block[6]
-        # the six ledger totals in record order, then the steps' theta sup
-        rows = np.array((ledger[5], *ledger[:5], sa.theta.max(axis=0, initial=0.0))).T.tolist()
-        power = self.params.q_exp - self.alpha + 1.0
         totals, phi = self.mark[2:]
-        marks = []
-        for before, step_dt, row, increment in zip(befores, dts, rows, increments):
-            totals = (*(t + r for t, r in zip(totals, row[:6])),
-                      totals[6] + step_dt * row[6] ** power)
-            phi = phi + increment
-            phi.setflags(write=False)
-            marks.append((before, step_dt, totals, phi))
+        if operators._KERNEL is None:
+            ledger = np.array(dissipation_ledger(sa, dt, self.grid, self.params, self.alpha))
+            tops = sa.theta.max(axis=0, initial=0.0)
+            phis = np.cumsum(np.vstack((phi, (_ptilde(sb, self.params) * dt).T)), axis=0)[1:]
+            phis.setflags(write=False)
+            phis = list(phis)
+        else:
+            fold = _kept(sb, sa, dt, self.params, "ledger")
+            if fold is None or fold.alpha != self.alpha or fold.phi0 is not phi:
+                fold = _fold(sb, sa, dt, self.params, alpha=self.alpha, phi0=phi)
+            ledger = _ledger_totals(fold.ledger, dt, self.grid.dx, self.params)
+            tops = np.maximum(fold.extrema[2], 0.0)  # theta.max(initial=0.0), NaN kept
+            phis = fold.phis
+        # the steps' six ledger totals in record order and theta sup terms,
+        # summed in step order onto the mark's totals
+        power = self.params.q_exp - self.alpha + 1.0
+        steps = np.empty((len(dts) + 1, 7))
+        steps[0] = totals
+        steps[1:, :6] = ledger[[5, 0, 1, 2, 3, 4]].T
+        steps[1:, 6] = [step_dt * top ** power for step_dt, top in zip(dts, tops.tolist())]
+        marks = [(before, step_dt, tuple(row), phi) for before, step_dt, row, phi
+                 in zip(befores, dts, np.cumsum(steps, axis=0)[1:].tolist(), phis)]
         self.mark = marks[-1]
         return marks
 
@@ -501,22 +558,28 @@ class DiagnosticsAccumulator:
         befores = [s if m[0] is None else m[0] for s, m in zip(states, marks)]
         window = window or _chain(befores, states)
         sa, sb = window.columns(states), window.columns(befores)
-        phi_rows = np.array([m[3] for m in marks])
-        phis = phi_rows.swapaxes(0, 1)
         # a record before any step pairs its state with itself, so dt = 1 is exact
         dts = np.array([m[1] or 1.0 for m in marks])
         if operators._KERNEL is None:
+            phis = np.array([m[3] for m in marks]).swapaxes(0, 1)
             norms = norm_suite(sb, sa, dts, grid, params)
             norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
-            mass, energy = total_mass(sa, grid), total_energy(sa, grid, params)
+            scalars = (total_mass(sa, grid), total_energy(sa, grid, params),
+                       entropy_functional(sa, grid), sa.rho.max(axis=0), sa.theta.min(axis=0),
+                       sa.theta.max(axis=0))
         else:
-            sums = _norm_block(sb, sa, dts, params, phi_rows).sum(axis=-1)
-            norms = _norms(sums[:16], grid.dx)
-            mass, energy = sums[16] * grid.dx, sums[17] * grid.dx
-            norms["phi_residual"] = np.sqrt(sums[18] * grid.dx)
-        scalars = (mass, energy, entropy_functional(sa, grid),
-                   sa.rho.max(axis=0), sa.theta.min(axis=0), sa.theta.max(axis=0),
-                   density_bound_monitor(phis, sa))
+            fold = _kept(sb, sa, dts, params, "record")
+            if fold is None or any(m[3] is not fold.phis[j] for m, j in zip(marks, fold.due)):
+                fold = _fold(sb, sa, dts, params, due=None, phi=[m[3] for m in marks])
+            integrals = fold.record * grid.dx
+            roots = np.sqrt(integrals[:17])
+            norms = dict(_norms(integrals, roots), phi_residual=roots[16])
+            phis = _at(fold.phi, fold.due).T
+            extrema = _at(fold.extrema.T, fold.due).T
+            if not extrema.all():  # the sign of a zero is numpy's order of reduction
+                extrema = sa.rho.max(axis=0), sa.theta.min(axis=0), sa.theta.max(axis=0)
+            scalars = (*integrals[17:], *extrema)
+        scalars += (density_bound_monitor(phis, sa),)
         names = list(norms)
         records = []
         for s, m, row in zip(states, marks, np.array([*scalars, *norms.values()]).T.tolist()):

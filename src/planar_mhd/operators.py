@@ -243,11 +243,8 @@ _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     # the constants block, dt, then the arrays (the workspace is solver.step's)
     "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 7, _SIZE),
     "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 3, ctypes.c_int),
-    # n, k, dx, the coefficients, the two struct rows with their columns,
-    # the dts, the numpy factors and the (rows, k, n) block
-    "residual_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 6 + [_POINTER] * 6, None),
-    "norm_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 2 + [_POINTER] * 8, None),
-    "ledger_rows": ([_SIZE, _SIZE] + [_DOUBLE] * 4 + [_POINTER] * 10, None),
+    # the struct fold of a diagnostics window (_Fold)
+    "fold_rows": ([_POINTER], None),
     # values, rows, columns, the separator and the text buffer
     "format_rows": ([_POINTER, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
 }
@@ -262,9 +259,21 @@ def address(arr):
 
 class _Rows(ctypes.Structure):
     """struct rows of _pivot.c: the (K, n) rows of the fields of K stacked
-    states, of their pressure and of their kappa(theta)."""
+    states."""
 
-    _fields_ = [(name, _POINTER) for name in ("rho", "u", "w", "b", "theta", "p", "kappa")]
+    _fields_ = [(name, _POINTER) for name in ("rho", "u", "w", "b", "theta")]
+
+
+class _Fold(ctypes.Structure):
+    """struct fold of _pivot.c: the arguments of one fold_rows call
+    (diagnostics._fold), NULL for a part it skips."""
+
+    _fields_ = ([(name, _SIZE) for name in ("n", "steps", "records")]
+                + [(name, _DOUBLE) for name in ("dx", "lambda_", "mu", "nu", "gas_R", "c_v")]
+                + [(name, _POINTER) for name in (
+                    "bef aft cols_b cols_a due dts kappa theta_safe pow_alpha pow_q pow_1_alpha"
+                    " theta_q2 log_rho log_theta phi0 phi residual faces ledger record extrema"
+                ).split()])
 
 
 def _load_kernel():

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .diagnostics import DiagnosticsAccumulator, _held, _kernel_block, _per_state, _value
+from .diagnostics import DiagnosticsAccumulator, _fold, _kept, _per_state, _value
 from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
@@ -317,13 +317,15 @@ def conduction_update(theta_tilde, rho, dt, grid, params, cfg, _workspace=None):
     carry zero flux (insulated); faces touching vacuum cells are likewise
     insulated and vacuum cells are pinned at their incoming value, which is
     how "temperature is carried through vacuum" is realized.  Each linear
-    pass is a symmetric M-matrix solve, so the update obeys the discrete
-    maximum principle with respect to theta_tilde.  The loop runs in the
-    compiled kernel when it is loaded (operators._KERNEL), which evaluates
-    kappa too at q_exp = 2, and as numpy calls otherwise.  _workspace is
-    for step alone, passed by position so that wrappers pass it on: the
-    compiled step's workspace, whose ws holds theta_tilde and rho already
-    and whose addresses the kernel trusts (_compiled_solve).
+    pass solves a symmetric M-matrix system for the increment x and returns
+    theta_tilde + x, which keeps the discrete maximum principle only up to
+    the rounding of that sum: where the capacity c_v rho / dt is far below
+    the face couplings, it can cancel a cell's heat outright.  The loop runs
+    in the compiled kernel when it is loaded (operators._KERNEL), which
+    evaluates kappa too at q_exp = 2, and as numpy calls otherwise.
+    _workspace is for step alone, passed by position so that wrappers pass
+    it on: the compiled step's workspace, whose ws holds theta_tilde and
+    rho already and whose addresses the kernel trusts (_compiled_solve).
 
     Returns (theta_new, picard_iterations).
     """
@@ -487,18 +489,17 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     from the state pair and spatial terms at state_after.  The k columns of
     a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
     of their pairs and give two (k,) arrays, each entry with the bits of its
-    pair alone.  Where the compiled kernel is loaded, residual_rows writes
-    both integrands and numpy sums them, with the same bits.
+    pair alone.  Where the compiled kernel is loaded, fold_rows writes both
+    integrands and numpy sums them, with the same bits: for a window's
+    columns in the pass that its flush made, else in a pass of their own.
     """
     if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx = grid.dx
     if operators._KERNEL is not None:
-        coefficients = (params.lambda_visc, params.mu_visc, params.nu_mag, params.gas_R,
-                        params.c_v)
-        block = _kernel_block("residual_rows", 2, coefficients, _held(state_before),
-                              _held(state_after), dt, params, ())
-        r_mag, r_pre = np.sqrt(_per_state(block.sum(axis=-1), state_after) * dx)
+        fold = (_kept(state_before, state_after, dt, params, "residual")
+                or _fold(state_before, state_after, dt, params, residual=True))
+        r_mag, r_pre = np.sqrt(_per_state(fold.residual, state_after) * dx)
         return _value(r_mag), _value(r_pre)
     sa, sb = state_after, state_before
     nu = params.nu_mag

@@ -223,3 +223,109 @@ def test_a_block_sums_each_row_as_its_own_sum(n):
     sums = block.sum(axis=-1)
     assert [[s.hex() for s in row] for row in sums.tolist()] == [
         [float(block[r, j].copy().sum()).hex() for j in range(2)] for r in range(3)]
+
+
+class CountedKernel:
+    """operators._KERNEL with its fold_rows calls counted."""
+
+    def __init__(self, kernel):
+        self.kernel, self.folds = kernel, 0
+
+    def __getattr__(self, name):
+        function = getattr(self.kernel, name)
+        if name != "fold_rows":
+            return function
+
+        def counted(*args):
+            self.folds += 1
+            return function(*args)
+
+        return counted
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_a_windowed_run_makes_one_kernel_call_per_window(monkeypatch, record_every):
+    # the residual, update and record of a window read the one fold_rows
+    # pass that flush made; the initial record makes one of its own
+    grid = Grid.uniform(128)
+    params = PhysParams(q_exp=1.5)
+    counted = CountedKernel(operators._KERNEL)
+    monkeypatch.setattr(operators, "_KERNEL", counted)
+    steps, records = [], []
+    run(scenario("magnetic-pulse", grid), 0.15, grid, params, sink=records.append,
+        record_every=record_every, on_step=lambda *step: steps.append(step),
+        on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
+    window = diagnostics.window_length(128)
+    assert window == 16 and len(steps) > 2 * window and len(steps) % window
+    assert counted.folds == -(-len(steps) // window) + 1
+
+
+def test_studies_without_a_sink_make_no_fold_call(monkeypatch):
+    from planar_mhd.verification import continuation_study, mms_convergence
+
+    counted = CountedKernel(operators._KERNEL)
+    monkeypatch.setattr(operators, "_KERNEL", counted)
+    mms_convergence("smooth-wave", (16, 32), PhysParams(), t_end=0.05)
+    grid = Grid.uniform(32)
+    continuation_study(scenario("vacuum-pocket", grid), (1e-1, 1e-2), 0.02, grid, PhysParams())
+    assert counted.folds == 0
+
+
+def vacuum_and_cold(grid):
+    """vacuum-pocket, whose plateau is exact vacuum, with theta = 0 in its
+    densest cell."""
+    return with_cold_cell(scenario("vacuum-pocket", grid))
+
+
+EDGES = [  # (n, t_end, record_every, steps per window or None for the default)
+    (128, 0.1, 3, None),  # non-consecutive due columns in windows of 16
+    (32, 0.1, 1, 1),  # one-step windows
+    (32, 0.1, 3, 5),  # windows whose due steps are not the last
+]
+
+
+@pytest.mark.parametrize("q_exp", [0.5, 1.5, 2.0, 6.0])
+@pytest.mark.parametrize("n, t_end, record_every, window", EDGES)
+def test_the_fused_pass_at_the_window_edges_gives_the_reference_bits(
+        monkeypatch, q_exp, n, t_end, record_every, window):
+    if window is not None:
+        monkeypatch.setattr(diagnostics, "WINDOW_CELLS", window * n)
+        monkeypatch.setattr(diagnostics, "MIN_WINDOW", 1)
+    grid = Grid.uniform(n)
+    params = PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
+                        kappa_a=0.8, kappa_b=1.7, q_exp=q_exp)
+    init = vacuum_and_cold(grid)
+    compiled, reference = on_both_paths(
+        monkeypatch, lambda: watched_run(monkeypatch, init, grid, params, t_end,
+                                         record_every, None))
+    records, residuals, marks, _ = compiled
+    assert len(records) >= 3 and residuals and marks
+    assert compiled == reference
+
+
+@pytest.mark.parametrize("q_exp", [0.5, 1.5, 2.0, 6.0])
+def test_audit_windows_and_the_lone_initial_record_give_the_reference_bits(monkeypatch, q_exp):
+    # snapshot pairs of unequal dts in windows of 16, the last one partial,
+    # after the first snapshot recorded alone (dt 0, paired with itself)
+    grid = Grid.uniform(128)
+    params = PhysParams(q_exp=q_exp)
+    snaps = []
+    times = np.cumsum(np.linspace(0.0005, 0.002, 19))
+    run(vacuum_and_cold(grid), float(times[-1]), grid, params,
+        snapshot_times=[0.0, *times], snapshot_sink=snaps.append)
+    assert len(snaps) == 20
+
+    def audit():
+        first = snaps[0]
+        init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
+        acc = DiagnosticsAccumulator(init, grid, params, alpha=0.3)
+        records = acc.record([first])
+        for before, after in zip(snaps, snaps[1:]):
+            records += acc.hold(before, after, after.time - before.time, due=True)
+        records += acc.flush()
+        return [record_hex(r) for r in records]
+
+    compiled, reference = on_both_paths(monkeypatch, audit)
+    assert len(compiled) == len(snaps)
+    assert compiled == reference
+    assert compiled[0][SCALAR_COLUMNS.index("entropy_fn")] == float("inf").hex()

@@ -1,7 +1,11 @@
 """Diagnostics: integrals, dissipation ledgers, companion potential, norms."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+import planar_mhd.operators as operators
 
 from planar_mhd.diagnostics import (
     CSV_COLUMNS,
@@ -231,6 +235,50 @@ def test_density_bound_monitor_overflow_sentinel():
     n = 8
     phi = np.full(n, 1000.0)
     assert density_bound_monitor(phi, flat_state(n)) == float("inf")
+
+
+def vacuum_state(n, time=0.0):
+    """rho = 0 in cell 0, 1 elsewhere, at rest and at unit temperature."""
+    rho = np.ones(n)
+    rho[0] = 0.0
+    return State(time, rho, np.zeros(n), np.zeros((n, 2)), np.zeros((n, 2)), np.ones(n))
+
+
+def test_density_bound_monitor_skips_a_vacuum_cell_whose_exp_overflows():
+    # rho = 0 adds 0 however large exp(phi) is; the overflow sentinel
+    # +inf stays for a cell with mass
+    state = vacuum_state(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert density_bound_monitor(np.array([800.0, 0.0, 0.0, 0.0]), state) == 1.0
+        assert density_bound_monitor(np.array([0.0, 800.0, 0.0, 0.0]), state) == float("inf")
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+def test_a_window_records_no_nan_monitor_at_an_overflowing_vacuum_cell(monkeypatch, compiled):
+    # a mark whose phi overflows exp in the vacuum cell, folded as a window
+    # of steps and recorded alone, on both paths
+    if compiled and operators._KERNEL is None:
+        pytest.skip("no compiled kernel (no C compiler on PATH)")
+    if not compiled:
+        monkeypatch.setattr(operators, "_KERNEL", None)
+    n = 8
+    grid = Grid.uniform(n)
+    params = PhysParams()
+    acc = DiagnosticsAccumulator(scenario("uniform-rest", grid), grid, params)
+    phi = np.zeros(n)
+    phi[0] = 800.0
+    phi.setflags(write=False)
+    acc.mark = (None, 0.0, (0.0,) * 7, phi)
+    states = [vacuum_state(n, time=0.01 * i) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = [*acc.record(states[:1])]
+        for before, after in zip(states, states[1:]):
+            records += acc.hold(before, after, 0.01, due=True)
+        records += acc.flush()
+    assert len(records) == 4
+    assert all(np.isfinite(r.rho_F_max) and r.rho_F_max > 0.0 for r in records)
 
 
 def test_phi_residual_shrinks_under_refinement():
