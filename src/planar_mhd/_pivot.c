@@ -13,8 +13,9 @@
    solver.step stays one call per step, into these two, because perfbench's
    step counter, its tracer and the tests count and wrap those calls.
    fold_rows writes a diagnostics window's integrands, phi and extrema in
-   one call; numpy sums them and evaluates every pow, log and exp (a flush:
-   0.65 -> 0.55 ms at n = 128, 1.19 -> 0.94 ms at n = 2048; README).
+   one call and sums each integrand row as it writes it, with the one
+   pairwise helper; numpy evaluates every pow, log and exp (README,
+   "Compiled diagnostics").
    format_rows writes the rows of diagnostics.csv and of the state tables
    as Python's %.17g does, independent of the locale.
 
@@ -43,8 +44,9 @@
    setting errno, which lets gcc vectorize it.  +, -, *, / and sqrt are
    correctly rounded in each SIMD lane as in a scalar register, so the
    elementwise loops (FOR_EDGED below) run two cells per SSE2 instruction
-   with the same bits; the kernels reduce only by max, by counts and by
-   flags, never by a sum.  To see which loops gcc vectorized:
+   with the same bits; the kernels reduce only by max, by counts, by flags
+   and by the one pairwise helper, which sums in numpy's order.  To see
+   which loops gcc vectorized:
 
        cc -O3 -ffp-contract=off -fno-math-errno -shared -fPIC -o /dev/null \
           src/planar_mhd/_pivot.c -fopt-info-vec-optimized
@@ -52,10 +54,11 @@
    No libm function is called but sqrt, because numpy's transcendental
    loops need not give libm's bits; sqrt is correctly rounded under IEEE
    754, so it gives np.sqrt's.  Every pow, exp and log comes in evaluated
-   by numpy, and so does every sum: numpy's pairwise summation stays in
-   numpy.  kappa(theta) is computed here only at q_exp = 2, as kappa_a +
-   kappa_b * (theta * theta), which is how numpy evaluates theta ** 2.0;
-   for any other exponent it comes in evaluated by numpy. */
+   by numpy; every sum is the one pairwise helper, numpy's pairwise
+   summation in its order.  kappa(theta) is computed here only at
+   q_exp = 2, as kappa_a + kappa_b * (theta * theta), which is how numpy
+   evaluates theta ** 2.0; for any other exponent it comes in evaluated by
+   numpy. */
 
 #include <float.h>
 #include <math.h>
@@ -70,7 +73,14 @@
 #define INLINE static inline __attribute__((always_inline))
 
 /* Built also for AVX2 and AVX-512F on x86-64, the clone picked when the library
-   loads: the same correctly rounded operations in wider lanes, the same bits. */
+   loads: the same correctly rounded operations in wider lanes, the same bits.
+   A WIDE function calls only INLINE and WIDE functions: a plain one is built
+   once, for the baseline, and a clone calls it with the upper halves of its
+   vector registers dirty and no vzeroupper, which slows every SSE
+   instruction of the callee (pairwise as a plain static function made a
+   fold_rows call at n = 128, W = 64 take 633 against 310 us).
+   tests/test_operators.py::test_a_wide_kernel_calls_only_inline_or_wide_helpers
+   checks it. */
 #if defined(__x86_64__) && defined(__GNUC__)
 #define WIDE __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
@@ -223,7 +233,7 @@ INLINE int vacuum_face(const double *rho, ptrdiff_t n, ptrdiff_t j, double vacuu
 
 /* operators.face_couplings(n, coeff, dx, ODD), with the faces touching
    vacuum zeroed when rho is not NULL. */
-static void couplings(ptrdiff_t n, double coeff, double dx, const double *restrict rho,
+INLINE void couplings(ptrdiff_t n, double coeff, double dx, const double *restrict rho,
                       double vacuum_rho, double *restrict off)
 {
     double inner = coeff / (dx * dx), edge = inner * 2.0;
@@ -235,7 +245,7 @@ static void couplings(ptrdiff_t n, double coeff, double dx, const double *restri
 }
 
 /* 1 when an entry of f is NaN or infinite. */
-static int any_nonfinite(ptrdiff_t n, const double *f)
+INLINE int any_nonfinite(ptrdiff_t n, const double *f)
 {
     int bad = 0;
     for (ptrdiff_t i = 0; i < n; i++)
@@ -247,7 +257,7 @@ static int any_nonfinite(ptrdiff_t n, const double *f)
    min(0, f) is below -tol.  Otherwise the number of negative entries; if
    there are some, every entry is clipped as np.maximum(f, 0.0) clips it,
    which gives +0.0 for -0.0 too. */
-static ptrdiff_t require_nonnegative(ptrdiff_t n, double *f, double tol)
+INLINE ptrdiff_t require_nonnegative(ptrdiff_t n, double *f, double tol)
 {
     ptrdiff_t below = 0, negative = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
@@ -264,7 +274,7 @@ static ptrdiff_t require_nonnegative(ptrdiff_t n, double *f, double tol)
 
 /* min(0, f) as numpy's f.min(initial=0.0), or NaN when f holds a NaN or
    an infinity: what the check of solver.step after conduction reads. */
-static double lowest(ptrdiff_t n, const double *f)
+INLINE double lowest(ptrdiff_t n, const double *f)
 {
     double low = 0.0;
     for (ptrdiff_t i = 0; i < n; i++) {
@@ -304,7 +314,7 @@ enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
    it sweeps them forward.  The pivots of u and w are kept in pu and pw; b's
    right-hand side is not known yet, so its multipliers and pivots are kept
    in gb and pb.  Returns 1 on a zero pivot. */
-static int factor_three(ptrdiff_t n, const double *restrict cap, double cap_b,
+INLINE int factor_three(ptrdiff_t n, const double *restrict cap, double cap_b,
                         const double *restrict off_u, const double *restrict off_w,
                         const double *restrict off_b, const double *restrict tilde_u,
                         const double *restrict tilde_w, double *restrict xu,
@@ -345,7 +355,7 @@ static int factor_three(ptrdiff_t n, const double *restrict cap, double cap_b,
 /* The back substitutions of the u and w systems of factor_three in one
    loop.  Each cell's solution x goes out as tilde + x, solver._implicit's
    result. */
-static void back_substitute_two(ptrdiff_t n, const double *restrict off_u,
+INLINE void back_substitute_two(ptrdiff_t n, const double *restrict off_u,
                                 const double *restrict pu, const double *restrict tilde_u,
                                 double *restrict xu, const double *restrict off_w,
                                 const double *restrict pw, const double *restrict tilde_w,
@@ -372,7 +382,7 @@ static void back_substitute_two(ptrdiff_t n, const double *restrict off_u,
    Laplacian of tilde (n x 2), is known: the forward sweep computes each
    row and sweeps it, and the back substitution writes tilde + x, as
    back_substitute_two does. */
-static void solve_factored(ptrdiff_t n, const double *restrict off, const double *restrict g,
+INLINE void solve_factored(ptrdiff_t n, const double *restrict off, const double *restrict g,
                            const double *restrict p, const double *restrict tilde,
                            double *restrict x)
 {
@@ -633,10 +643,12 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
    states (diagnostics._Stack) lie as rows, rho, u and theta K x n, w and b
    K x n x 2.  Step j reads the after column cols_a[j] against the before
    column cols_b[j] with step dts[j]; record d is step due[d].  A part
-   whose pointer is NULL is skipped; row r of step j of a part lies at
-   part + (r * steps + j) * n, of record d at record + (r * records + d) * n:
+   whose pointer is NULL is skipped.  Each integrand row is written into
+   scratch (8n + 2 doubles: six rows, then the residual's 2 (n + 1) faces)
+   and only its sum is stored, as numpy's .sum() gives it (total): row r
+   of step j at part[r * steps + j], of record d at record[r * records + d]:
    - residual, 2 rows: the squares of solver.consistency_residuals'
-     r_mag and r_pressure, with faces 2 (n + 1) doubles of scratch;
+     r_mag and r_pressure;
    - ledger, 6 rows: the integrands of diagnostics.dissipation_ledger;
    - phi, W x n: from phi0, each step's potential, the one before it plus
      ptilde of its before column times dt; without phi0 it is read;
@@ -660,11 +672,49 @@ struct fold {
     const ptrdiff_t *cols_b, *cols_a, *due;
     const double *dts, *kappa, *theta_safe, *pow_alpha, *pow_q, *pow_1_alpha, *theta_q2,
         *log_rho, *log_theta, *phi0;
-    double *phi, *residual, *faces, *ledger, *record, *extrema;
+    double *phi, *residual, *scratch, *ledger, *record, *extrema;
 };
 
+/* numpy's pairwise summation of n contiguous doubles (DOUBLE_pairwise_sum
+   of numpy's loops_utils.h.src; Higham, SIAM J. Sci. Comput. 14, 1993): a
+   plain loop below 8 values, eight accumulators up to 128, and above that
+   two halves split at n / 2 rounded down to a multiple of 8.  Recursive,
+   so WIDE rather than INLINE (see the header). */
+WIDE static double pairwise(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int c = 0; c < 8; c++)
+            r[c] = a[c];
+        ptrdiff_t i = 8;
+        for (; i < n - n % 8; i += 8)
+            for (int c = 0; c < 8; c++)
+                r[c] += a[i + c];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return pairwise(a, half) + pairwise(a + half, n - half);
+}
+
+/* row.sum() of n contiguous doubles: numpy adds the pairwise sum to its
+   initial 0.0, which makes a row of -0.0 sum to +0.0. */
+INLINE double total(const double *row, ptrdiff_t n)
+{
+    return 0.0 + pairwise(row, n);
+}
+
 /* Column c of struct rows on n cells. */
-static struct rows column(const struct rows *r, ptrdiff_t c, ptrdiff_t n)
+INLINE struct rows column(const struct rows *r, ptrdiff_t c, ptrdiff_t n)
 {
     struct rows col = {r->rho + c * n, r->u + c * n, r->w + 2 * c * n, r->b + 2 * c * n,
                        r->theta + c * n};
@@ -743,7 +793,7 @@ INLINE void residual_step(const struct fold *f, const struct rows *a, const stru
     ptrdiff_t n = f->n;
     double dx = f->dx, dt = f->dts[j], nu = f->nu, r_over_cv = f->gas_R / f->c_v;
     const double *u = a->u, *w = a->w, *b = a->b, *b0 = z->b, *kappa = f->kappa + j * n;
-    double *restrict bbx = f->faces, *restrict flux = f->faces + n + 1;
+    double *restrict bbx = f->scratch + 6 * n, *restrict flux = bbx + n + 1;
     FOR_EDGED(i, n + 1, residual_face(f, a, kappa, i, wall, exact, bbx + i, flux + i));
     FOR_EDGED(i, n, {
         double p = pressure(f, a, i, 0);
@@ -862,19 +912,24 @@ INLINE void record_row(int r, const struct fold *f, ptrdiff_t d, const struct ro
 #undef ROW
 }
 
-/* Every part of struct fold.  Each record row is written in one sweep:
-   rows D * n doubles apart, written side by side, would share cache sets. */
+/* Every part of struct fold.  Each record row is written in one sweep
+   and summed while it is in cache. */
 INLINE void fold_all(const struct fold *f, int exact)
 {
-    ptrdiff_t n = f->n, w = f->steps, next = w * n;
+    ptrdiff_t n = f->n, w = f->steps;
+    double *row = f->scratch;
     for (ptrdiff_t j = 0; j < w; j++) {
         struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
-        if (f->residual)
-            residual_step(f, &a, &z, j, f->residual + j * n, f->residual + (w + j) * n, exact);
+        if (f->residual) {
+            residual_step(f, &a, &z, j, row, row + n, exact);
+            for (int r = 0; r < 2; r++)
+                f->residual[r * w + j] = total(row + r * n, n);
+        }
         if (f->ledger) {
-            double *row = f->ledger + j * n;
-            ledger_step(f, &a, j, exact, row, row + next, row + 2 * next, row + 3 * next,
-                        row + 4 * next, row + 5 * next);
+            ledger_step(f, &a, j, exact, row, row + n, row + 2 * n, row + 3 * n, row + 4 * n,
+                        row + 5 * n);
+            for (int r = 0; r < 6; r++)
+                f->ledger[r * w + j] = total(row + r * n, n);
         }
         const double *rho0 = z.rho, *u0 = z.u, *b0 = z.b,
                      *restrict before = j ? f->phi + (j - 1) * n : f->phi0;
@@ -899,8 +954,10 @@ INLINE void fold_all(const struct fold *f, int exact)
     for (ptrdiff_t d = 0; d < f->records; d++) {
         ptrdiff_t j = f->due[d];
         struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
-        for (int r = 0; r < 20; r++)
-            record_row(r, f, d, &a, &z, f->record + (r * f->records + d) * n, exact);
+        for (int r = 0; r < 20; r++) {
+            record_row(r, f, d, &a, &z, row, exact);
+            f->record[r * f->records + d] = total(row, n);
+        }
     }
 }
 

@@ -30,14 +30,13 @@ THETA_FLOOR = 1e-30
 
 # A run folds WINDOW_CELLS // n_cells accepted steps at a time, and never
 # fewer than MIN_WINDOW: the diagnostics accumulator and the consistency
-# residual of simulate alike.  Measured per step against one step at a
-# time: 16 steps at n = 128 take 0.34 of the time, 8 at n = 256 0.44 and 4
-# at n = 512 0.77.  At n = 2048 a window of 4 steps costs about what
-# per-step diagnostics did, one of 1 step 1.1-1.2 times that (each state's
-# derived fields are computed twice, as an after and as the next before),
-# and one of 8 steps is faster but peaks about 3.3 MiB higher than 4.
-WINDOW_CELLS = 2048
-MIN_WINDOW = 4
+# residual of simulate alike.  Measured per step (flush) against one step
+# at a time: 64 steps at n = 128 take 0.13 of the time, 32 at n = 256 0.21,
+# 16 at n = 512 0.30, 8 at n = 1024 0.45 and 8 at n = 2048 0.49 (0.86 of 4
+# steps).  The kernel sums each row as it writes it, so no window holds
+# its (28 W, n) integrands: 8 steps at n = 2048 peak below 4 before that.
+WINDOW_CELLS = 8192
+MIN_WINDOW = 8
 
 
 def window_length(n_cells):
@@ -53,12 +52,12 @@ def window_length(n_cells):
 #
 # Where the compiled kernel is loaded (operators._KERNEL), a window's
 # residual, ledger, potentials, norms and record scalars come from one C
-# pass over its stack's rows (_fold), with P, kappa, every pow, the
-# entropy's logs and the monitor's exp from numpy, and numpy sums each
-# integrand row as column_sums does: the same bits as the numpy bodies,
-# which stay as the reference.  flush keeps the pass on the window's
-# stack, where the residual, update and record of its steps read it
-# (_kept); a call on other columns makes a pass of its own.
+# pass over its stack's rows (_fold), which sums each integrand row as
+# column_sums does, with P, kappa, every pow, the entropy's logs and the
+# monitor's exp from numpy: the same bits as the numpy bodies, which stay
+# as the reference.  flush keeps the pass on the window's stack, where the
+# residual, update and record of its steps read it (_kept); a call on
+# other columns makes a pass of its own.
 
 
 class _Stack(DerivedFields):
@@ -72,7 +71,7 @@ class _Stack(DerivedFields):
         self._states = tuple(states)  # alive while their ids index the columns
         self._index = {id(s): i for i, s in enumerate(states)}
         for name in ("rho", "u", "w", "b", "theta"):
-            setattr(self, name, _columns([getattr(s, name) for s in states]))
+            setattr(self, name, np.array([getattr(s, name) for s in states]).swapaxes(0, 1))
 
     def columns(self, states):
         """The columns of states, which this stack holds, as one argument;
@@ -103,10 +102,6 @@ class _Columns:
 
     def kappa(self, params):
         return self._whole.kappa(params)[:, self._picks]
-
-
-def _columns(arrays):
-    return np.array(arrays).swapaxes(0, 1)
 
 
 def _held(x):
@@ -146,7 +141,7 @@ def _fold(before, after, dt, params, *, alpha=None, residual=False, due=(), phi0
     dts = np.array(np.broadcast_to(dt, (k,)), dtype=float)
     due = np.arange(k) if due is None else np.array(due, dtype=np.intp)
     ends = list(accumulate((2 * k * residual, 6 * k * (alpha is not None), 20 * len(due))))
-    block, extrema = np.empty((ends[2], n)), np.empty((3, k))
+    sums, extrema, scratch = np.empty(ends[2]), np.empty((3, k)), np.empty(8 * n + 2)
     theta = sa.theta.T[picks]
     kappa = params.kappa_a + params.kappa_b * theta ** params.q_exp
     address = operators.address
@@ -156,15 +151,13 @@ def _fold(before, after, dt, params, *, alpha=None, residual=False, due=(), phi0
                         params.nu_mag, params.gas_R, params.c_v, ctypes.addressof(bef),
                         ctypes.addressof(aft), address(cols_b), address(cols_a),
                         address(due) if len(due) else None, address(dts), address(kappa),
-                        extrema=address(extrema))
-    if residual:
-        faces = np.empty(2 * (n + 1))
-        f.residual, f.faces = address(block), address(faces)
+                        extrema=address(extrema), scratch=address(scratch),
+                        residual=address(sums) if residual else None)
     if alpha is not None:
         safe = np.maximum(theta, THETA_FLOOR)
         powers = (safe, safe ** alpha, safe ** params.q_exp, safe ** (1.0 + alpha))
         f.theta_safe, f.pow_alpha, f.pow_q, f.pow_1_alpha = map(address, powers)
-        f.ledger = address(block[ends[0]:])
+        f.ledger = address(sums[ends[0]:])
     if phi0 is not None:
         phi, f.phi0 = np.empty((k, n)), phi0.ctypes.data
     elif phi is not None:
@@ -177,9 +170,8 @@ def _fold(before, after, dt, params, *, alpha=None, residual=False, due=(), phi0
             factors = (theta_due ** (params.q_exp + 2.0), np.log(_at(sa.rho.T[picks], due)),
                        np.log(theta_due))
         f.theta_q2, f.log_rho, f.log_theta = map(address, factors)
-        f.record = address(block[ends[1]:])
+        f.record = address(sums[ends[1]:])
     operators._KERNEL.fold_rows(ctypes.byref(f))
-    sums = block.sum(axis=-1)
     if phi is not None:
         phi.setflags(write=False)  # each row may become a mark's potential
     return SimpleNamespace(
@@ -435,6 +427,13 @@ class DiagnosticsRecord:
     rho_F_max: float
     norms: dict
 
+    @classmethod
+    def _trusted(cls, *scalars, norms):
+        """Built as State._trusted builds a State, by filling __dict__."""
+        record = cls.__new__(cls)
+        record.__dict__.update(zip(SCALAR_COLUMNS, scalars), norms=norms)
+        return record
+
 
 # every record field but the norms dict, in declaration order
 SCALAR_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.name != "norms")
@@ -580,12 +579,8 @@ class DiagnosticsAccumulator:
                 extrema = sa.rho.max(axis=0), sa.theta.min(axis=0), sa.theta.max(axis=0)
             scalars = (*integrals[17:], *extrema)
         scalars += (density_bound_monitor(phis, sa),)
-        names = list(norms)
-        records = []
-        for s, m, row in zip(states, marks, np.array([*scalars, *norms.values()]).T.tolist()):
-            mass, energy, entropy_fn, max_rho, min_theta, max_theta, rho_F_max = row[:7]
-            norms = dict(zip(names, row[7:]), theta_sup_cum=m[2][6])
-            records.append(DiagnosticsRecord(s.time, mass, energy, entropy_fn, *m[2][:6],
-                                             max_rho, min_theta, max_theta, rho_F_max,
-                                             norms=norms))
-        return records
+        # each row: mass, energy, entropy_fn, the three extrema, rho_F_max, the norms
+        rows = np.array([*scalars, *norms.values()]).T.tolist()
+        return [DiagnosticsRecord._trusted(s.time, *row[:3], *m[2][:6], *row[3:7],
+                                           norms=dict(zip(norms, row[7:]), theta_sup_cum=m[2][6]))
+                for s, m, row in zip(states, marks, rows)]

@@ -272,7 +272,7 @@ class _Fold(ctypes.Structure):
                 + [(name, _DOUBLE) for name in ("dx", "lambda_", "mu", "nu", "gas_R", "c_v")]
                 + [(name, _POINTER) for name in (
                     "bef aft cols_b cols_a due dts kappa theta_safe pow_alpha pow_q pow_1_alpha"
-                    " theta_q2 log_rho log_theta phi0 phi residual faces ledger record extrema"
+                    " theta_q2 log_rho log_theta phi0 phi residual scratch ledger record extrema"
                 ).split()])
 
 

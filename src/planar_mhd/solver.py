@@ -445,7 +445,9 @@ def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     theta1.setflags(write=False)
     pairs = block.reshape(3, n, 2)  # [1] and [2] are w and b
     new = State._trusted(state.time + dt, block[:n], block[n:2 * n], pairs[1], pairs[2], theta1)
-    return new, StepReport(dt, iters, clipped)
+    report = StepReport.__new__(StepReport)  # its __dict__ filled, as State._trusted fills one
+    report.__dict__.update(dt_used=dt, picard_iters=iters, clipped_cells=clipped)
+    return new, report
 
 
 def step(state, dt, grid, params, cfg, forcing=None):
@@ -489,9 +491,9 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     from the state pair and spatial terms at state_after.  The k columns of
     a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
     of their pairs and give two (k,) arrays, each entry with the bits of its
-    pair alone.  Where the compiled kernel is loaded, fold_rows writes both
-    integrands and numpy sums them, with the same bits: for a window's
-    columns in the pass that its flush made, else in a pass of their own.
+    pair alone.  Where the compiled kernel is loaded, fold_rows writes and
+    sums both integrands, with the same bits: for a window's columns in the
+    pass that its flush made, else in a pass of their own.
     """
     if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")

@@ -3,8 +3,9 @@
 Where the kernel is loaded, consistency_residuals, norm_suite and
 dissipation_ledger (with the mass, energy and phi defect of a record and
 the phi increments of an update) take their integrands from one C pass
-over a window's stacked rows, and numpy sums them; with operators._KERNEL
-off the numpy bodies, the reference, do it all.  Each case runs the same
+over a window's stacked rows, which sums each integrand row in numpy's
+pairwise order; with operators._KERNEL off the numpy bodies, the
+reference, do it all.  Each case runs the same
 fold on both paths and compares every record field, both residuals and
 every update mark by .hex() or bytes: whole runs (consecutive columns, and
 the non-consecutive due steps of record_every = 3), audit's snapshot pairs,
@@ -12,6 +13,8 @@ and the public functionals on lone States, the dt = 0 initial record
 included.  The data has exact vacuum (vacuum-pocket) and a cold cell
 (theta = 0, which takes the THETA_FLOOR branch of the ledger).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,7 +71,7 @@ def on_both_paths(monkeypatch, fold):
     return compiled, reference
 
 
-def watched_run(monkeypatch, init, grid, params, t_end, record_every, alpha):
+def watched_run(monkeypatch, init, grid, params, t_end, record_every, alpha, cfg=None):
     """Every record, residual pair and update mark of one run, as hex."""
     records, residuals, marks = [], [], []
     update = DiagnosticsAccumulator.update
@@ -83,10 +86,23 @@ def watched_run(monkeypatch, init, grid, params, t_end, record_every, alpha):
                                                                    grid, params)])
 
     monkeypatch.setattr(DiagnosticsAccumulator, "update", kept_marks)
-    final = run(init, t_end, grid, params, sink=records.append, record_every=record_every,
+    final = run(init, t_end, grid, params, cfg, sink=records.append, record_every=record_every,
                 alpha=alpha, on_fold=fold)
     monkeypatch.setattr(DiagnosticsAccumulator, "update", update)
     return [record_hex(r) for r in records], residuals, marks, final.theta.tobytes()
+
+
+def audited(snaps, grid, params):
+    """audit's records of the snapshots, as hex: the first recorded alone,
+    then each pair held and flushed by the accumulator's windows."""
+    first = snaps[0]
+    init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
+    acc = DiagnosticsAccumulator(init, grid, params, alpha=0.3)
+    records = acc.record([first])
+    for before, after in zip(snaps, snaps[1:]):
+        records += acc.hold(before, after, after.time - before.time, due=True)
+    records += acc.flush()
+    return [record_hex(r) for r in records]
 
 
 RUNS = [  # (scenario, n, q_exp, alpha, t_end, record_every)
@@ -129,17 +145,7 @@ def test_audit_pairs_fold_the_same_bits_on_both_paths(monkeypatch, n):
     run(scenario("magnetic-pulse", grid), 0.02, grid, params,
         snapshot_times=(0.0, 0.003, 0.0071, 0.012, 0.02), snapshot_sink=snaps.append)
 
-    def audit():
-        first = snaps[0]
-        init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
-        acc = DiagnosticsAccumulator(init, grid, params, alpha=0.3)
-        records = acc.record([first])
-        for before, after in zip(snaps, snaps[1:]):
-            records += acc.hold(before, after, after.time - before.time, due=True)
-        records += acc.flush()
-        return [record_hex(r) for r in records]
-
-    compiled, reference = on_both_paths(monkeypatch, audit)
+    compiled, reference = on_both_paths(monkeypatch, lambda: audited(snaps, grid, params))
     assert len(compiled) == len(snaps)
     assert compiled == reference
 
@@ -225,6 +231,73 @@ def test_a_block_sums_each_row_as_its_own_sum(n):
         [float(block[r, j].copy().sum()).hex() for j in range(2)] for r in range(3)]
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 2049])
+def test_the_kernel_sums_each_row_in_numpys_pairwise_order(monkeypatch, n):
+    # fold_rows sums its integrand rows itself, as numpy does: a plain loop
+    # below 8 cells, eight accumulators up to 128, halves split at a
+    # multiple of 8 above; n sits on both sides of each edge.  A numpy whose
+    # order differs from the port fails here rather than changing the bits.
+    grid = Grid.uniform(n)
+    params = PhysParams(q_exp=1.5)
+    # on 9 and 17 cells the Picard change of vacuum-pocket stalls near 1e-7
+    cfg = solver.SchemeConfig(picard_tol=1e-6)
+    init = vacuum_and_cold(grid)
+    assert (init.rho0 == 0.0).any()
+    dt = solver.stable_dt(init.to_state(), grid, params, cfg)
+    for record_every in (1, 3):
+        compiled, reference = on_both_paths(
+            monkeypatch, lambda: watched_run(monkeypatch, init, grid, params, 7.5 * dt,
+                                             record_every, None, cfg))
+        records, residuals, marks, _ = compiled
+        assert len(records) >= 3 and residuals and marks
+        assert compiled == reference
+        assert records[0][SCALAR_COLUMNS.index("entropy_fn")] == float("inf").hex()
+    snaps = []  # audit's pairs, of uneven dts
+    times = np.cumsum(dt * np.array([0.3, 1.0, 0.55, 0.8, 0.25]))
+    run(init, float(times[-1]), grid, params, cfg, snapshot_times=[0.0, *times],
+        snapshot_sink=snaps.append)
+    compiled, reference = on_both_paths(monkeypatch, lambda: audited(snaps, grid, params))
+    assert len(compiled) == len(snaps) == 6
+    assert compiled == reference
+    # numpy adds the pairwise sum to an initial 0.0: a density of -0.0 has mass +0.0
+    void = State(0.0, np.full(n, -0.0), np.zeros(n), np.zeros((n, 2)), np.zeros((n, 2)),
+                 init.theta0)
+    compiled, reference = on_both_paths(monkeypatch, lambda: [
+        record_hex(r) for r in DiagnosticsAccumulator(init, grid, params).record([void])])
+    assert compiled == reference
+    assert compiled[0][SCALAR_COLUMNS.index("mass")] == (0.0).hex()
+
+
+def test_a_flush_allocates_no_block_of_integrand_rows():
+    # each integrand row is summed in the kernel's scratch as it is
+    # written, so one flush at n = 2048, W = 8, with the residual and every
+    # record due, peaks below the size of the (28 W, n) block of rows that
+    # numpy would otherwise sum
+    n = 2048
+    grid, params, cfg = Grid.uniform(n), PhysParams(q_exp=1.5), solver.SchemeConfig()
+    init = scenario("vacuum-pocket", grid)
+    states = [init.to_state()]
+    for _ in range(8):
+        s = states[-1]
+        states.append(solver.step(s, solver.stable_dt(s, grid, params, cfg), grid, params,
+                                  cfg)[0])
+    acc = DiagnosticsAccumulator(
+        init, grid, params,
+        on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
+    assert acc.window == 8
+    held = [(b, a, a.time - b.time) for b, a in zip(states, states[1:])]
+    for before, after, dt in held[:-1]:
+        assert acc.hold(before, after, dt, due=True) == []
+    tracemalloc.start()
+    try:
+        records = acc.hold(*held[-1], due=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 8
+    assert peak < 28 * 8 * n * 8
+
+
 class CountedKernel:
     """operators._KERNEL with its fold_rows calls counted."""
 
@@ -252,11 +325,11 @@ def test_a_windowed_run_makes_one_kernel_call_per_window(monkeypatch, record_eve
     counted = CountedKernel(operators._KERNEL)
     monkeypatch.setattr(operators, "_KERNEL", counted)
     steps, records = [], []
-    run(scenario("magnetic-pulse", grid), 0.15, grid, params, sink=records.append,
+    run(scenario("magnetic-pulse", grid), 0.5, grid, params, sink=records.append,
         record_every=record_every, on_step=lambda *step: steps.append(step),
         on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
     window = diagnostics.window_length(128)
-    assert window == 16 and len(steps) > 2 * window and len(steps) % window
+    assert window == 64 and len(steps) > 2 * window and len(steps) % window
     assert counted.folds == -(-len(steps) // window) + 1
 
 
@@ -278,7 +351,7 @@ def vacuum_and_cold(grid):
 
 
 EDGES = [  # (n, t_end, record_every, steps per window or None for the default)
-    (128, 0.1, 3, None),  # non-consecutive due columns in windows of 16
+    (128, 0.3, 3, None),  # non-consecutive due columns in windows of 64, the last partial
     (32, 0.1, 1, 1),  # one-step windows
     (32, 0.1, 3, 5),  # windows whose due steps are not the last
 ]
@@ -307,6 +380,8 @@ def test_the_fused_pass_at_the_window_edges_gives_the_reference_bits(
 def test_audit_windows_and_the_lone_initial_record_give_the_reference_bits(monkeypatch, q_exp):
     # snapshot pairs of unequal dts in windows of 16, the last one partial,
     # after the first snapshot recorded alone (dt 0, paired with itself)
+    monkeypatch.setattr(diagnostics, "WINDOW_CELLS", 16 * 128)
+    monkeypatch.setattr(diagnostics, "MIN_WINDOW", 1)
     grid = Grid.uniform(128)
     params = PhysParams(q_exp=q_exp)
     snaps = []
@@ -315,17 +390,7 @@ def test_audit_windows_and_the_lone_initial_record_give_the_reference_bits(monke
         snapshot_times=[0.0, *times], snapshot_sink=snaps.append)
     assert len(snaps) == 20
 
-    def audit():
-        first = snaps[0]
-        init = InitialData(first.rho, first.u, first.w, first.b, first.theta)
-        acc = DiagnosticsAccumulator(init, grid, params, alpha=0.3)
-        records = acc.record([first])
-        for before, after in zip(snaps, snaps[1:]):
-            records += acc.hold(before, after, after.time - before.time, due=True)
-        records += acc.flush()
-        return [record_hex(r) for r in records]
-
-    compiled, reference = on_both_paths(monkeypatch, audit)
+    compiled, reference = on_both_paths(monkeypatch, lambda: audited(snaps, grid, params))
     assert len(compiled) == len(snaps)
     assert compiled == reference
     assert compiled[0][SCALAR_COLUMNS.index("entropy_fn")] == float("inf").hex()

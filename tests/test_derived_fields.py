@@ -182,7 +182,7 @@ def test_a_stacks_derived_fields_are_the_per_state_fields_bitwise(name, n, param
 
 
 def test_a_windowed_simulate_takes_gradients_per_window_not_per_step(monkeypatch, tmp_path):
-    # at n = 128 a window holds 16 steps and stacks its 17 states once:
+    # at n = 128 a window holds 64 steps and stacks its 65 states once:
     # u_x, w_x, b_x and theta_x of that stack, the residual's advection and
     # the phi residual make six cell_grad calls per window, and the initial
     # record five (the numpy step takes two of its own per step)
@@ -192,7 +192,7 @@ def test_a_windowed_simulate_takes_gradients_per_window_not_per_step(monkeypatch
         monkeypatch.setattr(module, "cell_grad",
                             lambda *args, original=original: calls.append(1) or original(*args))
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("scenario = magnetic-pulse\nn_cells = 128\nt_end = 0.2\n")
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 128\nt_end = 0.5\n")
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "simulate"]) == 0
     steps = int(dict(line.split(" = ") for line in
                      (tmp_path / "out" / "run-summary.txt").read_text().splitlines())["steps"])

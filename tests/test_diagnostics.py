@@ -1,5 +1,6 @@
 """Diagnostics: integrals, dissipation ledgers, companion potential, norms."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import planar_mhd.operators as operators
 from planar_mhd.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsAccumulator,
+    DiagnosticsRecord,
     NORM_NAMES,
     SCALAR_COLUMNS,
     check_alpha,
@@ -27,7 +29,7 @@ from planar_mhd.diagnostics import (
 )
 from planar_mhd.initial import scenario
 from planar_mhd.model import Grid, PhysParams, State
-from planar_mhd.solver import SchemeConfig, run, stable_dt, step
+from planar_mhd.solver import SchemeConfig, StepReport, run, stable_dt, step
 from planar_mhd.tables import format_rows
 
 
@@ -382,6 +384,29 @@ def test_csv_values_round_trip_floats():
     assert parsed["mass"] == rec.mass
     assert parsed["energy"] == rec.energy
     assert parsed["max_rho"] == rec.max_rho
+
+
+def test_records_and_step_reports_are_the_frozen_dataclasses_their_constructors_build():
+    # record() and the compiled step fill the __dict__ of their
+    # DiagnosticsRecord and StepReport instead of calling __init__
+    grid = Grid.uniform(16)
+    params, cfg = PhysParams(), SchemeConfig()
+    init = scenario("magnetic-pulse", grid)
+    state = init.to_state()
+    after, report = step(state, stable_dt(state, grid, params, cfg), grid, params, cfg)
+    [record] = DiagnosticsAccumulator(init, grid, params).record([after])
+    twins = (StepReport(report.dt_used, report.picard_iters, report.clipped_cells),
+             DiagnosticsRecord(*(getattr(record, name) for name in SCALAR_COLUMNS),
+                               norms=dict(record.norms)))
+    for got, want in zip((report, record), twins):
+        assert type(got) is type(want) and got == want and repr(got) == repr(want)
+        assert list(vars(got)) == [f.name for f in dataclasses.fields(want)]
+        for name in vars(want):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(got, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(got, name)
+    assert record.time == after.time and record.mass == total_mass(after, grid)
 
 
 def test_record_extrema_are_not_clamped():

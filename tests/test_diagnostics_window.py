@@ -66,7 +66,7 @@ def test_windowed_records_match_one_step_at_a_time(monkeypatch, n, record_every)
     want, want_snaps, steps, final = simulate(n, record_every)
     assert len(steps) > 32
     assert len(want) == 2 + (len(steps) - 1) // record_every
-    # n = 2048 folds 4 steps at a time by default; 8 is the next longer window
+    # n = 2048 folds 8 steps at a time by default; 4 is the next shorter window
     for window in (2, 7, 32, len(steps) + 5) + ((4, 8) if n == 2048 else ()):
         use_window(monkeypatch, window, n)
         got, snaps, _, got_final = simulate(n, record_every)
@@ -111,7 +111,7 @@ def test_window_lengths_follow_the_cell_budget():
     lengths = {n: DiagnosticsAccumulator(scenario("magnetic-pulse", Grid.uniform(n)),
                                          Grid.uniform(n), PhysParams()).window
                for n in (4, 128, 256, 512, 1024, 2048)}
-    assert lengths == {4: 512, 128: 16, 256: 8, 512: 4, 1024: 4, 2048: 4}
+    assert lengths == {4: 2048, 128: 64, 256: 32, 512: 16, 1024: 8, 2048: 8}
 
 
 @pytest.mark.parametrize("n", [64, 2048])
@@ -198,7 +198,7 @@ def assert_chained(built):
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
-@pytest.mark.parametrize("n,t_end,last", [(128, 0.2, 4), (128, 0.25, 1), (2048, 0.005, 1),
+@pytest.mark.parametrize("n,t_end,last", [(128, 0.26, 4), (128, 0.25, 1), (2048, 0.006, 1),
                                           (2048, 0.01, 2)])
 def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, n, t_end, last, record_every):
     # the residual, update and record of a window share one stack of its
@@ -218,7 +218,7 @@ def test_a_window_stacks_its_states_once(monkeypatch, tmp_path, n, t_end, last, 
     assert_chained(built)
 
 
-@pytest.mark.parametrize("n,count", [(128, 18), (2048, 6)])
+@pytest.mark.parametrize("n,count", [(128, 66), (2048, 10)])
 def test_an_audit_stacks_each_window_once(monkeypatch, tmp_path, n, count):
     # audit folds its snapshot pairs by the same windows, the last of them
     # one pair, after a lone record of the first snapshot

@@ -436,18 +436,69 @@ def test_kernel_flags_change_neither_values_nor_the_instruction_set():
     assert not [f for f in flags if f.startswith(("-march=", "-mavx", "-mfma"))]
 
 
+def kernel_source():
+    """_pivot.c without its comments."""
+    path = os.path.join(os.path.dirname(operators.__file__), "_pivot.c")
+    with open(path) as fh:
+        return re.sub(r"/\*.*?\*/", " ", fh.read(), flags=re.S)
+
+
 def test_kernel_calls_no_libm_function_but_sqrt():
     # numpy's pow, exp and log loops need not give libm's bits; sqrt is
     # correctly rounded, so it is the one libm call the kernels may make
-    path = os.path.join(os.path.dirname(operators.__file__), "_pivot.c")
-    with open(path) as fh:
-        code = re.sub(r"/\*.*?\*/", " ", fh.read(), flags=re.S)
+    code = kernel_source()
     banned = ("pow", "powf", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "cbrt",
               "hypot", "sin", "cos", "tan", "asin", "acos", "atan", "atan2", "sinh", "cosh",
               "tanh", "fma", "erf", "lgamma", "tgamma")
     calls = set(re.findall(r"\b([a-z_][a-z0-9_]*)\s*\(", code))
     assert "sqrt" in calls
     assert not calls & set(banned)
+
+
+def wide_calls_to_plain_helpers(code):
+    """(WIDE function, helper) for each function of the file that is neither
+    INLINE nor WIDE and that a WIDE function calls, directly or through
+    INLINE functions and macros."""
+    kinds, calls = {}, {}
+    for m in re.finditer(r"^#define (\w+)\(((?:.*\\\n)*.*)$", code, flags=re.M):
+        kinds[m[1]], calls[m[1]] = "macro", m[2]
+    for m in re.finditer(r"^([A-Za-z_][\w *]*?)\b(\w+)\s*\([^;{}]*?\)\s*\{", code, flags=re.M):
+        depth, end = 1, m.end()
+        while depth:
+            depth += {"{": 1, "}": -1}.get(code[end], 0)
+            end += 1
+        words = m[1].split()
+        kinds[m[2]] = "INLINE" if "INLINE" in words else "WIDE" if "WIDE" in words else "plain"
+        calls[m[2]] = code[m.end():end]
+    calls = {name: set(re.findall(r"\b(\w+)\s*\(", body)) & set(kinds)
+             for name, body in calls.items()}
+    found = set()
+    for wide in (name for name, kind in kinds.items() if kind == "WIDE"):
+        seen, todo = set(), [wide]
+        while todo:
+            for callee in calls[todo.pop()] - seen:
+                seen.add(callee)
+                if kinds[callee] in ("INLINE", "macro"):
+                    todo.append(callee)
+                elif kinds[callee] == "plain":
+                    found.add((wide, callee))
+    return found
+
+
+def test_a_wide_kernel_calls_only_inline_or_wide_helpers():
+    # a helper that is neither is built once, for the baseline, and a
+    # target clone calls it with its AVX upper halves dirty: gcc puts no
+    # vzeroupper before such a call, so the helper's SSE code runs slow
+    # (pairwise as a plain static function: 633 against 310 us for one
+    # fold_rows call at n = 128, W = 64, every part asked for)
+    code = kernel_source()
+    assert wide_calls_to_plain_helpers(code) == set()
+    # the scan finds such a call through INLINE functions and macros too
+    for declared, plain, call in (
+            ("WIDE static double pairwise", "static double pairwise", ("fold_rows", "pairwise")),
+            ("INLINE int factor_three", "static int factor_three",
+             ("step_explicit", "factor_three"))):
+        assert wide_calls_to_plain_helpers(code.replace(declared, plain)) == {call}
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
