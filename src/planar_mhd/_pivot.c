@@ -1,28 +1,28 @@
 /* Compiled kernels behind planar_mhd's time step, diagnostics and output.
 
-   solve_flux_system is the subtraction-free pivot recursion behind
-   planar_mhd.operators.solve_flux_system.  step_explicit runs stages 1-4
-   of solver.step and the explicit part of stage 5; conduction_solve runs
-   the Picard loop of solver.conduction_update.  The two step entries read
-   the scalars of the run from one constants block and share one workspace
-   per step, and they make the step's checks: step_explicit computes
-   scale_tol and checks the density, the velocities and field, and the
-   convected temperature; conduction_solve checks each pass's change and
-   reports the lowest value of the temperature it returns, NaN if one is
-   not finite, so that Python scans it only to clip or to fail.
-   solver.step stays one call per step, into these two, because perfbench's
-   step counter, its tracer and the tests count and wrap those calls.
+   step_explicit runs stages 1-4 of solver.step and the explicit part of
+   stage 5; conduction_solve runs the Picard loop of
+   solver.conduction_update.  The two step entries read the scalars of the
+   run from one constants block and share one workspace per step, and they
+   make the step's checks: step_explicit computes scale_tol and checks the
+   density, the velocities and field, and the convected temperature;
+   conduction_solve checks each pass's change and reports the lowest value
+   of the temperature it returns, NaN if one is not finite, so that Python
+   scans it only to clip or to fail.  solver.step stays one call per step,
+   into these two, because perfbench's step counter, its tracer and the
+   tests count and wrap those calls.
    fold_rows writes a diagnostics window's integrands, phi and extrema in
    one call and sums each integrand row as it writes it, with the one
    pairwise helper; numpy evaluates every pow, log and exp (README,
-   "Compiled diagnostics").
+   "Compiled diagnostics").  DiagnosticsAccumulator.flush is its one
+   caller; every other diagnostics call runs the numpy bodies.
    format_rows writes the rows of diagnostics.csv and of the state tables
    as Python's %.17g does, independent of the locale.
 
-   The pivot recursion lives in three places, each written so that the
-   work that does not wait for its chain of divisions runs beside it:
-   - solve_flux_system, held to operators._solve_flux_system_py by
-     tests/test_operators.py::test_solve_flux_system_is_bitwise_the_python_loop;
+   The subtraction-free pivot recursion of operators.solve_flux_system,
+   which runs as a Python loop (operators._solve_flux_system_py), lives
+   here in two places, both in the step, each written so that the work
+   that does not wait for its chain of divisions runs beside it:
    - factor_three, back_substitute_two and solve_factored, the u, w and b
      solves of step_explicit, held to the numpy step
      (solver._explicit_stages, which solves with the Python loop) by the
@@ -106,36 +106,6 @@
             __VA_ARGS__;                                                  \
         }                                                                 \
     } while (0)
-
-/* n cells, k right-hand-side columns.  x holds the right-hand side on
-   entry (row-major n x k) and the solution on return.  work holds 2n
-   doubles (the multipliers g and the pivots p).  The forward sweep of x
-   rides in the pivot loop, which hides its latency behind the divisions.
-   Returns 0, or 1 on a zero pivot, in which case x is left half swept. */
-int solve_flux_system(ptrdiff_t n, ptrdiff_t k, const double *cap, const double *off,
-                      double *x, double *work)
-{
-    double *g = work, *p = work + n;
-    double e = cap[0] + off[0];
-    p[0] = e + off[1];
-    for (ptrdiff_t i = 1; i < n; i++) {
-        if (p[i - 1] <= 0.0)
-            return 1;
-        g[i] = off[i] / p[i - 1];
-        e = cap[i] + g[i] * e;
-        p[i] = e + off[i + 1];
-        for (ptrdiff_t j = 0; j < k; j++)
-            x[i * k + j] += g[i] * x[(i - 1) * k + j];
-    }
-    if (p[n - 1] <= 0.0)
-        return 1;
-    for (ptrdiff_t j = 0; j < k; j++)
-        x[(n - 1) * k + j] /= p[n - 1];
-    for (ptrdiff_t i = n - 2; i >= 0; i--)
-        for (ptrdiff_t j = 0; j < k; j++)
-            x[i * k + j] = (x[i * k + j] + off[i + 1] * x[(i + 1) * k + j]) / p[i];
-    return 0;
-}
 
 /* Component c of cell i of a field of n cells with k interleaved
    components.  With wall set, i may be a ghost cell (i = -1 or i = n):
@@ -308,10 +278,10 @@ enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
 /* The factor loop of the u, w and b systems of stages 2-4, whose pivots
    depend on the capacities and couplings alone, so their three chains of
    divisions run side by side.  u and w share cap; b's capacity is cap_b in
-   every cell.  Each system takes the steps of solve_flux_system, on the right-
-   hand side of solver._implicit: the flux Laplacian of tilde_u (n) and of
-   tilde_w (n x 2), whose rows the loop computes into xu and xw just before
-   it sweeps them forward.  The pivots of u and w are kept in pu and pw; b's
+   every cell.  Each system takes the steps of the pivot recursion, on the
+   right-hand side of solver._implicit: the flux Laplacian of tilde_u (n)
+   and of tilde_w (n x 2), whose rows the loop computes into xu and xw just
+   before it sweeps them forward.  The pivots of u and w are kept in pu and pw; b's
    right-hand side is not known yet, so its multipliers and pivots are kept
    in gb and pb.  Returns 1 on a zero pivot. */
 INLINE int factor_three(ptrdiff_t n, const double *restrict cap, double cap_b,
@@ -569,8 +539,8 @@ INLINE double kappa_of(const double *kappa, const double *theta_k, ptrdiff_t i, 
    cell and one pass runs.  Returns 0 when the stop test holds, 1 when it
    does not, 2 when the change is not finite, 3 on a zero pivot.
 
-   A pass is solve_flux_system on the flux Laplacian of theta_tilde, with the
-   work that does not wait for the chain of divisions inside its two
+   A pass is the pivot recursion on the flux Laplacian of theta_tilde, with
+   the work that does not wait for the chain of divisions inside its two
    loops: the factor loop computes face i + 1's coupling (zero at the
    walls and at faces touching vacuum) and cell i's row of the Laplacian
    before its pivot, and the back substitution computes theta, the change
@@ -639,11 +609,13 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
 }
 
 /* ------------------------------------------------------------------------
-   The diagnostics fold (diagnostics._fold).  The fields of the window's K
-   states (diagnostics._Stack) lie as rows, rho, u and theta K x n, w and b
-   K x n x 2.  Step j reads the after column cols_a[j] against the before
-   column cols_b[j] with step dts[j]; record d is step due[d].  A part
-   whose pointer is NULL is skipped.  Each integrand row is written into
+   The diagnostics fold (diagnostics._fold, which
+   DiagnosticsAccumulator.flush calls once per window).  The fields of the
+   window's K states (diagnostics._Stack) lie as rows, rho, u and theta
+   K x n, w and b K x n x 2.  Step j reads the after column cols_a[j]
+   against the before column cols_b[j] with step dts[j]; record d is step
+   due[d].  The residual is skipped when its pointer is NULL, the records
+   when there are none.  Each integrand row is written into
    scratch (8n + 2 doubles: six rows, then the residual's 2 (n + 1) faces)
    and only its sum is stored, as numpy's .sum() gives it (total): row r
    of step j at part[r * steps + j], of record d at record[r * records + d]:
@@ -651,7 +623,7 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
      r_mag and r_pressure;
    - ledger, 6 rows: the integrands of diagnostics.dissipation_ledger;
    - phi, W x n: from phi0, each step's potential, the one before it plus
-     ptilde of its before column times dt; without phi0 it is read;
+     ptilde of its before column times dt;
    - record, 20 rows: the integrands of diagnostics.norm_suite, the square
      of phi_momentum_residual's defect, and those of total_mass,
      total_energy and entropy_functional;
@@ -668,7 +640,7 @@ struct rows {
 struct fold {
     ptrdiff_t n, steps, records;
     double dx, lambda, mu, nu, gas_R, c_v;
-    const struct rows *bef, *aft;
+    const struct rows *rows;
     const ptrdiff_t *cols_b, *cols_a, *due;
     const double *dts, *kappa, *theta_safe, *pow_alpha, *pow_q, *pow_1_alpha, *theta_q2,
         *log_rho, *log_theta, *phi0;
@@ -919,28 +891,26 @@ INLINE void fold_all(const struct fold *f, int exact)
     ptrdiff_t n = f->n, w = f->steps;
     double *row = f->scratch;
     for (ptrdiff_t j = 0; j < w; j++) {
-        struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
+        struct rows a = column(f->rows, f->cols_a[j], n), z = column(f->rows, f->cols_b[j], n);
         if (f->residual) {
             residual_step(f, &a, &z, j, row, row + n, exact);
             for (int r = 0; r < 2; r++)
                 f->residual[r * w + j] = total(row + r * n, n);
         }
-        if (f->ledger) {
-            ledger_step(f, &a, j, exact, row, row + n, row + 2 * n, row + 3 * n, row + 4 * n,
-                        row + 5 * n);
-            for (int r = 0; r < 6; r++)
-                f->ledger[r * w + j] = total(row + r * n, n);
-        }
+        ledger_step(f, &a, j, exact, row, row + n, row + 2 * n, row + 3 * n, row + 4 * n,
+                    row + 5 * n);
+        for (int r = 0; r < 6; r++)
+            f->ledger[r * w + j] = total(row + r * n, n);
         const double *rho0 = z.rho, *u0 = z.u, *b0 = z.b,
                      *restrict before = j ? f->phi + (j - 1) * n : f->phi0;
         double *restrict phi = f->phi + j * n;
-        if (f->phi0)  /* as DiagnosticsAccumulator.update adds the increments */
-            FOR_EDGED(i, n, {
-                double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
-                double ptilde = f->lambda * grad(u0, n, 1, i, 0, 1, f->dx, wall, exact)
-                                - rho0[i] * u0[i] * u0[i] - pressure(f, &z, i, 0) - 0.5 * b0_sq;
-                phi[i] = before[i] + ptilde * f->dts[j];
-            });
+        /* as the numpy body of DiagnosticsAccumulator.update adds the increments */
+        FOR_EDGED(i, n, {
+            double b0_sq = b0[2 * i] * b0[2 * i] + b0[2 * i + 1] * b0[2 * i + 1];
+            double ptilde = f->lambda * grad(u0, n, 1, i, 0, 1, f->dx, wall, exact)
+                            - rho0[i] * u0[i] * u0[i] - pressure(f, &z, i, 0) - 0.5 * b0_sq;
+            phi[i] = before[i] + ptilde * f->dts[j];
+        });
         /* the extrema over two chains of alternate cells, which overlap */
         double e[2][3] = {{a.rho[0], a.theta[0], a.theta[0]},
                           {a.rho[n - 1], a.theta[n - 1], a.theta[n - 1]}};
@@ -953,7 +923,7 @@ INLINE void fold_all(const struct fold *f, int exact)
     }
     for (ptrdiff_t d = 0; d < f->records; d++) {
         ptrdiff_t j = f->due[d];
-        struct rows a = column(f->aft, f->cols_a[j], n), z = column(f->bef, f->cols_b[j], n);
+        struct rows a = column(f->rows, f->cols_a[j], n), z = column(f->rows, f->cols_b[j], n);
         for (int r = 0; r < 20; r++) {
             record_row(r, f, d, &a, &z, row, exact);
             f->record[r * f->records + d] = total(row, n);

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .diagnostics import check_alpha
-from .model import PhysParams, check_n_cells
+from .model import PhysParams, check_n_cells, check_record_every
 from .solver import SchemeConfig
 
 
@@ -72,21 +72,21 @@ def _parse_value(key, raw, lineno):
 
 
 def _validate(cfg):
-    """Check the run-level rules here; the physical, scheme, weight and
-    grid-size rules are checked (and worded) by PhysParams, SchemeConfig,
-    check_alpha and check_n_cells."""
+    """Check the run-level rules here; the physical, scheme, weight,
+    grid-size and record-stride rules are checked (and worded) by
+    PhysParams, SchemeConfig, check_alpha, check_n_cells and
+    check_record_every."""
     try:
         if cfg.alpha is not None:
             check_alpha(cfg.alpha, cfg.phys)
         check_n_cells(cfg.n_cells)
+        check_record_every(cfg.record_every)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     for name in ("t_end", "delta"):
         value = getattr(cfg, name)
         if not 0.0 <= value < math.inf:
             raise ConfigError(f"{name} must be nonnegative and finite, got {value!r}")
-    if cfg.record_every < 1:
-        raise ConfigError(f"record_every must be at least 1, got {cfg.record_every!r}")
     if not all(0.0 <= t < math.inf for t in cfg.snapshot_times):
         raise ConfigError("snapshot_times must all be nonnegative and finite")
     return cfg

@@ -9,6 +9,10 @@ pressure ptilde = lambda*u_x - rho*u^2 - P - |b|^2/2 with phi_x = rho*u at
 t = 0, so that max_i rho_i * exp(phi_i) is a computable upper-bound monitor
 for the density: along exact dynamics d/dt(rho e^phi) <= 0.  phi is a
 read-only (n,) array; DiagnosticsAccumulator's fold is its one advance.
+
+DiagnosticsAccumulator.flush is the one caller of the compiled fold
+(fold_rows, where operators._KERNEL is loaded); every other call runs the
+numpy bodies below, which give the same bits.
 """
 
 from __future__ import annotations
@@ -50,26 +54,30 @@ def window_length(n_cells):
 # elementwise or acts along the cell axis 0, and the sums go through
 # column_sums, so a state gets the same bits alone as in a stack.
 #
-# Where the compiled kernel is loaded (operators._KERNEL), a window's
-# residual, ledger, potentials, norms and record scalars come from one C
-# pass over its stack's rows (_fold), which sums each integrand row as
-# column_sums does, with P, kappa, every pow, the entropy's logs and the
-# monitor's exp from numpy: the same bits as the numpy bodies, which stay
-# as the reference.  flush keeps the pass on the window's stack, where the
-# residual, update and record of its steps read it (_kept); a call on
-# other columns makes a pass of its own.
+# DiagnosticsAccumulator.flush is the one caller of the compiled kernel
+# here (operators._KERNEL): where it is loaded, a window's residual, ledger,
+# potentials, norms and record scalars come from one fold_rows pass over its
+# stack's rows (_fold), which sums each integrand row as column_sums does,
+# with P, kappa, every pow, the entropy's logs and the monitor's exp from
+# numpy.  flush keeps the pass on the window's stack and hands that stack to
+# update and record, which read it; consistency_residuals reads its residual
+# when on_fold passes the window's own columns and dts (_kept).  Every other
+# call runs the numpy bodies, which give the same bits: the reference, and
+# the path without a C compiler.
 
 
 class _Stack(DerivedFields):
     """The fields of k states side by side along a new axis 1: rho, u, w, b
     and theta are the states' fields as (n, k) or (n, k, 2) arrays, built as
     (k, n) rows so every state's values stay contiguous, and the derived
-    fields are computed once on those, not per state."""
+    fields are computed once on those, not per state.  _fold is flush's
+    fold_rows pass over the stack, or None."""
 
     def __init__(self, states):
         self.n_cells = states[0].n_cells
         self._states = tuple(states)  # alive while their ids index the columns
         self._index = {id(s): i for i, s in enumerate(states)}
+        self._fold = None
         for name in ("rho", "u", "w", "b", "theta"):
             setattr(self, name, np.array([getattr(s, name) for s in states]).swapaxes(0, 1))
 
@@ -104,98 +112,71 @@ class _Columns:
         return self._whole.kappa(params)[:, self._picks]
 
 
-def _held(x):
-    """The _Stack that holds x (a State, a _Stack or _Columns of one), x's
-    columns in it as a slice or a list, and their indices; a State is
-    stacked alone."""
-    if isinstance(x, _Columns):
-        return x._whole, x._picks, x._cols
-    if not isinstance(x, _Stack):
-        x = _Stack([x])
-    return x, slice(None), np.arange(len(x._states))
-
-
-def _per_state(values, like):
-    """(rows, k) kernel sums as like's functional gives them: a State's
-    (rows,) floats, columns' (rows, k) arrays."""
-    return values if isinstance(like, (_Stack, _Columns)) else values[:, 0]
-
-
 def _at(rows, due):
     """The rows of the steps due, increasing indices: all of them as they are."""
     return rows if len(due) == len(rows) else rows[due]
 
 
-def _fold(before, after, dt, params, *, alpha=None, residual=False, due=(), phi0=None,
-          phi=None):
-    """One fold_rows pass over the k pairs of before's and after's columns
-    (each a State, a _Stack or _Columns of one) with their (k,) dts, a
-    scalar dt being every pair's.  It sums the parts asked for: the
-    residual's integrands with residual, the ledger's with alpha, each
-    step's potential from phi0 (the one before the first step), and the
-    records of the steps `due` (None: every one), whose potentials come
-    from phi0 or as the (k, n) rows phi.  The extrema of every after column
-    come always.  Returns the parts as a SimpleNamespace."""
-    (sb, _, cols_b), (sa, picks, cols_a) = _held(before), _held(after)
-    n, k = sa.n_cells, len(cols_a)
-    dts = np.array(np.broadcast_to(dt, (k,)), dtype=float)
-    due = np.arange(k) if due is None else np.array(due, dtype=np.intp)
-    ends = list(accumulate((2 * k * residual, 6 * k * (alpha is not None), 20 * len(due))))
+def _fold(before, after, dts, params, alpha, phi0, due, residual):
+    """flush's fold_rows pass over one window: the pairs of the columns
+    before and after of its stack with their (W,) dts.  It sums the
+    ledger's integrands under alpha, the records of the steps `due`
+    (increasing indices) and, with residual, the residual's integrands;
+    it writes each step's potential from phi0 (the one before the first
+    step) and the extrema of every after column.  Returns the parts as a
+    SimpleNamespace."""
+    whole, picks = after._whole, after._picks
+    n, k = whole.n_cells, len(dts)
+    ends = list(accumulate((2 * k * residual, 6 * k, 20 * len(due))))
     sums, extrema, scratch = np.empty(ends[2]), np.empty((3, k)), np.empty(8 * n + 2)
-    theta = sa.theta.T[picks]
+    theta = whole.theta.T[picks]
     kappa = params.kappa_a + params.kappa_b * theta ** params.q_exp
     address = operators.address
-    bef = _kernel_rows(sb)
-    aft = bef if sa is sb else _kernel_rows(sa)
+    rows = _kernel_rows(whole)
+    safe = np.maximum(theta, THETA_FLOOR)
+    powers = (safe, safe ** alpha, safe ** params.q_exp, safe ** (1.0 + alpha))
     f = operators._Fold(n, k, len(due), 1.0 / n, params.lambda_visc, params.mu_visc,
-                        params.nu_mag, params.gas_R, params.c_v, ctypes.addressof(bef),
-                        ctypes.addressof(aft), address(cols_b), address(cols_a),
+                        params.nu_mag, params.gas_R, params.c_v, ctypes.addressof(rows),
+                        address(before._cols), address(after._cols),
                         address(due) if len(due) else None, address(dts), address(kappa),
-                        extrema=address(extrema), scratch=address(scratch),
-                        residual=address(sums) if residual else None)
-    if alpha is not None:
-        safe = np.maximum(theta, THETA_FLOOR)
-        powers = (safe, safe ** alpha, safe ** params.q_exp, safe ** (1.0 + alpha))
-        f.theta_safe, f.pow_alpha, f.pow_q, f.pow_1_alpha = map(address, powers)
-        f.ledger = address(sums[ends[0]:])
-    if phi0 is not None:
-        phi, f.phi0 = np.empty((k, n)), phi0.ctypes.data
-    elif phi is not None:
-        phi = np.array(phi)
-    if phi is not None:
-        f.phi = address(phi)
+                        *map(address, powers), phi0=phi0.ctypes.data,
+                        residual=address(sums) if residual else None, scratch=address(scratch),
+                        ledger=address(sums[ends[0]:]), extrema=address(extrema))
     if len(due):
         theta_due = _at(theta, due)
         with np.errstate(divide="ignore", invalid="ignore"):  # vacuum and cold cells
-            factors = (theta_due ** (params.q_exp + 2.0), np.log(_at(sa.rho.T[picks], due)),
+            factors = (theta_due ** (params.q_exp + 2.0), np.log(_at(whole.rho.T[picks], due)),
                        np.log(theta_due))
         f.theta_q2, f.log_rho, f.log_theta = map(address, factors)
         f.record = address(sums[ends[1]:])
+    # phi outlives the call (the marks keep its rows), so it comes last, above
+    # the transient rows on the heap: allocated first, it let glibc trim and
+    # refault the heap every window (sim-large: 7,506 against 757 minor
+    # faults in the flushes of one run)
+    phi = np.empty((k, n))
+    f.phi = address(phi)
     operators._KERNEL.fold_rows(ctypes.byref(f))
-    if phi is not None:
-        phi.setflags(write=False)  # each row may become a mark's potential
+    phi.setflags(write=False)  # each row may become a mark's potential
     return SimpleNamespace(
-        cols_b=cols_b, cols_a=cols_a, dts=dts, due=due, params=params, alpha=alpha,
-        phi0=phi0, extrema=extrema, phi=phi, phis=None if phi is None else list(phi),
-        residual=sums[:ends[0]].reshape(2, k) if residual else None,
-        ledger=sums[ends[0]:ends[1]].reshape(6, k) if alpha is not None else None,
-        record=sums[ends[1]:].reshape(20, -1) if len(due) else None)
+        cols_b=before._cols, cols_a=after._cols, dts=dts, due=due, params=params,
+        extrema=extrema, phi=phi, residual=sums[:ends[0]].reshape(2, k) if residual else None,
+        ledger=sums[ends[0]:ends[1]].reshape(6, k), record=sums[ends[1]:].reshape(20, -1))
 
 
-def _kept(before, after, dt, params, part):
-    """The pass that flush made on the window whose columns before and
-    after are, if it made `part` under params and their pairs and dts are
-    those of its steps (of its due steps for the record); else None."""
+def _kept(before, after, dt, params):
+    """The (2, k) residual sums of the pass that flush made on the window
+    whose columns before and after are, if it made them under params for
+    exactly these pairs and dts; else None.  on_fold, a public hook, may
+    pass on other columns or dts than the window's."""
     if not (isinstance(before, _Columns) and isinstance(after, _Columns)):
         return None
-    fold = after._whole.__dict__.get("_fold")
-    if (fold is None or before._whole is not after._whole or fold.params is not params
-            or getattr(fold, part) is None):
+    fold = after._whole._fold
+    if (fold is None or fold.residual is None or before._whole is not after._whole
+            or fold.params is not params):
         return None
-    steps = fold.due if part == "record" else slice(None)
-    pairs = zip((_held(before)[2], _held(after)[2], np.asarray(dt, dtype=float)),
-                (fold.cols_b[steps], fold.cols_a[steps], fold.dts[steps]))
-    return fold if all(got.tobytes() == want.tobytes() for got, want in pairs) else None
+    pairs = zip((before._cols, after._cols, np.asarray(dt, dtype=float)),
+                (fold.cols_b, fold.cols_a, fold.dts))
+    return fold.residual if all(got.tobytes() == want.tobytes() for got, want in pairs) else None
 
 
 def _kernel_rows(stack):
@@ -277,9 +258,6 @@ def dissipation_ledger(state, dt, grid, params, alpha):
       plus the conductive part.  Nonnegative by construction.
     """
     alpha = check_alpha(alpha, params)
-    if operators._KERNEL is not None:
-        sums = _fold(state, state, dt, params, alpha=alpha).ledger
-        return tuple(map(_value, _ledger_totals(_per_state(sums, state), dt, grid.dx, params)))
     ux, wx, bx, tx = state.u_x, state.w_x, state.b_x, state.theta_x
     ux2, wx2, bx2 = ux * ux, dot2(wx, wx), dot2(bx, bx)
     theta_safe = np.maximum(state.theta, THETA_FLOOR)
@@ -366,10 +344,6 @@ def norm_suite(state_before, state_after, dt, grid, params):
     sa, sb = state_after, state_before
     if np.ndim(dt) == 0 and dt == 0.0:
         sb, dt = sa, 1.0  # zero differences over a unit step
-    if operators._KERNEL is not None:
-        phi = np.zeros((_held(sa)[2].size, sa.n_cells))  # the defect row goes unread
-        integrals = _per_state(_fold(sb, sa, dt, params, due=None, phi=phi).record, sa)[:16] * dx
-        return {name: _value(value) for name, value in _norms(integrals, np.sqrt(integrals))}
     # a stack's (n, k, 2) fields take their column's dt along axis 1
     dt2 = dt[:, None] if np.ndim(dt) else dt
     sqrt_rho = np.sqrt(sa.rho)
@@ -396,14 +370,6 @@ def norm_suite(state_before, state_after, dt, grid, params):
         "w_xx": l2_columns(length(second_diff_onesided(sa.w, dx)), dx),
     }
     return {name: _value(value) for name, value in norms.items()}
-
-
-def _norms(integrals, roots):
-    """norm_suite's (name, value) pairs from the integrals of its sixteen
-    integrands, a fold's first record rows times dx, and their square
-    roots: l2_columns' sqrt(sum * dx), but the plain integral rho_theta_q2."""
-    return ((name, integrals[6] if name == "rho_theta_q2" else root)
-            for name, root in zip(_SUITE_NAMES, roots))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +453,10 @@ class DiagnosticsAccumulator:
     update and record their columns of that one stack and the (W,) array
     of the dts, so each derived field is computed once per window.  Where
     the kernel is loaded, flush makes the window's one fold_rows pass
-    (_fold) first, which they read.  An update or record called on its own
-    stacks its own distinct states and makes its own pass.
+    (_fold) first and keeps it on the stack, which it hands update and
+    record as _window; they read the pass from it.  An update or record
+    called on its own stacks its own distinct states and runs the numpy
+    bodies, as every call does without the kernel.
     """
 
     def __init__(self, init, grid, params, alpha=None, on_fold=None):
@@ -512,33 +480,29 @@ class DiagnosticsAccumulator:
         window = _chain(befores, afters)
         sb, sa, dt = window.columns(befores), window.columns(afters), np.array(dts, dtype=float)
         if operators._KERNEL is not None:
-            window.__dict__["_fold"] = _fold(
-                sb, sa, dt, self.params, alpha=self.alpha, residual=self.on_fold is not None,
-                due=np.flatnonzero(dues), phi0=self.mark[3])
+            window._fold = _fold(sb, sa, dt, self.params, self.alpha, self.mark[3],
+                                 np.flatnonzero(dues), self.on_fold is not None)
         if self.on_fold is not None:
             self.on_fold(sb, sa, dt)
         marks = self.update(befores, afters, dts, window)
         due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
         return self.record(*zip(*due), window) if due else []
 
-    def update(self, befores, afters, dts, window=None):
-        window = window or _chain(befores, afters)
+    def update(self, befores, afters, dts, _window=None):
+        window = _window or _chain(befores, afters)
         dt = np.array(dts, dtype=float)
-        sa, sb = window.columns(afters), window.columns(befores)
         totals, phi = self.mark[2:]
-        if operators._KERNEL is None:
+        fold = window._fold
+        if fold is None:
+            sa, sb = window.columns(afters), window.columns(befores)
             ledger = np.array(dissipation_ledger(sa, dt, self.grid, self.params, self.alpha))
             tops = sa.theta.max(axis=0, initial=0.0)
             phis = np.cumsum(np.vstack((phi, (_ptilde(sb, self.params) * dt).T)), axis=0)[1:]
             phis.setflags(write=False)
-            phis = list(phis)
         else:
-            fold = _kept(sb, sa, dt, self.params, "ledger")
-            if fold is None or fold.alpha != self.alpha or fold.phi0 is not phi:
-                fold = _fold(sb, sa, dt, self.params, alpha=self.alpha, phi0=phi)
             ledger = _ledger_totals(fold.ledger, dt, self.grid.dx, self.params)
             tops = np.maximum(fold.extrema[2], 0.0)  # theta.max(initial=0.0), NaN kept
-            phis = fold.phis
+            phis = fold.phi
         # the steps' six ledger totals in record order and theta sup terms,
         # summed in step order onto the mark's totals
         power = self.params.q_exp - self.alpha + 1.0
@@ -551,28 +515,28 @@ class DiagnosticsAccumulator:
         self.mark = marks[-1]
         return marks
 
-    def record(self, states, marks=None, window=None):
+    def record(self, states, marks=None, _window=None):
         marks = marks or [self.mark] * len(states)
         grid, params = self.grid, self.params
         befores = [s if m[0] is None else m[0] for s, m in zip(states, marks)]
-        window = window or _chain(befores, states)
-        sa, sb = window.columns(states), window.columns(befores)
-        # a record before any step pairs its state with itself, so dt = 1 is exact
-        dts = np.array([m[1] or 1.0 for m in marks])
-        if operators._KERNEL is None:
+        window = _window or _chain(befores, states)
+        sa, fold = window.columns(states), window._fold
+        if fold is None:
+            # a record before any step pairs its state with itself, so dt = 1 is exact
+            dts = np.array([m[1] or 1.0 for m in marks])
             phis = np.array([m[3] for m in marks]).swapaxes(0, 1)
-            norms = norm_suite(sb, sa, dts, grid, params)
+            norms = norm_suite(window.columns(befores), sa, dts, grid, params)
             norms["phi_residual"] = phi_momentum_residual(phis, sa, grid)
             scalars = (total_mass(sa, grid), total_energy(sa, grid, params),
                        entropy_functional(sa, grid), sa.rho.max(axis=0), sa.theta.min(axis=0),
                        sa.theta.max(axis=0))
         else:
-            fold = _kept(sb, sa, dts, params, "record")
-            if fold is None or any(m[3] is not fold.phis[j] for m, j in zip(marks, fold.due)):
-                fold = _fold(sb, sa, dts, params, due=None, phi=[m[3] for m in marks])
             integrals = fold.record * grid.dx
             roots = np.sqrt(integrals[:17])
-            norms = dict(_norms(integrals, roots), phi_residual=roots[16])
+            # l2_columns' sqrt(sum * dx), but the plain integral rho_theta_q2
+            norms = {name: integrals[6] if name == "rho_theta_q2" else root
+                     for name, root in zip(_SUITE_NAMES, roots)}
+            norms["phi_residual"] = roots[16]
             phis = _at(fold.phi, fold.due).T
             extrema = _at(fold.extrema.T, fold.due).T
             if not extrema.all():  # the sign of a zero is numpy's order of reduction

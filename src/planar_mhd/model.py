@@ -10,6 +10,7 @@ kappa_b * theta**q_exp with growth exponent q_exp > 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -50,6 +51,14 @@ def check_n_cells(n_cells):
     (the one-sided wall stencils of the norm suite need three)."""
     if n_cells < 4:
         raise ValueError(f"n_cells must be at least 4, got {n_cells!r}")
+
+
+def check_record_every(record_every):
+    """A run records every record_every-th step: a whole number, at least 1."""
+    if not isinstance(record_every, numbers.Integral):
+        raise ValueError(f"record_every must be an integer, got {record_every!r}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
 
 
 @dataclass(frozen=True)

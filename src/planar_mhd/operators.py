@@ -11,16 +11,17 @@ eliminated with a pivot recursion that only ever adds nonnegative terms.
 That matters because the conductivity grows like theta^q, so couplings on
 neighboring faces can differ by many orders of magnitude near vacuum; a
 generic LU loses the tiny capacities to cancellation and reports such
-matrices as singular even though they are not.  The recursion runs as
-compiled C (_pivot.c, built once per checkout into __pycache__ and loaded
-with ctypes) with the Python loop as reference and fallback; both give the
-same bits.
+matrices as singular even though they are not.  solve_flux_system runs
+the recursion as a Python loop, the reference for its compiled copies.
 
-The same library holds the compiled step of solver.step: step_explicit
+Those copies live in the compiled step of solver.step (_pivot.c, built once
+per checkout into __pycache__ and loaded with ctypes): step_explicit
 (stages 1-4 and the explicit part of stage 5) and conduction_solve (the
-Picard loop).  _KERNEL is that library, or None when it cannot be built;
-it is the one switch between the compiled step and solve and the numpy
-step and Python loop.
+Picard loop).  The same library holds the diagnostics fold, fold_rows,
+whose one caller is DiagnosticsAccumulator.flush, and format_rows, the
+text of the output tables.  _KERNEL is that library, or None when it
+cannot be built; step, conduction_update, flush and tables.format_rows
+test it, and each runs its numpy twin, with the same bits, without it.
 """
 
 from __future__ import annotations
@@ -188,23 +189,13 @@ def solve_flux_system(cap, off, rhs):
             and rhs.ndim in (1, 2) and rhs.shape[0] == n):
         raise ValueError(f"flux system shapes do not fit: cap {cap.shape},"
                          f" off {off.shape}, rhs {rhs.shape}")
-    if _KERNEL is None:
-        return _solve_flux_system_py(cap, off, rhs)
-    cap = np.ascontiguousarray(cap, dtype=np.float64)
-    off = np.ascontiguousarray(off, dtype=np.float64)
-    x = np.array(rhs, dtype=np.float64, order="C")  # solved in place
-    work = np.empty(2 * n)
-    k = 1 if x.ndim == 1 else x.shape[1]
-    if _KERNEL.solve_flux_system(n, k, cap.ctypes.data, off.ctypes.data, x.ctypes.data,
-                                 work.ctypes.data):
-        raise np.linalg.LinAlgError("flux system has a zero pivot")
-    return x
+    return _solve_flux_system_py(cap, off, rhs)
 
 
 def _solve_flux_system_py(cap, off, rhs):
     """The pivot recursion of solve_flux_system as a Python loop: the
-    reference the compiled kernel must match bit for bit, and the fallback
-    when it cannot be built."""
+    reference that the solves of the compiled step (_pivot.c) match bit for
+    bit."""
     n = cap.shape[0]
     rhs2 = rhs if rhs.ndim == 2 else rhs[:, None]
     capl = cap.tolist()
@@ -239,7 +230,6 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 
 _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
-    "solve_flux_system": ([_SIZE, _SIZE] + [_POINTER] * 4, ctypes.c_int),
     # the constants block, dt, then the arrays (the workspace is solver.step's)
     "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 7, _SIZE),
     "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 3, ctypes.c_int),
@@ -266,12 +256,12 @@ class _Rows(ctypes.Structure):
 
 class _Fold(ctypes.Structure):
     """struct fold of _pivot.c: the arguments of one fold_rows call
-    (diagnostics._fold), NULL for a part it skips."""
+    (diagnostics._fold), the residual NULL when it is skipped."""
 
     _fields_ = ([(name, _SIZE) for name in ("n", "steps", "records")]
                 + [(name, _DOUBLE) for name in ("dx", "lambda_", "mu", "nu", "gas_R", "c_v")]
                 + [(name, _POINTER) for name in (
-                    "bef aft cols_b cols_a due dts kappa theta_safe pow_alpha pow_q pow_1_alpha"
+                    "rows cols_b cols_a due dts kappa theta_safe pow_alpha pow_q pow_1_alpha"
                     " theta_q2 log_rho log_theta phi0 phi residual scratch ledger record extrema"
                 ).split()])
 
@@ -279,8 +269,8 @@ class _Fold(ctypes.Structure):
 def _load_kernel():
     """Load the compiled kernels, building them first if this source and
     these flags have not been built yet.  None when no C compiler is
-    present or the build fails; solve_flux_system then runs the Python loop
-    and solver.step the numpy stages.
+    present or the build fails; solver.step then runs the numpy stages,
+    the diagnostics their numpy bodies and tables Python's %-format.
 
     The library is named by a checksum of source and flags and moved into
     place in one step, so concurrent builds never load a partial file."""

@@ -37,6 +37,10 @@ the density, finiteness and temperature checks of the stages, and min(0,
 theta) of the temperature it returns (NaN if not finite), so step scans
 theta only when that says there is a clip or an error to make.  The
 forcing callables and every error message stay in Python on both paths.
+The numpy stages solve with operators.solve_flux_system, the Python loop
+that the compiled solves match; consistency_residuals runs numpy too,
+unless run's on_fold hands it a window whose residual the accumulator's
+compiled fold has already summed.
 run calls step, and step conduction_update, once per step by module name,
 because perfbench's step counter, its tracer and the tests wrap them.
 """
@@ -50,8 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .diagnostics import DiagnosticsAccumulator, _fold, _kept, _per_state, _value
-from .model import State, VACUUM_RHO, kappa, mechanical_heating, pressure
+from .diagnostics import DiagnosticsAccumulator, _kept, _value
+from .model import State, VACUUM_RHO, check_record_every, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
     ODD,
@@ -491,18 +495,18 @@ def consistency_residuals(state_before, state_after, dt, grid, params):
     from the state pair and spatial terms at state_after.  The k columns of
     a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
     of their pairs and give two (k,) arrays, each entry with the bits of its
-    pair alone.  Where the compiled kernel is loaded, fold_rows writes and
-    sums both integrands, with the same bits: for a window's columns in the
-    pass that its flush made, else in a pass of their own.
+    pair alone.  Called through run's on_fold with a window's own columns
+    and dts, it reads the two integrand sums from the fold_rows pass that
+    the accumulator's flush made, where the compiled kernel is loaded, with
+    the same bits; every other call runs the numpy body below.
     """
     if not (np.asarray(dt) > 0.0).all():
         raise ValueError(f"dt must be positive, got {dt!r}")
     dx = grid.dx
-    if operators._KERNEL is not None:
-        fold = (_kept(state_before, state_after, dt, params, "residual")
-                or _fold(state_before, state_after, dt, params, residual=True))
-        r_mag, r_pre = np.sqrt(_per_state(fold.residual, state_after) * dx)
-        return _value(r_mag), _value(r_pre)
+    kept = _kept(state_before, state_after, dt, params)
+    if kept is not None:
+        r_mag, r_pre = np.sqrt(kept * dx)
+        return r_mag, r_pre
     sa, sb = state_after, state_before
     nu = params.nu_mag
     r_over_cv = params.gas_R / params.c_v
@@ -532,7 +536,8 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     The step size follows stable_dt, truncated to land exactly on t_end and
     on every requested snapshot time.  When a sink is given, a full
     diagnostics record is produced for the initial state, every
-    record_every-th step, and the final state.  The accumulator folds the
+    record_every-th step (a whole number, at least 1, checked with t_end
+    before any step), and the final state.  The accumulator folds the
     accepted steps a window at a time (DiagnosticsAccumulator.window, at
     most that many steps held), so the sink gets the same records in the
     same order, but delivered at each window end, at t_end, and before an
@@ -551,6 +556,7 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
+    check_record_every(record_every)
     if cfg is None:
         cfg = SchemeConfig()
     state = init.to_state()

@@ -29,13 +29,13 @@ def format_rows(values, sep):
     does it when loaded (operators._KERNEL), Python's %-format otherwise;
     the bytes are the same."""
     rows, cols = values.shape
-    if operators._KERNEL is None:
+    kernel = operators._KERNEL
+    if kernel is None:
         template = sep.join(["%.17g"] * cols) + "\n"
         return "".join([template % tuple(row) for row in values.tolist()])
     values = np.ascontiguousarray(values, dtype=np.float64)
     text = np.empty(rows * (cols * _FIELD + 1), dtype=np.uint8)
-    size = operators._KERNEL.format_rows(values.ctypes.data, rows, cols, ord(sep),
-                                         operators.address(text))
+    size = kernel.format_rows(values.ctypes.data, rows, cols, ord(sep), operators.address(text))
     return text[:size].tobytes().decode("ascii")
 
 

@@ -209,6 +209,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, body):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_a_bad_record_every_exits_2_with_the_rules_message(tmp_path, capsys, value):
+    cfgfile = write_config(tmp_path, f"record_every = {value}\n")
+    code = main(["--config", cfgfile, "--out", str(tmp_path / "o"), "simulate"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: record_every must be at least 1, got {value}\n"
+
+
 def test_colliding_snapshot_names_exit_2(tmp_path, capsys):
     # both instants round to snapshot_t0.005000.dat
     cfgfile = write_config(

@@ -1,17 +1,17 @@
-"""The compiled diagnostics against their numpy bodies: the same bits.
+"""The compiled diagnostics fold against the numpy bodies: the same bits.
 
-Where the kernel is loaded, consistency_residuals, norm_suite and
-dissipation_ledger (with the mass, energy and phi defect of a record and
-the phi increments of an update) take their integrands from one C pass
-over a window's stacked rows, which sums each integrand row in numpy's
-pairwise order; with operators._KERNEL off the numpy bodies, the
-reference, do it all.  Each case runs the same
-fold on both paths and compares every record field, both residuals and
-every update mark by .hex() or bytes: whole runs (consecutive columns, and
-the non-consecutive due steps of record_every = 3), audit's snapshot pairs,
-and the public functionals on lone States, the dt = 0 initial record
-included.  The data has exact vacuum (vacuum-pocket) and a cold cell
-(theta = 0, which takes the THETA_FLOOR branch of the ledger).
+Where the kernel is loaded, DiagnosticsAccumulator.flush, its one caller,
+takes a window's residual, ledger, phi increments, norms, mass, energy
+and entropy from one C pass over the window's stacked rows, which sums
+each integrand row in numpy's pairwise order; update, record and a
+residual passed on by on_fold read that pass.  Every other call, and
+every call with operators._KERNEL off, runs the numpy bodies, the
+reference.  Each case runs the same fold on both paths and compares every
+record field, both residuals and every update mark by .hex() or bytes:
+whole runs (consecutive columns, and the non-consecutive due steps of
+record_every = 3), audit's snapshot pairs and the lone initial record.
+The data has exact vacuum (vacuum-pocket) and a cold cell (theta = 0,
+which takes the THETA_FLOOR branch of the ledger).
 """
 
 import tracemalloc
@@ -152,7 +152,7 @@ def test_audit_pairs_fold_the_same_bits_on_both_paths(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [4, 5, 128, 2048])
 @pytest.mark.parametrize("q_exp", [0.5, 1.5, 2.0, 6.0])
-def test_lone_states_and_picked_columns_give_the_same_bits(monkeypatch, n, q_exp):
+def test_lone_states_and_picked_columns_give_the_same_bits(n, q_exp):
     grid = Grid.uniform(n)
     params = PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
                         kappa_a=0.8, kappa_b=1.7, q_exp=q_exp)
@@ -164,42 +164,23 @@ def test_lone_states_and_picked_columns_give_the_same_bits(monkeypatch, n, q_exp
                     base.b + 0.05 * rng.standard_normal((n, 2)),
                     base.theta * rng.uniform(0.9, 1.1, n)) for i in range(5)]
     dts = np.array([0.01, 0.02, 0.005])
-
-    def functionals():
-        out = []
-        for alpha in (diagnostics.default_alpha(params), 0.3):
-            out.append(hexed(dissipation_ledger(states[1], 0.01, grid, params, alpha)))
-        out.append(hexed(list(norm_suite(states[0], states[0], 0.0, grid, params).values())))
-        out.append(hexed(list(norm_suite(states[0], states[2], 0.03, grid, params).values())))
-        out.append(hexed(consistency_residuals(states[0], states[2], 0.03, grid, params)))
-        # columns of one stack picked out of order, and two whole stacks
-        stack = diagnostics._Stack(states)
-        sa = stack.columns([states[4], states[0], states[2]])
-        befores = stack.columns([states[3], states[1], states[0]])
-        out.append(hexed(list(norm_suite(befores, sa, dts, grid, params).values())))
-        out.append(hexed(consistency_residuals(befores, sa, dts, grid, params)))
-        out.append(hexed(dissipation_ledger(sa, dts, grid, params, 0.3)))
-        out.append(hexed(consistency_residuals(diagnostics._Stack(states[:3]),
-                                               diagnostics._Stack(states[2:]), dts, grid,
-                                               params)))
-        return out
-
-    compiled, reference = on_both_paths(monkeypatch, functionals)
-    assert compiled == reference
+    # columns of one stack picked out of order
+    stack = diagnostics._Stack(states)
+    sa = stack.columns([states[4], states[0], states[2]])
+    befores = stack.columns([states[3], states[1], states[0]])
+    picked = consistency_residuals(befores, sa, dts, grid, params)
     # a stack's columns give each pair the bits it gets alone
     alone = [consistency_residuals(states[b], states[a], dt, grid, params)
              for b, a, dt in zip((3, 1, 0), (4, 0, 2), dts)]
-    assert compiled[-3] == hexed(np.array(alone).T)
+    assert hexed(picked) == hexed(np.array(alone).T)
 
 
 def test_the_compiled_residual_computes_no_derived_field(monkeypatch):
     # solver.consistency_residuals.busy_s then times the residual itself,
-    # not the stack's lazily computed gradients and face averages
+    # not the stack's lazily computed gradients and face averages: on_fold
+    # reads the residual from the pass that flush made
     grid = Grid.uniform(64)
     params = PhysParams(q_exp=1.5)
-    state = scenario("magnetic-pulse", grid).to_state()
-    after, _ = solver.step(state, 1e-3, grid, params, solver.SchemeConfig())
-    stack = diagnostics._Stack([state, after])
     calls = []
     for module in (operators, model, solver, diagnostics):
         for name in ("cell_grad", "face_average"):
@@ -211,13 +192,23 @@ def test_the_compiled_residual_computes_no_derived_field(monkeypatch):
                     return _original(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    consistency_residuals(stack.columns([state]), stack.columns([after]), np.array([1e-3]),
-                          grid, params)
-    assert calls == []
+
+    def residual_calls():
+        during = []
+
+        def on_fold(befores, afters, dts):
+            start = len(calls)
+            consistency_residuals(befores, afters, dts, grid, params)
+            during.append(calls[start:])
+
+        run(scenario("magnetic-pulse", grid), 0.01, grid, params, sink=lambda *records: None,
+            on_fold=on_fold)
+        return during
+
+    compiled = residual_calls()
+    assert compiled and all(c == [] for c in compiled)
     monkeypatch.setattr(operators, "_KERNEL", None)
-    consistency_residuals(stack.columns([state]), stack.columns([after]), np.array([1e-3]),
-                          grid, params)
-    assert calls  # the numpy body does compute them
+    assert all(residual_calls())  # the numpy body does compute them
 
 
 @pytest.mark.parametrize("n", [4, 5, 127, 128, 129, 1000, 2048, 4099, 100_003])
@@ -319,18 +310,54 @@ class CountedKernel:
 @pytest.mark.parametrize("record_every", [1, 3])
 def test_a_windowed_run_makes_one_kernel_call_per_window(monkeypatch, record_every):
     # the residual, update and record of a window read the one fold_rows
-    # pass that flush made; the initial record makes one of its own
+    # pass that flush made; the initial record, like every call outside a
+    # flush, runs the numpy bodies
     grid = Grid.uniform(128)
     params = PhysParams(q_exp=1.5)
     counted = CountedKernel(operators._KERNEL)
     monkeypatch.setattr(operators, "_KERNEL", counted)
     steps, records = [], []
-    run(scenario("magnetic-pulse", grid), 0.5, grid, params, sink=records.append,
+    init = scenario("magnetic-pulse", grid)
+    run(init, 0.5, grid, params, sink=records.append,
         record_every=record_every, on_step=lambda *step: steps.append(step),
         on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
     window = diagnostics.window_length(128)
     assert window == 64 and len(steps) > 2 * window and len(steps) % window
-    assert counted.folds == -(-len(steps) // window) + 1
+    assert counted.folds == -(-len(steps) // window)
+
+    folds = counted.folds
+    (before, after, _), dt = steps[-1], steps[-1][2].dt_used
+    acc = DiagnosticsAccumulator(init, grid, params)
+    acc.record([after])
+    acc.update([before], [after], [dt])
+    acc.record([after])
+    norm_suite(before, after, dt, grid, params)
+    dissipation_ledger(after, dt, grid, params, 0.3)
+    consistency_residuals(before, after, dt, grid, params)
+    assert counted.folds == folds
+
+
+def test_a_window_of_negative_zero_density_has_mass_plus_zero(monkeypatch):
+    # numpy adds the pairwise sum to an initial 0.0, and so does the
+    # kernel: a window whose states hold rho = -0.0 records mass +0.0
+    n = 16
+    grid, params = Grid.uniform(n), PhysParams(q_exp=1.5)
+    init = scenario("magnetic-pulse", grid)
+    voids = [State(t, np.full(n, -0.0), np.zeros(n), np.zeros((n, 2)), np.zeros((n, 2)),
+                   init.theta0) for t in (0.0, 0.01, 0.02)]
+
+    def window():
+        acc = DiagnosticsAccumulator(init, grid, params)
+        for before, after in zip(voids, voids[1:]):
+            acc.hold(before, after, after.time - before.time, due=True)
+        return [record_hex(r) for r in acc.flush()]
+
+    counted = CountedKernel(operators._KERNEL)
+    monkeypatch.setattr(operators, "_KERNEL", counted)
+    compiled, reference = on_both_paths(monkeypatch, window)
+    assert counted.folds == 1
+    assert compiled == reference
+    assert {r[SCALAR_COLUMNS.index("mass")] for r in compiled} == {(0.0).hex()}
 
 
 def test_studies_without_a_sink_make_no_fold_call(monkeypatch):

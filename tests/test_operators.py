@@ -288,7 +288,9 @@ def test_solve_flux_system_multicolumn():
     cap = rng.uniform(0.5, 2.0, size=n)
     off = rng.uniform(0.0, 4.0, size=n + 1)
     rhs = rng.normal(size=(n, 2))
+    before = rhs.copy()
     x = solve_flux_system(cap, off, rhs)
+    assert np.array_equal(rhs, before)  # the right-hand side is not modified
     assert x.shape == (n, 2)
     for k in range(2):
         col = solve_flux_system(cap, off, rhs[:, k])
@@ -354,54 +356,6 @@ def test_solve_flux_system_residual_on_random_systems():
     assert np.max(np.abs(resid)) < 1e-11
 
 
-@st.composite
-def graded_systems(draw):
-    """Flux systems graded like near-vacuum conduction: capacities from 1e-14
-    to 1e6 and couplings from 1e-6 to 1e30, log-uniform, with some exact
-    zeros (zero capacities next to zero faces make singular blocks).  The
-    right-hand side comes as (n,) or (n, 2), contiguous or as a strided,
-    reversed or Fortran-order view."""
-    n = draw(st.integers(1, 300))
-
-    def graded(size, low, high):
-        values = 10.0 ** draw(arrays(np.float64, size, elements=st.floats(low, high)))
-        values[draw(st.lists(st.integers(0, size - 1), max_size=size))] = 0.0
-        return values
-
-    cap = graded(n, -14.0, 6.0)
-    off = graded(n + 1, -6.0, 30.0)
-    base = draw(arrays(np.float64, (n, 4), elements=st.floats(-1e6, 1e6)))
-    layout = draw(st.sampled_from(["vector", "column view", "reversed", "matrix",
-                                   "fortran", "strided"]))
-    rhs = {"vector": lambda: np.ascontiguousarray(base[:, 0]),
-           "column view": lambda: base[:, 1],
-           "reversed": lambda: base[::-1, 2],
-           "matrix": lambda: np.ascontiguousarray(base[:, :2]),
-           "fortran": lambda: np.asfortranarray(base[:, 2:]),
-           "strided": lambda: base[:, ::2]}[layout]()
-    return cap, off, rhs
-
-
-def solve_outcome(solve, cap, off, rhs):
-    try:
-        x = solve(cap, off, rhs)
-    except np.linalg.LinAlgError:
-        return "singular"
-    return x.shape, x.dtype, x.tobytes()
-
-
-@settings(max_examples=150, deadline=None)
-@given(graded_systems())
-@example((np.zeros(3), np.zeros(4), np.ones(3)))  # insulated, no capacity
-@example((np.array([0.0, 1.0]), np.array([0.0, 0.0, 1e30]), np.ones((2, 2))))
-def test_solve_flux_system_is_bitwise_the_python_loop(system):
-    cap, off, rhs = system
-    before = rhs.copy()
-    assert (solve_outcome(solve_flux_system, cap, off, rhs)
-            == solve_outcome(operators._solve_flux_system_py, cap, off, rhs))
-    assert np.array_equal(rhs, before)
-
-
 def test_compiled_solve_is_active_where_a_compiler_is():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH; solve_flux_system runs the Python loop")
@@ -410,8 +364,55 @@ def test_compiled_solve_is_active_where_a_compiler_is():
     for name, (argtypes, restype) in operators._SIGNATURES.items():
         function = getattr(operators._KERNEL, name)
         assert function.argtypes == argtypes and function.restype is restype
-    assert set(operators._SIGNATURES) == {"solve_flux_system", "step_explicit",
-                                          "conduction_solve", "fold_rows", "format_rows"}
+    assert set(operators._SIGNATURES) == {"step_explicit", "conduction_solve", "fold_rows",
+                                          "format_rows"}
+
+
+class CountingKernel:
+    """operators._KERNEL with the calls of each entry point counted, in
+    order of the first call."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, []
+
+    def __getattr__(self, name):
+        function = getattr(self.kernel, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return function(*args)
+
+        return counted
+
+
+def test_a_simulate_calls_every_kernel_entry_and_folds_once_per_window(tmp_path, monkeypatch):
+    # no entry point of the kernel is left that no command reaches, and
+    # flush is the one caller of fold_rows: once per window of steps,
+    # none for the initial record
+    if operators._KERNEL is None:
+        pytest.skip("no compiled kernel (no C compiler on PATH)")
+    from planar_mhd import diagnostics
+    from planar_mhd.cli import EXIT_OK, main
+
+    window = 3
+    monkeypatch.setattr(diagnostics, "WINDOW_CELLS", window * 32)
+    monkeypatch.setattr(diagnostics, "MIN_WINDOW", 1)
+    kernel = CountingKernel(operators._KERNEL)
+    monkeypatch.setattr(operators, "_KERNEL", kernel)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario = magnetic-pulse\nn_cells = 32\nt_end = 0.1\n"
+                   "snapshot_times = 0.05\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "simulate"]) == EXIT_OK
+    assert len(list(out.glob("snapshot_t*.dat"))) == 1
+    summary = (out / "run-summary.txt").read_text()
+    steps = int(re.search(r"^steps = (\d+)$", summary, re.M).group(1))
+    assert steps > 2 * window and steps % window
+    calls = kernel.calls
+    assert set(calls) == set(operators._SIGNATURES)
+    assert calls.count("step_explicit") == steps
+    assert calls.count("fold_rows") == -(-steps // window)
+    assert "fold_rows" not in calls[:calls.index("step_explicit")]
 
 
 def test_kernel_flags_keep_the_numpy_bits():
@@ -501,10 +502,7 @@ def test_a_wide_kernel_calls_only_inline_or_wide_helpers():
         assert wide_calls_to_plain_helpers(code.replace(declared, plain)) == {call}
 
 
-@pytest.mark.parametrize("kernel", ["compiled", "python"])
-def test_solve_flux_system_rejects_mismatched_shapes(kernel, monkeypatch):
-    if kernel == "python":
-        monkeypatch.setattr(operators, "_KERNEL", None)
+def test_solve_flux_system_rejects_mismatched_shapes():
     for cap, off, rhs in [(np.ones(3), np.ones(3), np.ones(3)),
                           (np.ones(3), np.ones(5), np.ones(3)),
                           (np.ones(3), np.ones(4), np.ones(4)),

@@ -387,6 +387,21 @@ def test_run_zero_horizon_records_initial_state():
     assert np.array_equal(final.rho, np.ones(16))
 
 
+@pytest.mark.parametrize("record_every, message", [
+    (0, "record_every must be at least 1, got 0"),
+    (-1, "record_every must be at least 1, got -1"),
+    (2.5, "record_every must be an integer, got 2.5"),
+])
+def test_run_rejects_a_bad_record_every_before_any_step(monkeypatch, record_every, message):
+    grid = Grid.uniform(16)
+    steps, rows = [], []
+    monkeypatch.setattr(solver, "step", lambda *args, **kwargs: steps.append(args))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(scenario("magnetic-pulse", grid), 0.05, grid, PhysParams(), sink=rows.append,
+            record_every=record_every)
+    assert steps == [] and rows == []
+
+
 def test_run_equilibrium_is_unchanged():
     grid = Grid.uniform(24)
     final = run(scenario("uniform-rest", grid), 0.3, grid, PhysParams())
