@@ -18,6 +18,11 @@
    caller; every other diagnostics call runs the numpy bodies.
    format_rows writes the rows of diagnostics.csv and of the state tables
    as Python's %.17g does, independent of the locale.
+   mms_table forms the five residuals of a manufactured-solution forcing
+   table from the 25 closed-form results that verification.MMSCase._table
+   gathers, one call per table; the numpy body of _table is its twin,
+   held to it by tests/test_verification.py
+   (test_residual_table_matches_nested_stencils_bitwise on both paths).
 
    The subtraction-free pivot recursion of operators.solve_flux_system,
    which runs as a Python loop (operators._solve_flux_system_py), lives
@@ -36,9 +41,9 @@
 
    Every floating-point operation happens in the same order as in the
    numpy reference (operators._solve_flux_system_py, solver._explicit_stages,
-   solver._numpy_solve and the numpy bodies of the diagnostics), so the
-   two agree bit for bit.  That holds only without FMA contraction and
-   without value-changing optimizations: build with
+   solver._numpy_solve, the numpy bodies of the diagnostics and of
+   MMSCase._table), so the two agree bit for bit.  That holds only without
+   FMA contraction and without value-changing optimizations: build with
    -O3 -ffp-contract=off -fno-math-errno, never -ffast-math or an -m flag
    that picks the instruction set.  -fno-math-errno only stops sqrt from
    setting errno, which lets gcc vectorize it.  +, -, *, / and sqrt are
@@ -55,10 +60,10 @@
    loops need not give libm's bits; sqrt is correctly rounded under IEEE
    754, so it gives np.sqrt's.  Every pow, exp and log comes in evaluated
    by numpy; every sum is the one pairwise helper, numpy's pairwise
-   summation in its order.  kappa(theta) is computed here only at
-   q_exp = 2, as kappa_a + kappa_b * (theta * theta), which is how numpy
-   evaluates theta ** 2.0; for any other exponent it comes in evaluated by
-   numpy. */
+   summation in its order.  kappa(theta) is computed here, by
+   conduction_solve and mms_table, only at q_exp = 2, as kappa_a + kappa_b
+   * (theta * theta), which is how numpy evaluates theta ** 2.0; for any
+   other exponent it comes in evaluated by numpy. */
 
 #include <float.h>
 #include <math.h>
@@ -606,6 +611,138 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
             return 1;
     }
     return 1;
+}
+
+/* ------------------------------------------------------------------------
+   The manufactured-solution table (verification.MMSCase._table, one call
+   per table, so one per forced step of an mms run).  ws holds the scalars
+   below, then the 25 closed-form results that _table gathers, end to end
+   in its order (83n doubles for n points x): theta on the nested stencil
+   rows, 5 x 5 x n ([j][r]: x-stencil row r shifted by offset j, so [2] is
+   theta on the x-stencil rows); rho and u, 5 x n, and w and b, 5 x n x 2,
+   on the x-stencil rows; and the four time rows t + 2h, t + h, t - h and
+   t - 2h of rho, u (4 x n), w, b (4 x n x 2) and theta (4 x n).  out gets
+   the residuals of rho, u, w, b and e (n, n, 2n, 2n, n) as _table's numpy
+   body forms them: each _d1 and _d2 as (-f0 + 8 f1 - 8 f3 + f4) / (12 h)
+   and (-f0 + 16 f1 - 30 f2 + 16 f3 - f4) / (12 h h), P as (gas_R rho)
+   theta.  kappa holds kappa(theta) of the x-stencil rows (5 x n) by numpy,
+   or is NULL at q_exp = 2, where it is kappa_a + kappa_b * (theta * theta)
+   as in conduction_solve.  Returns 1, and writes nothing, when rho or
+   theta of an x-stencil row is negative; _table then runs its numpy body,
+   whose model.pressure raises on it. */
+enum { MMS_N, MMS_H, MMS_LAMBDA, MMS_MU, MMS_NU, MMS_GAS_R, MMS_C_V, MMS_KAPPA_A, MMS_KAPPA_B,
+       MMS_HEAD };
+
+/* verification._d1 of the four off-centre rows a, b, c and d. */
+INLINE double d1_of(double a, double b, double c, double d, double h12)
+{
+    return (-a + 8.0 * b - 8.0 * c + d) / h12;
+}
+
+/* _d1 of the five x-stencil rows f[0], f[s], ..., f[4 s] (so f[2 s]
+   unread), of the four time rows f[0], ..., f[3 s], and _d2 of the five
+   x-stencil rows. */
+INLINE double d1_x(const double *f, ptrdiff_t s, double h12)
+{
+    return d1_of(f[0], f[s], f[3 * s], f[4 * s], h12);
+}
+
+INLINE double d1_t(const double *f, ptrdiff_t s, double h12)
+{
+    return d1_of(f[0], f[s], f[2 * s], f[3 * s], h12);
+}
+
+INLINE double d2_x(const double *f, ptrdiff_t s, double hh12)
+{
+    return (-f[0] + 16.0 * f[s] - 30.0 * f[2 * s] + 16.0 * f[3 * s] - f[4 * s]) / hh12;
+}
+
+/* The cells of mms_table, kappa given or (given unset) computed at
+   q_exp = 2, so that each call folds the choice out of its loop.  Each
+   residual is its own restrict parameter, which lets gcc vectorize the
+   loops without run-time alias checks. */
+INLINE void mms_cells(const double *restrict ws, const double *restrict kappa,
+                      double *restrict f_rho, double *restrict f_u, double *restrict f_w,
+                      double *restrict f_b, double *restrict f_e, int given)
+{
+    ptrdiff_t n = (ptrdiff_t) ws[MMS_N];
+    double h = ws[MMS_H], lambda = ws[MMS_LAMBDA], mu = ws[MMS_MU], nu = ws[MMS_NU],
+           gas_R = ws[MMS_GAS_R], c_v = ws[MMS_C_V], kappa_a = ws[MMS_KAPPA_A],
+           kappa_b = ws[MMS_KAPPA_B];
+    double h12 = 12.0 * h, hh12 = 12.0 * h * h;
+    const double *nested = ws + MMS_HEAD, *theta = nested + 10 * n, *rho = nested + 25 * n,
+                 *u = rho + 5 * n, *w = u + 5 * n, *b = w + 10 * n, *rho_t = b + 10 * n,
+                 *u_t = rho_t + 4 * n, *w_t = u_t + 4 * n, *b_t = w_t + 8 * n,
+                 *theta_t = b_t + 8 * n;
+
+    for (ptrdiff_t i = 0; i < n; i++) {
+        /* per x-stencil row r: m = rho u, the flux of rho u, c_v rho u theta
+           and the conduction flux kappa theta_x; per time row, rho u and
+           c_v rho theta */
+        double m[5], flux_m[5], flux_e[5], cond[5], rho_u[4], rho_e[4];
+        for (int r = 0; r < 5; r++) {
+            double rr = rho[r * n + i], ur = u[r * n + i], th = theta[r * n + i];
+            const double *br = b + 2 * (r * n + i);
+            double kap = given ? kappa[r * n + i] : kappa_a + kappa_b * (th * th);
+            m[r] = rr * ur;
+            flux_m[r] = rr * (ur * ur) + (gas_R * rr * th + 0.5 * (br[0] * br[0] + br[1] * br[1]));
+            flux_e[r] = c_v * rr * ur * th;
+            cond[r] = kap * d1_x(nested + r * n + i, 5 * n, h12);
+        }
+        for (int s = 0; s < 4; s++) {
+            rho_u[s] = rho_t[s * n + i] * u_t[s * n + i];
+            rho_e[s] = c_v * rho_t[s * n + i] * theta_t[s * n + i];
+        }
+        f_rho[i] = d1_t(rho_t + i, n, h12) + d1_x(m, 1, h12);
+        f_u[i] = d1_t(rho_u, 1, h12) + d1_x(flux_m, 1, h12) - lambda * d2_x(u + i, n, hh12);
+        double ux = d1_x(u + i, n, h12), wx0 = d1_x(w + 2 * i, 2 * n, h12),
+               wx1 = d1_x(w + 2 * i + 1, 2 * n, h12), bx0 = d1_x(b + 2 * i, 2 * n, h12),
+               bx1 = d1_x(b + 2 * i + 1, 2 * n, h12);
+        double heating = lambda * ux * ux + mu * (wx0 * wx0 + wx1 * wx1)
+                         + nu * (bx0 * bx0 + bx1 * bx1)
+                         - gas_R * rho[2 * n + i] * theta[2 * n + i] * ux;
+        f_e[i] = d1_t(rho_e, 1, h12) + d1_x(flux_e, 1, h12) - d1_x(cond, 1, h12) - heating;
+    }
+    for (ptrdiff_t c = 0; c < 2; c++)  /* components outermost, which gcc vectorizes */
+        for (ptrdiff_t i = 0; i < n; i++) {
+            /* per row: rho w and m w - b, u b - w */
+            double rho_w[4], flux_w[5], flux_b[5];
+            for (int s = 0; s < 4; s++)
+                rho_w[s] = rho_t[s * n + i] * w_t[2 * (s * n + i) + c];
+            for (int r = 0; r < 5; r++) {
+                ptrdiff_t k = 2 * (r * n + i) + c;
+                flux_w[r] = rho[r * n + i] * u[r * n + i] * w[k] - b[k];
+                flux_b[r] = u[r * n + i] * b[k] - w[k];
+            }
+            const double *wc = w + 2 * i + c, *bc = b + 2 * i + c;
+            f_w[2 * i + c] = d1_t(rho_w, 1, h12) + d1_x(flux_w, 1, h12)
+                             - mu * d2_x(wc, 2 * n, hh12);
+            f_b[2 * i + c] = d1_t(b_t + 2 * i + c, 2 * n, h12) + d1_x(flux_b, 1, h12)
+                             - nu * d2_x(bc, 2 * n, hh12);
+        }
+}
+
+/* Built once, for the baseline (two cells per SSE2 instruction), not
+   WIDE: its clones grew the library by 86 KiB to save 2-7 us a table at
+   n = 64-256, and perfbench's sim-large, which never calls it, then read
+   a median 3-4% slower wall_s in fresh processes (2/10 pairs faster, in
+   two rounds; 6/10 without the clones). */
+int mms_table(const double *ws, const double *kappa, double *out)
+{
+    ptrdiff_t n = (ptrdiff_t) ws[MMS_N];
+    const double *theta = ws + MMS_HEAD + 10 * n, *rho = theta + 15 * n;
+    int negative = 0;
+    for (ptrdiff_t i = 0; i < 5 * n; i++)
+        negative |= (rho[i] < 0.0) | (theta[i] < 0.0);
+    if (negative)
+        return 1;
+    double *f_rho = out, *f_u = out + n, *f_w = out + 2 * n, *f_b = out + 4 * n,
+           *f_e = out + 6 * n;
+    if (kappa)
+        mms_cells(ws, kappa, f_rho, f_u, f_w, f_b, f_e, 1);
+    else
+        mms_cells(ws, NULL, f_rho, f_u, f_w, f_b, f_e, 0);
+    return 0;
 }
 
 /* ------------------------------------------------------------------------

@@ -18,10 +18,12 @@ Those copies live in the compiled step of solver.step (_pivot.c, built once
 per checkout into __pycache__ and loaded with ctypes): step_explicit
 (stages 1-4 and the explicit part of stage 5) and conduction_solve (the
 Picard loop).  The same library holds the diagnostics fold, fold_rows,
-whose one caller is DiagnosticsAccumulator.flush, and format_rows, the
-text of the output tables.  _KERNEL is that library, or None when it
-cannot be built; step, conduction_update, flush and tables.format_rows
-test it, and each runs its numpy twin, with the same bits, without it.
+whose one caller is DiagnosticsAccumulator.flush, format_rows, the text of
+the output tables, and mms_table, the arithmetic of a manufactured-solution
+forcing table, whose one caller is verification.MMSCase._table.  _KERNEL
+is that library, or None when it cannot be built; step,
+conduction_update, flush, tables.format_rows and MMSCase._table test it,
+and each runs its numpy twin, with the same bits, without it.
 """
 
 from __future__ import annotations
@@ -237,6 +239,8 @@ _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "fold_rows": ([_POINTER], None),
     # values, rows, columns, the separator and the text buffer
     "format_rows": ([_POINTER, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
+    # the scalars and closed forms of an MMS table, kappa or NULL, the residuals
+    "mms_table": ([_POINTER] * 3, ctypes.c_int),
 }
 
 

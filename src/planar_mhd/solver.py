@@ -417,6 +417,17 @@ def _explicit_stages(state, dt, grid, params, cfg, terms, scale_tol):
     return rho1, u1, w1, b1, theta_tilde, clipped
 
 
+def _as_kernel_term(term, shape):
+    """A forcing term as step_explicit reads it, a writable C-contiguous
+    float64 array of the step's shape: the term itself when it is one,
+    which a forced MMS step's terms are, else a fresh copy of it broadcast
+    to that shape (raising as np.broadcast_to does when it does not fit)."""
+    if (type(term) is np.ndarray and term.shape == shape and term.dtype == np.float64
+            and term.flags.c_contiguous and term.flags.writeable):
+        return term
+    return np.array(np.broadcast_to(term, shape), dtype=np.float64, order="C")
+
+
 def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     """step as one step_explicit call and one conduction_update in one
     fresh workspace, into which the incoming State is copied.  The new
@@ -430,10 +441,9 @@ def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     block = np.empty(6 * n)
     np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
                    out=ws[_REPORT + 2 * n:_REPORT + 9 * n])
-    forced = [None if term is None
-              else np.ascontiguousarray(np.broadcast_to(term, shape), dtype=np.float64)
+    forced = [None if term is None else _as_kernel_term(term, shape)
               for term, shape in zip(terms, ((n,), (n,), (n, 2), (n, 2), (n,)))]
-    clipped = kernel.step_explicit(consts[1], dt, *(None if f is None else f.ctypes.data
+    clipped = kernel.step_explicit(consts[1], dt, *(None if f is None else operators.address(f)
                                                     for f in forced),
                                    address, operators.address(block))
     if clipped < 0:

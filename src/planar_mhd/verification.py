@@ -8,6 +8,9 @@ with the closed forms by construction.  The five residuals at one (x, t) are
 one table built from 25 closed-form calls, shared by the five entries; per
 step it evaluates only time factors of kept spatial profiles (_kept) on kept
 stencil rows (_stencil), and each time derivative reads four time rows.
+The arithmetic after those calls runs as one mms_table call of the compiled
+kernel where it is loaded (operators._KERNEL), and as the numpy body of
+MMSCase._table, its bitwise reference, otherwise.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .diagnostics import total_mass
 from .initial import InitialData, regularize
 from .model import Grid, kappa, mechanical_heating, pressure
@@ -65,6 +69,42 @@ def _d2(f, h):
     return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
 
 
+_MMS_SCALARS = 9  # n, h and seven coefficients open the workspace (layout in _pivot.c)
+
+
+def _compiled_table(kernel, params, h, x, forms):
+    """The residuals of MMSCase._table by one mms_table call on its 25
+    closed-form results `forms`, packed in that order after the scalars
+    into one workspace by one np.concatenate; kappa of theta on the
+    x-stencil rows (forms[0][2]) comes from numpy unless q_exp = 2.  The
+    five arrays are read-only views of one fresh 7n block.  None, for the
+    numpy body to decide, when the results are not float64 of the shapes
+    MMSCase documents or when a rho or theta is negative."""
+    n, pairs = x.size, x.shape + (2,)
+    rows, row_pairs = (5,) + x.shape, (5,) + pairs
+    if tuple(getattr(f, "shape", None) for f in forms) != (
+            ((5,) + rows, rows, rows, row_pairs, row_pairs)
+            + (x.shape,) * 8 + (pairs,) * 8 + (x.shape,) * 4):
+        return None
+    # the results take 83n: 25n nested theta, 30n x-stencil rows, 28n time rows
+    ws = np.empty(_MMS_SCALARS + 83 * n)
+    try:
+        np.concatenate(((n, h, params.lambda_visc, params.mu_visc, params.nu_mag,
+                         params.gas_R, params.c_v, params.kappa_a, params.kappa_b), *forms),
+                       axis=None, out=ws, casting="no")
+        kap = None if params.q_exp == 2.0 else kappa(forms[0][2], params)
+    except (TypeError, ValueError):
+        return None
+    out = np.empty(7 * n)
+    if kernel.mms_table(operators.address(ws), None if kap is None else operators.address(kap),
+                        operators.address(out)):
+        return None
+    out.setflags(write=False)  # before the views, which inherit it
+    return {"rho": out[:n].reshape(x.shape), "u": out[n:2 * n].reshape(x.shape),
+            "w": out[2 * n:4 * n].reshape(pairs), "b": out[4 * n:6 * n].reshape(pairs),
+            "e": out[6 * n:].reshape(x.shape)}
+
+
 @dataclass(frozen=True)
 class MMSCase:
     """A manufactured solution: closed-form fields obeying the wall
@@ -110,7 +150,13 @@ class MMSCase:
         """The five residuals at (x, t) from 25 closed-form calls: each field
         once on the x-stencil rows (theta on the 5x5 rows of the nested
         conduction-flux stencil), kept per (x, h) by _stencil, and once at
-        each of t+-h, t+-2h, four unstacked rows that _d1 reads as they are."""
+        each of t+-h, t+-2h, four unstacked rows that _d1 reads as they are.
+
+        The arithmetic after the calls is one mms_table call where the
+        compiled kernel is loaded (_compiled_table), and the numpy body
+        below otherwise, with the same bits.  The body also runs when the
+        kernel declines a table, so a negative rho or theta raises the
+        ValueError of model.pressure on both paths."""
         xss = _stencil(x, h)
         xs = xss[2]
         nested = self.theta(xss, t)  # [j, k]: theta at xs[k] + offset j
@@ -120,6 +166,12 @@ class MMSCase:
         # the same fields on the time rows t+2h, t+h, t-h, t-2h
         times = (t + 2 * h, t + h, t - h, t - 2 * h)
         rho_t, u_t, w_t, b_t, theta_t = ([f(x, s) for s in times] for f in forms)
+        kernel = operators._KERNEL
+        if kernel is not None:
+            table = _compiled_table(kernel, params, h, x, (
+                nested, rho, u, w, b, *rho_t, *u_t, *w_t, *b_t, *theta_t))
+            if table is not None:
+                return table
         m = rho * u
         ux = _d1(u, h)
         heating = (mechanical_heating(ux, _d1(w, h), _d1(b, h), params)

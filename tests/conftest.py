@@ -11,9 +11,9 @@ def each_path(monkeypatch):
 
     Iterating each_path() yields "compiled" (only where the kernel is
     loaded) and then "numpy", with operators._KERNEL, the one switch
-    between the compiled step, diagnostics fold and table text and their
-    numpy twins, set for that path while the loop body runs.
-    solve_flux_system runs its Python loop on both."""
+    between the compiled step, diagnostics fold, table text and MMS
+    forcing table and their numpy twins, set for that path while the loop
+    body runs.  solve_flux_system runs its Python loop on both."""
     kernel = operators._KERNEL
 
     def paths():

@@ -272,7 +272,7 @@ def test_a_nearly_cold_conduction_stops_alike(monkeypatch, q_exp):
 
 @pytest.mark.parametrize("q_exp", [0.5, 2.0])
 def test_the_stalling_picard_reproducer_fails_alike(monkeypatch, q_exp):
-    # ROADMAP direction 6: a cell just above VACUUM_RHO gets a hot spot that
+    # ROADMAP direction 1: a cell just above VACUUM_RHO gets a hot spot that
     # sets the stop test's scale for every cell, and step 7 stalls
     grid = Grid(128)
     x = grid.cell_centers
@@ -357,6 +357,65 @@ def test_a_compiled_step_leaves_kappa_and_the_state_checks_out(monkeypatch, q_ex
 
 
 # --- the lean step: whole runs, the check after conduction, threads -------
+
+
+@pytest.mark.parametrize("form", ["read-only", "strided", "float32", "scalar", "row"])
+def test_a_forcing_term_of_any_form_steps_as_its_float64_array(monkeypatch, form):
+    # step_explicit takes a writable C-contiguous float64 term of the step's
+    # shape by its address and any other term as a float64 copy broadcast
+    # to that shape; both give the numpy step's bits
+    n, dt = 16, 1e-3
+    grid, params = Grid(n), PhysParams()
+    state = seeded(scenario("magnetic-pulse", grid).to_state(), seed=3)
+    values = {"rho": 0.5, "u": -0.25, "w": 0.125, "b": 0.75, "e": 2.0}
+
+    def shaped(name, x):
+        value = values[name] * (1.0 + x)
+        return value if name in ("rho", "u", "e") else np.stack((value, -value), axis=-1)
+
+    def term(name):
+        def f(x, t):
+            arr = shaped(name, x)
+            if form == "read-only":
+                arr.setflags(write=False)
+            elif form == "strided":
+                arr = np.repeat(arr, 2, axis=0)[::2]
+            elif form == "float32":
+                arr = arr.astype(np.float32)
+            elif form == "scalar":
+                arr = values[name]
+            elif form == "row":  # (2,) broadcast over the cells of w and b
+                arr = arr[0] if arr.ndim == 2 else arr
+            return arr
+        return f
+
+    forcing = Forcing(**{name: term(name) for name in values})
+    new_state = assert_paths_agree(monkeypatch, state, dt, grid, params, SchemeConfig(), forcing)
+    assert new_state is not None
+
+
+def test_a_fitting_forcing_term_goes_to_the_kernel_as_it_is():
+    term = np.arange(32.0).reshape(16, 2)
+    assert solver._as_kernel_term(term, (16, 2)) is term
+    frozen = term.copy()
+    frozen.setflags(write=False)
+    for other in (frozen, term[::-1], term.astype(np.float32), np.asfortranarray(term)):
+        copied = solver._as_kernel_term(other, (16, 2))
+        assert copied is not other and copied.dtype == np.float64
+        assert copied.flags.c_contiguous and copied.flags.writeable
+        assert np.array_equal(copied, other)
+
+
+def test_a_forcing_term_that_does_not_fit_fails_as_broadcast_to():
+    n = 16
+    grid = Grid(n)
+    state = scenario("magnetic-pulse", grid).to_state()
+    forcing = Forcing(w=lambda x, t: np.zeros((n, 3)))
+    with pytest.raises(ValueError) as raised:
+        step(state, 1e-3, grid, PhysParams(), SchemeConfig(), forcing)
+    with pytest.raises(ValueError) as direct:
+        np.broadcast_to(np.zeros((n, 3)), (n, 2))
+    assert str(raised.value) == str(direct.value)
 
 
 def field_bytes(state):

@@ -365,7 +365,7 @@ def test_compiled_solve_is_active_where_a_compiler_is():
         function = getattr(operators._KERNEL, name)
         assert function.argtypes == argtypes and function.restype is restype
     assert set(operators._SIGNATURES) == {"step_explicit", "conduction_solve", "fold_rows",
-                                          "format_rows"}
+                                          "format_rows", "mms_table"}
 
 
 class CountingKernel:
@@ -386,9 +386,10 @@ class CountingKernel:
 
 
 def test_a_simulate_calls_every_kernel_entry_and_folds_once_per_window(tmp_path, monkeypatch):
-    # no entry point of the kernel is left that no command reaches, and
-    # flush is the one caller of fold_rows: once per window of steps,
-    # none for the initial record
+    # no entry point of the kernel is left that no command reaches: a
+    # simulate reaches all but mms_table, which an mms calls once per forced
+    # step and a simulate never; flush is the one caller of fold_rows: once
+    # per window of steps, none for the initial record
     if operators._KERNEL is None:
         pytest.skip("no compiled kernel (no C compiler on PATH)")
     from planar_mhd import diagnostics
@@ -409,10 +410,17 @@ def test_a_simulate_calls_every_kernel_entry_and_folds_once_per_window(tmp_path,
     steps = int(re.search(r"^steps = (\d+)$", summary, re.M).group(1))
     assert steps > 2 * window and steps % window
     calls = kernel.calls
-    assert set(calls) == set(operators._SIGNATURES)
+    assert set(calls) == set(operators._SIGNATURES) - {"mms_table"}
     assert calls.count("step_explicit") == steps
     assert calls.count("fold_rows") == -(-steps // window)
     assert "fold_rows" not in calls[:calls.index("step_explicit")]
+
+    kernel.calls = []
+    assert main(["--out", str(tmp_path / "mms"), "mms", "--case", "smooth-wave",
+                 "--resolutions", "16,32", "--t-end", "0.01"]) == EXIT_OK
+    forced = kernel.calls.count("step_explicit")
+    assert forced > 0 and kernel.calls.count("mms_table") == forced
+    assert set(calls) | set(kernel.calls) == set(operators._SIGNATURES)
 
 
 def test_kernel_flags_keep_the_numpy_bits():

@@ -150,6 +150,9 @@ PARAM_SETS = {
     # the coefficient set of the coeffs.cfg golden run
     "coeffs": PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
                          kappa_a=0.8, kappa_b=1.7, q_exp=1.5),
+    # the same at q_exp = 2, where the compiled table computes kappa itself
+    "coeffs-q2": PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
+                            kappa_a=0.8, kappa_b=1.7, q_exp=2.0),
     "q0.5": PhysParams(q_exp=0.5),
     "q6": PhysParams(q_exp=6.0),
 }
@@ -229,17 +232,85 @@ def test_closed_forms_return_the_bytes_of_their_literal_expressions(name):
 
 @pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS)
 @pytest.mark.parametrize("name", sorted(MMS_CASES))
-def test_residual_table_matches_nested_stencils_bitwise(name, params):
+def test_residual_table_matches_nested_stencils_bitwise(name, params, each_path):
+    # on the compiled path one mms_table call does the table's arithmetic
     case = MMS_CASES[name]
-    for h in (_H, 2.0 * _H):
-        table, nested = case.residuals(params, h), nested_residuals(case, params, h)
-        for n in (4, 5, 64, 256, 2048):
-            x = Grid.uniform(n).cell_centers
-            for t in (0.0, 0.0123, 0.1731, 0.25):
-                for entry in ENTRIES:
-                    got, want = table[entry](x, t), nested[entry](x, t)
-                    assert got.shape == want.shape
-                    assert got.tobytes() == want.tobytes(), (h, n, t, entry)
+    for path in each_path():
+        for h in (_H, 2.0 * _H):
+            table, nested = case.residuals(params, h), nested_residuals(case, params, h)
+            for n in (4, 5, 64, 256, 2048):
+                x = Grid.uniform(n).cell_centers
+                for t in (0.0, 0.0123, 0.1731, 0.25):
+                    for entry in ENTRIES:
+                        got, want = table[entry](x, t), nested[entry](x, t)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes(), (path, h, n, t, entry)
+
+
+def _dipping(form, row):
+    """form with 2 taken off where x > 0.5 on one stacked row, so that it
+    turns negative there: row indexes the x-stencil rows (r,) or the nested
+    rows (j, r); () takes the unstacked x of the time rows."""
+    def f(x, t):
+        out = np.array(form(x, t))
+        if x.ndim == len(row) + 1:
+            out[row][x[row] > 0.5] -= 2.0
+        return out
+    return f
+
+
+@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS)
+@pytest.mark.parametrize("field, row, text", [
+    ("rho", (2,), "pressure: rho must be nonnegative"),  # the centre row
+    ("rho", (4,), "pressure: rho must be nonnegative"),
+    ("theta", (2, 2), "pressure: theta must be nonnegative"),
+    ("theta", (2, 0), "pressure: theta must be nonnegative"),
+    # rows that no pressure reads: theta_x's nested rows and the time rows
+    ("theta", (4, 1), None),
+    ("rho", (), None),
+    ("theta", (), None),
+])
+def test_a_negative_closed_form_fails_alike_on_both_paths(field, row, text, params, each_path):
+    # the kernel reports a negative rho or theta and the numpy body raises
+    # model.pressure's error, ahead of kappa's at q_exp != 2; elsewhere both
+    # paths build the same table from the negative values
+    case = MMS_CASES["smooth-wave"]
+    dipped = dataclasses.replace(case, **{field: _dipping(getattr(case, field), row)})
+    x = Grid.uniform(16).cell_centers
+    seen = []
+    for _ in each_path():
+        entries = dipped.residuals(params)
+        try:
+            seen.append({entry: entries[entry](x, 0.1).tobytes() for entry in ENTRIES})
+        except ValueError as err:
+            seen.append((type(err), str(err)))
+    assert seen[0] == seen[-1]
+    if text is None:
+        assert isinstance(seen[-1], dict)
+    else:
+        assert seen[-1] == (ValueError, text)
+
+
+def test_a_table_is_unchanged_by_later_tables(each_path):
+    # each table owns its block: later tables at other t and x, of other
+    # lengths and with other coefficients, write none of its arrays
+    case, params = MMS_CASES["smooth-wave"], PhysParams()
+    for _ in each_path():
+        entries = case.residuals(params)
+        x = Grid.uniform(64).cell_centers
+        first = {entry: entries[entry](x, 0.1) for entry in ENTRIES}
+        kept = {entry: arr.tobytes() for entry, arr in first.items()}
+        assert not any(arr.flags.writeable for arr in first.values())
+        others = case.residuals(PARAM_SETS["coeffs"])
+        for y, t in ((x, 0.2), (Grid.uniform(64).cell_centers * 0.5, 0.1),
+                     (Grid.uniform(32).cell_centers, 0.1), (x, 0.1)):
+            later = {entry: entries[entry](y, t) for entry in ENTRIES}
+            for entry in ENTRIES:
+                others[entry](y, t)
+            assert {entry: arr.tobytes() for entry, arr in first.items()} == kept, (y[:2], t)
+        # the last table is (x, 0.1) again, built anew into a block of its own
+        assert all(later[entry] is not first[entry] for entry in ENTRIES)
+        assert {entry: arr.tobytes() for entry, arr in later.items()} == kept
 
 
 def test_a_forced_step_calls_each_closed_form_five_times(each_path):
