@@ -61,9 +61,9 @@
    754, so it gives np.sqrt's.  Every pow, exp and log comes in evaluated
    by numpy; every sum is the one pairwise helper, numpy's pairwise
    summation in its order.  kappa(theta) is computed here, by
-   conduction_solve and mms_table, only at q_exp = 2, as kappa_a + kappa_b
-   * (theta * theta), which is how numpy evaluates theta ** 2.0; for any
-   other exponent it comes in evaluated by numpy. */
+   conduction_solve, only at q_exp = 2, as kappa_a + kappa_b * (theta *
+   theta), which is how numpy evaluates theta ** 2.0; for any other
+   exponent, and always for mms_table, it comes in evaluated by numpy. */
 
 #include <float.h>
 #include <math.h>
@@ -626,12 +626,10 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
    body forms them: each _d1 and _d2 as (-f0 + 8 f1 - 8 f3 + f4) / (12 h)
    and (-f0 + 16 f1 - 30 f2 + 16 f3 - f4) / (12 h h), P as (gas_R rho)
    theta.  kappa holds kappa(theta) of the x-stencil rows (5 x n) by numpy,
-   or is NULL at q_exp = 2, where it is kappa_a + kappa_b * (theta * theta)
-   as in conduction_solve.  Returns 1, and writes nothing, when rho or
-   theta of an x-stencil row is negative; _table then runs its numpy body,
-   whose model.pressure raises on it. */
-enum { MMS_N, MMS_H, MMS_LAMBDA, MMS_MU, MMS_NU, MMS_GAS_R, MMS_C_V, MMS_KAPPA_A, MMS_KAPPA_B,
-       MMS_HEAD };
+   which has already refused a negative theta there.  Returns 1, and writes
+   nothing, when rho of an x-stencil row is negative; _table then runs its
+   numpy body, whose model.pressure raises on it. */
+enum { MMS_N, MMS_H, MMS_LAMBDA, MMS_MU, MMS_NU, MMS_GAS_R, MMS_C_V, MMS_HEAD };
 
 /* verification._d1 of the four off-centre rows a, b, c and d. */
 INLINE double d1_of(double a, double b, double c, double d, double h12)
@@ -657,18 +655,15 @@ INLINE double d2_x(const double *f, ptrdiff_t s, double hh12)
     return (-f[0] + 16.0 * f[s] - 30.0 * f[2 * s] + 16.0 * f[3 * s] - f[4 * s]) / hh12;
 }
 
-/* The cells of mms_table, kappa given or (given unset) computed at
-   q_exp = 2, so that each call folds the choice out of its loop.  Each
-   residual is its own restrict parameter, which lets gcc vectorize the
-   loops without run-time alias checks. */
+/* The cells of mms_table.  Each residual is its own restrict parameter,
+   which lets gcc vectorize the loops without run-time alias checks. */
 INLINE void mms_cells(const double *restrict ws, const double *restrict kappa,
                       double *restrict f_rho, double *restrict f_u, double *restrict f_w,
-                      double *restrict f_b, double *restrict f_e, int given)
+                      double *restrict f_b, double *restrict f_e)
 {
     ptrdiff_t n = (ptrdiff_t) ws[MMS_N];
     double h = ws[MMS_H], lambda = ws[MMS_LAMBDA], mu = ws[MMS_MU], nu = ws[MMS_NU],
-           gas_R = ws[MMS_GAS_R], c_v = ws[MMS_C_V], kappa_a = ws[MMS_KAPPA_A],
-           kappa_b = ws[MMS_KAPPA_B];
+           gas_R = ws[MMS_GAS_R], c_v = ws[MMS_C_V];
     double h12 = 12.0 * h, hh12 = 12.0 * h * h;
     const double *nested = ws + MMS_HEAD, *theta = nested + 10 * n, *rho = nested + 25 * n,
                  *u = rho + 5 * n, *w = u + 5 * n, *b = w + 10 * n, *rho_t = b + 10 * n,
@@ -683,11 +678,10 @@ INLINE void mms_cells(const double *restrict ws, const double *restrict kappa,
         for (int r = 0; r < 5; r++) {
             double rr = rho[r * n + i], ur = u[r * n + i], th = theta[r * n + i];
             const double *br = b + 2 * (r * n + i);
-            double kap = given ? kappa[r * n + i] : kappa_a + kappa_b * (th * th);
             m[r] = rr * ur;
             flux_m[r] = rr * (ur * ur) + (gas_R * rr * th + 0.5 * (br[0] * br[0] + br[1] * br[1]));
             flux_e[r] = c_v * rr * ur * th;
-            cond[r] = kap * d1_x(nested + r * n + i, 5 * n, h12);
+            cond[r] = kappa[r * n + i] * d1_x(nested + r * n + i, 5 * n, h12);
         }
         for (int s = 0; s < 4; s++) {
             rho_u[s] = rho_t[s * n + i] * u_t[s * n + i];
@@ -730,18 +724,13 @@ INLINE void mms_cells(const double *restrict ws, const double *restrict kappa,
 int mms_table(const double *ws, const double *kappa, double *out)
 {
     ptrdiff_t n = (ptrdiff_t) ws[MMS_N];
-    const double *theta = ws + MMS_HEAD + 10 * n, *rho = theta + 15 * n;
+    const double *rho = ws + MMS_HEAD + 25 * n;
     int negative = 0;
     for (ptrdiff_t i = 0; i < 5 * n; i++)
-        negative |= (rho[i] < 0.0) | (theta[i] < 0.0);
+        negative |= rho[i] < 0.0;
     if (negative)
         return 1;
-    double *f_rho = out, *f_u = out + n, *f_w = out + 2 * n, *f_b = out + 4 * n,
-           *f_e = out + 6 * n;
-    if (kappa)
-        mms_cells(ws, kappa, f_rho, f_u, f_w, f_b, f_e, 1);
-    else
-        mms_cells(ws, NULL, f_rho, f_u, f_w, f_b, f_e, 0);
+    mms_cells(ws, kappa, out, out + n, out + 2 * n, out + 4 * n, out + 6 * n);
     return 0;
 }
 

@@ -239,7 +239,7 @@ _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     "fold_rows": ([_POINTER], None),
     # values, rows, columns, the separator and the text buffer
     "format_rows": ([_POINTER, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
-    # the scalars and closed forms of an MMS table, kappa or NULL, the residuals
+    # the scalars and closed forms of an MMS table, its kappa, the residuals
     "mms_table": ([_POINTER] * 3, ctypes.c_int),
 }
 

@@ -69,17 +69,17 @@ def _d2(f, h):
     return (-f[0] + 16.0 * f[1] - 30.0 * f[2] + 16.0 * f[3] - f[4]) / (12.0 * h * h)
 
 
-_MMS_SCALARS = 9  # n, h and seven coefficients open the workspace (layout in _pivot.c)
+_MMS_SCALARS = 7  # n, h and five coefficients open the workspace (layout in _pivot.c)
 
 
 def _compiled_table(kernel, params, h, x, forms):
     """The residuals of MMSCase._table by one mms_table call on its 25
     closed-form results `forms`, packed in that order after the scalars
-    into one workspace by one np.concatenate; kappa of theta on the
-    x-stencil rows (forms[0][2]) comes from numpy unless q_exp = 2.  The
-    five arrays are read-only views of one fresh 7n block.  None, for the
-    numpy body to decide, when the results are not float64 of the shapes
-    MMSCase documents or when a rho or theta is negative."""
+    into one workspace by one np.concatenate, and kappa of theta on the
+    x-stencil rows (forms[0][2]) by numpy, from its copy in the workspace.
+    The five arrays are read-only views of one fresh 7n block.  None, for
+    the numpy body to decide, when the results are not float64 of the
+    shapes MMSCase documents or when a rho or theta is negative."""
     n, pairs = x.size, x.shape + (2,)
     rows, row_pairs = (5,) + x.shape, (5,) + pairs
     if tuple(getattr(f, "shape", None) for f in forms) != (
@@ -90,14 +90,13 @@ def _compiled_table(kernel, params, h, x, forms):
     ws = np.empty(_MMS_SCALARS + 83 * n)
     try:
         np.concatenate(((n, h, params.lambda_visc, params.mu_visc, params.nu_mag,
-                         params.gas_R, params.c_v, params.kappa_a, params.kappa_b), *forms),
+                         params.gas_R, params.c_v), *forms),
                        axis=None, out=ws, casting="no")
-        kap = None if params.q_exp == 2.0 else kappa(forms[0][2], params)
+        kap = kappa(ws[_MMS_SCALARS + 10 * n:_MMS_SCALARS + 15 * n], params)
     except (TypeError, ValueError):
         return None
     out = np.empty(7 * n)
-    if kernel.mms_table(operators.address(ws), None if kap is None else operators.address(kap),
-                        operators.address(out)):
+    if kernel.mms_table(operators.address(ws), operators.address(kap), operators.address(out)):
         return None
     out.setflags(write=False)  # before the views, which inherit it
     return {"rho": out[:n].reshape(x.shape), "u": out[n:2 * n].reshape(x.shape),

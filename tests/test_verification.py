@@ -150,9 +150,6 @@ PARAM_SETS = {
     # the coefficient set of the coeffs.cfg golden run
     "coeffs": PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
                          kappa_a=0.8, kappa_b=1.7, q_exp=1.5),
-    # the same at q_exp = 2, where the compiled table computes kappa itself
-    "coeffs-q2": PhysParams(lambda_visc=0.7, mu_visc=1.3, nu_mag=0.9, gas_R=0.6, c_v=1.5,
-                            kappa_a=0.8, kappa_b=1.7, q_exp=2.0),
     "q0.5": PhysParams(q_exp=0.5),
     "q6": PhysParams(q_exp=6.0),
 }
@@ -271,8 +268,8 @@ def _dipping(form, row):
     ("theta", (), None),
 ])
 def test_a_negative_closed_form_fails_alike_on_both_paths(field, row, text, params, each_path):
-    # the kernel reports a negative rho or theta and the numpy body raises
-    # model.pressure's error, ahead of kappa's at q_exp != 2; elsewhere both
+    # numpy's kappa refuses a negative theta and the kernel a negative rho,
+    # and the numpy body then raises model.pressure's error; elsewhere both
     # paths build the same table from the negative values
     case = MMS_CASES["smooth-wave"]
     dipped = dataclasses.replace(case, **{field: _dipping(getattr(case, field), row)})
@@ -289,6 +286,38 @@ def test_a_negative_closed_form_fails_alike_on_both_paths(field, row, text, para
         assert isinstance(seen[-1], dict)
     else:
         assert seen[-1] == (ValueError, text)
+
+
+# closed forms that the kernel must not read as they come: another dtype,
+# a flat array of the right size, or another memory layout of theta
+ODD_FORMS = {
+    "float32": ("rho", lambda out: out.astype(np.float32)),
+    "flat": ("rho", lambda out: out.reshape(out.shape[:-2] + (-1,))),
+    "fortran": ("theta", np.asfortranarray),
+}
+
+
+@pytest.mark.parametrize("params", PARAM_SETS.values(), ids=PARAM_SETS)
+@pytest.mark.parametrize("odd", ODD_FORMS)
+def test_an_odd_closed_form_gives_the_same_table_or_error_on_both_paths(odd, params, each_path):
+    # a form that is not float64 of its documented shape goes to the numpy
+    # body (float32 rho makes float32 products there, a flat rho fails to
+    # broadcast), and kappa reads theta's copy in the workspace, so no
+    # closed form's layout reaches the kernel
+    field, change = ODD_FORMS[odd]
+    case = MMS_CASES["smooth-wave"]
+    form = getattr(case, field)
+    odd_case = dataclasses.replace(case, **{field: lambda x, t: change(np.array(form(x, t)))})
+    x = Grid.uniform(16).cell_centers
+    seen = []
+    for _ in each_path():
+        entries = odd_case.residuals(params)
+        try:
+            seen.append({entry: entries[entry](x, 0.1).tobytes() for entry in ENTRIES})
+        except ValueError as err:
+            seen.append((type(err), str(err)))
+    assert seen[0] == seen[-1]
+    assert isinstance(seen[-1], tuple) == (odd == "flat")
 
 
 def test_a_table_is_unchanged_by_later_tables(each_path):
