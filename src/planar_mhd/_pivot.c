@@ -8,7 +8,11 @@
    density, the velocities and field, and the convected temperature;
    conduction_solve checks each pass's change and reports the lowest value
    of the temperature it returns, NaN if one is not finite, so that Python
-   scans it only to clip or to fail.  solver.step stays one call per step,
+   scans it only to clip or to fail, and, in a report slot of its own, the
+   wave speed max(|u| + sqrt(gas_R theta)) of that temperature and the new
+   u, which the new State keeps for solver.stable_dt.  Where n is a power
+   of two, step_explicit multiplies by the exact 1 / dx and 1 / (2 dx)
+   where numpy divides (by below).  solver.step stays one call per step,
    into these two, because perfbench's step counter, its tracer and the
    tests count and wrap those calls.
    fold_rows writes a diagnostics window's integrands, phi and extrema in
@@ -17,7 +21,10 @@
    "Compiled diagnostics").  DiagnosticsAccumulator.flush is its one
    caller; every other diagnostics call runs the numpy bodies.
    format_rows writes the rows of diagnostics.csv and of the state tables
-   as Python's %.17g does, independent of the locale.
+   as Python's %.17g does, independent of the locale; parse_rows reads the
+   data rows of a state table back, with float()'s bits, and declines any
+   text but the tokens format_float writes (its grammar is at the end of
+   the file).
    mms_table forms the five residuals of a manufactured-solution forcing
    table from the 25 closed-form results that verification.MMSCase._table
    gathers, one call per table; the numpy body of _table is its twin,
@@ -58,14 +65,18 @@
 
    No libm function is called but sqrt, because numpy's transcendental
    loops need not give libm's bits; sqrt is correctly rounded under IEEE
-   754, so it gives np.sqrt's.  Every pow, exp and log comes in evaluated
-   by numpy; every sum is the one pairwise helper, numpy's pairwise
-   summation in its order.  kappa(theta) is computed here, by
-   conduction_solve, only at q_exp = 2, as kappa_a + kappa_b * (theta *
-   theta), which is how numpy evaluates theta ** 2.0; for any other
-   exponent, and always for mms_table, it comes in evaluated by numpy. */
+   754, so it gives np.sqrt's.  parse_rows calls strtod_l, which is libc,
+   not libm, and correctly rounded in the "C" locale whatever LC_NUMERIC
+   says.  Every pow, exp and log comes in evaluated by numpy; every sum is
+   the one pairwise helper, numpy's pairwise summation in its order.
+   kappa(theta) is computed here, by conduction_solve, only at q_exp = 2,
+   as kappa_a + kappa_b * (theta * theta), which is how numpy evaluates
+   theta ** 2.0; for any other exponent, and always for mms_table, it
+   comes in evaluated by numpy. */
 
+#define _GNU_SOURCE /* strtod_l */
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -137,8 +148,9 @@ INLINE void pick(double *out, int cond, double yes, double no)
 }
 
 /* x / d for d = dx, 2 dx or dx^2.  With exact set, dx is a power of two,
-   so 1 / d is exact and x times it has the quotient's bits: the fold's
-   copy of its loops for such n multiplies instead (fold_rows). */
+   so 1 / d is exact and x times it has the quotient's bits: the copy of
+   the step's and of the fold's loops for such n multiplies instead
+   (step_explicit, fold_rows). */
 INLINE double by(double x, double d, int exact)
 {
     return exact ? x * (1.0 / d) : x / d;
@@ -174,9 +186,10 @@ INLINE void upwind_flux(ptrdiff_t n, ptrdiff_t k, const double *restrict vf,
 }
 
 /* operators.div_faces at cell i, component c. */
-INLINE double div_faces(const double *flux, ptrdiff_t k, ptrdiff_t i, ptrdiff_t c, double dx)
+INLINE double div_faces(const double *flux, ptrdiff_t k, ptrdiff_t i, ptrdiff_t c, double dx,
+                        int exact)
 {
-    return (flux[(i + 1) * k + c] - flux[i * k + c]) / dx;
+    return by(flux[(i + 1) * k + c] - flux[i * k + c], dx, exact);
 }
 
 /* Component c of cell i of q, zero outside: the exterior of
@@ -247,18 +260,28 @@ INLINE ptrdiff_t require_nonnegative(ptrdiff_t n, double *f, double tol)
     return negative;
 }
 
-/* min(0, f) as numpy's f.min(initial=0.0), or NaN when f holds a NaN or
-   an infinity: what the check of solver.step after conduction reads. */
-INLINE double lowest(ptrdiff_t n, const double *f)
+/* In one sweep of the theta that conduction returns: min(0, theta) as
+   numpy's theta.min(initial=0.0), or NaN when theta holds a NaN or an
+   infinity, what the check of solver.step after conduction reads, into
+   *low; and, when u is not NULL, max_i(|u_i| + sqrt(gas_R theta_i)) into
+   *fast, the wave speed of solver.stable_dt, which step keeps when *low
+   is 0 (a max is exact, so its order does not matter). */
+INLINE void lowest_and_fastest(ptrdiff_t n, const double *theta, const double *u, double gas_R,
+                               double *low, double *fast)
 {
-    double low = 0.0;
+    double lo = 0.0, top = 0.0;
+    int bad = 0;
     for (ptrdiff_t i = 0; i < n; i++) {
-        if (!isfinite(f[i]))
-            return NAN;
-        if (f[i] < low)
-            low = f[i];
+        bad |= !(fabs(theta[i]) <= DBL_MAX);
+        lo = theta[i] < lo ? theta[i] : lo;
+        if (u) {
+            double speed = fabs(u[i]) + sqrt(gas_R * theta[i]);
+            top = speed > top ? speed : top;
+        }
     }
-    return low;
+    *low = bad ? NAN : lo;
+    if (u)
+        *fast = top;
 }
 
 /* The scalars of a (grid, params, cfg) in the one read-only block that
@@ -267,16 +290,17 @@ enum { N_CELLS, DX, LAMBDA, MU, NU, GAS_R, C_V, VACUUM_RHO, THETA_TOL, KAPPA_A, 
        PICARD_TOL, MAX_PASSES };
 
 /* The workspace of one step, which step_explicit and conduction_solve
-   share, 25n + 13 doubles: the report (the passes run so far, the last
+   share, 25n + 14 doubles: the report (the passes run so far, the last
    pass's max|theta_next - theta_k| and max|theta_k| + 1e-30, the lowest of
-   the theta returned, and the step's scale_tol), then theta_tilde and rho,
+   the theta returned, the step's scale_tol, and the wave speed of the
+   theta returned and the new u), then theta_tilde and rho,
    the incoming state (rho, u, w (n x 2), b (n x 2) and theta: 7n), which
    solver.step copies in, and the scratch (16n + 8): step_explicit's face
    velocity and field, flux, the couplings of u, w and b, the capacity, the
    explicit u and w (w's later holds b's), and the kept pivots of u and w
    and multipliers and pivots of b; conduction_solve's x, capacity,
    couplings and pivots in its first 4n + 1. */
-enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, REPORT };
+enum { PASSES, CHANGE, SCALE, LOWEST, SCALE_TOL, SPEED, REPORT };
 #define STATE(n) (REPORT + 2 * (n))
 #define SCRATCH(n) (REPORT + 9 * (n))
 
@@ -390,10 +414,13 @@ INLINE void solve_factored(ptrdiff_t n, const double *restrict off, const double
    where conduction_solve takes them.  The force_* arrays are the forcing
    terms already scaled (dt f, and f for the energy), or NULL.  Returns
    the number of cells whose theta_tilde was negative before the clip, or
-   -1 when a check of the step fails; the numpy stages then say which. */
-WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
-                        const double *force_u, const double *force_w, const double *force_b,
-                        const double *force_e, double *ws, double *out)
+   -1 when a check of the step fails; the numpy stages then say which.
+   With exact set (n a power of two), the stencils multiply by 1 / dx and
+   1 / (2 dx) (by). */
+INLINE ptrdiff_t explicit_stages(const double *k, double dt, const double *force_rho,
+                                 const double *force_u, const double *force_w,
+                                 const double *force_b, const double *force_e, double *ws,
+                                 double *out, int exact)
 {
     ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
     double dx = k[DX], lambda = k[LAMBDA], mu = k[MU], nu = k[NU], gas_R = k[GAS_R],
@@ -419,7 +446,7 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
     face_average(n, 2, b0, 1, bf);
     upwind_flux(n, 1, uf, rho0, flux);
     for (ptrdiff_t i = 0; i < n; i++) {
-        rho1[i] = rho0[i] - dt * div_faces(flux, 1, i, 0, dx);
+        rho1[i] = rho0[i] - dt * div_faces(flux, 1, i, 0, dx, exact);
         if (force_rho)
             rho1[i] = rho1[i] + force_rho[i];
     }
@@ -438,8 +465,8 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
     }
     upwind_flux(n, 1, uf, tilde_u, flux);
     FOR_EDGED(i, n, {
-        double m = tilde_u[i] - dt * div_faces(flux, 1, i, 0, dx)
-                   - dt * grad(ptot, n, 1, i, 0, 0, dx, wall, 0);
+        double m = tilde_u[i] - dt * div_faces(flux, 1, i, 0, dx, exact)
+                   - dt * grad(ptot, n, 1, i, 0, 0, dx, wall, exact);
         if (force_u)
             m = m + force_u[i];
         pick(&tilde_u[i], rho1[i] <= vacuum_rho, 0.0, m / rho1[i]);
@@ -455,7 +482,7 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
         flux[j] = flux[j] - bf[j];
     for (ptrdiff_t c = 0; c < 2; c++)  /* components outermost, which gcc vectorizes */
         for (ptrdiff_t i = 0; i < n; i++) {
-            double m = tilde[2 * i + c] - dt * div_faces(flux, 2, i, c, dx);
+            double m = tilde[2 * i + c] - dt * div_faces(flux, 2, i, c, dx, exact);
             if (force_w)
                 m = m + force_w[2 * i + c];
             pick(&tilde[2 * i + c], rho1[i] <= vacuum_rho, 0.0, m / rho1[i]);
@@ -479,7 +506,7 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
     });
     for (ptrdiff_t i = 0; i < n; i++)
         for (ptrdiff_t c = 0; c < 2; c++) {
-            tilde[2 * i + c] = b0[2 * i + c] - dt * div_faces(flux, 2, i, c, dx);
+            tilde[2 * i + c] = b0[2 * i + c] - dt * div_faces(flux, 2, i, c, dx, exact);
             if (force_b)
                 tilde[2 * i + c] = tilde[2 * i + c] + force_b[2 * i + c];
         }
@@ -494,11 +521,11 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
     upwind_flux(n, 1, uf, tilde, flux);
     double still = lambda * 0.0 * 0.0 + mu * (0.0 * 0.0 + 0.0 * 0.0);  /* du = dw = 0 */
     FOR_EDGED(j, n + 1, {
-        double du = (at(u1, n, 1, j, 0, 1, wall) - at(u1, n, 1, j - 1, 0, 1, wall)) / dx;
+        double du = by(at(u1, n, 1, j, 0, 1, wall) - at(u1, n, 1, j - 1, 0, 1, wall), dx, exact);
         double dw[2], db[2];
         for (ptrdiff_t c = 0; c < 2; c++) {
-            dw[c] = (at(w1, n, 2, j, c, 1, wall) - at(w1, n, 2, j - 1, c, 1, wall)) / dx;
-            db[c] = (at(b1, n, 2, j, c, 1, wall) - at(b1, n, 2, j - 1, c, 1, wall)) / dx;
+            dw[c] = by(at(w1, n, 2, j, c, 1, wall) - at(w1, n, 2, j - 1, c, 1, wall), dx, exact);
+            db[c] = by(at(b1, n, 2, j, c, 1, wall) - at(b1, n, 2, j - 1, c, 1, wall), dx, exact);
         }
         pick(&heat[j], vacuum_face(rho1, n, j, vacuum_rho, wall), still,
              lambda * du * du + mu * (dw[0] * dw[0] + dw[1] * dw[1]));
@@ -506,17 +533,27 @@ WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho
     });
     double *source = pu;  /* free since u and w are solved */
     FOR_EDGED(i, n, {
-        double u_x = grad(u1, n, 1, i, 0, 1, dx, wall, 0);
+        double u_x = grad(u1, n, 1, i, 0, 1, dx, wall, exact);
         source[i] = 0.5 * (heat[i] + heat[i + 1]) - gas_R * rho1[i] * th0[i] * u_x;
         if (force_e)
             source[i] = source[i] + force_e[i];
     });
     for (ptrdiff_t i = 0; i < n; i++) {
-        double energy = tilde[i] - dt * div_faces(flux, 1, i, 0, dx) + dt * source[i];
+        double energy = tilde[i] - dt * div_faces(flux, 1, i, 0, dx, exact) + dt * source[i];
         pick(&theta_tilde[i], rho1[i] <= vacuum_rho, th0[i], energy / (c_v * rho1[i]));
     }
     memcpy(theta_tilde + n, rho1, (size_t) n * sizeof *rho1);  /* the rho of conduction_solve */
     return require_nonnegative(n, theta_tilde, k[THETA_TOL]);
+}
+
+WIDE ptrdiff_t step_explicit(const double *k, double dt, const double *force_rho,
+                             const double *force_u, const double *force_w, const double *force_b,
+                             const double *force_e, double *ws, double *out)
+{
+    ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
+    if ((n & (n - 1)) == 0)
+        return explicit_stages(k, dt, force_rho, force_u, force_w, force_b, force_e, ws, out, 1);
+    return explicit_stages(k, dt, force_rho, force_u, force_w, force_b, force_e, ws, out, 0);
 }
 
 /* kappa of cell i of conduction_solve: kappa[i], or with kappa NULL
@@ -537,12 +574,14 @@ INLINE double kappa_of(const double *kappa, const double *theta_k, ptrdiff_t i, 
    The report gets the passes run (0 before the first call), the last
    pass's max|theta_next - theta_k| and max|theta_k| + 1e-30, the scale of
    the stop test (a max is NaN if any entry is NaN, as numpy's max), and,
-   once the stop test holds, lowest(theta).  With kappa NULL (q_exp = 2),
-   each pass takes kappa_a + kappa_b * (m * m) with m = max(theta_k, 0), a
-   NaN kept, and passes run until one of the returns below or until
-   MAX_PASSES have run; otherwise kappa holds kappa(max(theta_k, 0)) per
-   cell and one pass runs.  Returns 0 when the stop test holds, 1 when it
-   does not, 2 when the change is not finite, 3 on a zero pivot.
+   once the stop test holds, the lowest of theta and, with u (the new u of
+   step_explicit) not NULL, the wave speed (lowest_and_fastest).  With
+   kappa NULL (q_exp = 2), each pass takes kappa_a + kappa_b * (m * m)
+   with m = max(theta_k, 0), a NaN kept, and passes run until one of the
+   returns below or until MAX_PASSES have run; otherwise kappa holds
+   kappa(max(theta_k, 0)) per cell and one pass runs.  Returns 0 when the
+   stop test holds, 1 when it does not, 2 when the change is not finite, 3
+   on a zero pivot.
 
    A pass is the pivot recursion on the flux Laplacian of theta_tilde, with
    the work that does not wait for the chain of divisions inside its two
@@ -550,12 +589,12 @@ INLINE double kappa_of(const double *kappa, const double *theta_k, ptrdiff_t i, 
    walls and at faces touching vacuum) and cell i's row of the Laplacian
    before its pivot, and the back substitution computes theta, the change
    and the scale of each cell as it solves it. */
-WIDE int conduction_solve(const double *k, double dt, const double *kappa, double *ws,
-                     double *theta)
+WIDE int conduction_solve(const double *k, double dt, const double *kappa, const double *u,
+                          double *ws, double *theta)
 {
     ptrdiff_t n = (ptrdiff_t) k[N_CELLS];
     double dx = k[DX], vacuum_rho = k[VACUUM_RHO], kappa_a = k[KAPPA_A], kappa_b = k[KAPPA_B],
-           c_v = k[C_V];
+           c_v = k[C_V], gas_R = k[GAS_R];
     const double *restrict theta_tilde = ws + REPORT, *restrict rho = theta_tilde + n;
     double *restrict x = ws + SCRATCH(n), *restrict cap = x + n, *restrict off = cap + n,
            *restrict p = off + (n + 1);
@@ -604,7 +643,7 @@ WIDE int conduction_solve(const double *k, double dt, const double *kappa, doubl
         if (!isfinite(change))
             return 2;
         if (change <= k[PICARD_TOL] * scale) {
-            ws[LOWEST] = lowest(n, theta);
+            lowest_and_fastest(n, theta, u, gas_R, ws + LOWEST, ws + SPEED);
             return 0;
         }
         if (kappa)
@@ -952,8 +991,12 @@ INLINE double extreme(double m, double v, double sign)
     return m != m || sign * m >= sign * v ? m : v;
 }
 
+/* Record row r of record d, into row; root holds sqrt(rho) of the
+   record's after column.  Row 12, the square of u_x, is the ledger's
+   first row of the same step, which fold_all takes instead. */
 INLINE void record_row(int r, const struct fold *f, ptrdiff_t d, const struct rows *a,
-                       const struct rows *z, double *restrict row, int exact)
+                       const struct rows *z, const double *restrict root,
+                       double *restrict row, int exact)
 {
     ptrdiff_t n = f->n, j = f->due[d];
     double dx = f->dx, dt = f->dts[j];
@@ -980,16 +1023,14 @@ INLINE void record_row(int r, const struct fold *f, ptrdiff_t d, const struct ro
         ROW(square(!wall ? by(rho[i + 1] - rho[i - 1], 2.0 * dx, exact)
                    : by(i == 0 ? rho[1] - rho[0] : rho[n - 1] - rho[n - 2], dx, exact)));
     case 8:
-        ROW(square(sqrt(rho[i]) * ((theta[i] - z->theta[i]) / dt)));
+        ROW(square(root[i] * ((theta[i] - z->theta[i]) / dt)));
     case 9:
-        ROW(square(sqrt(rho[i]) * ((u[i] - z->u[i]) / dt)));
+        ROW(square(root[i] * ((u[i] - z->u[i]) / dt)));
     case 10:
-        ROW(length_sq(sqrt(rho[i]) * ((w[2 * i] - z->w[2 * i]) / dt),
-                      sqrt(rho[i]) * ((w[2 * i + 1] - z->w[2 * i + 1]) / dt)));
+        ROW(length_sq(root[i] * ((w[2 * i] - z->w[2 * i]) / dt),
+                      root[i] * ((w[2 * i + 1] - z->w[2 * i + 1]) / dt)));
     case 11:
         ROW(square(D2(theta, 1, 0)));
-    case 12:
-        ROW(square(D1(u, 1, 0, 1)));
     case 13:
         ROW(square(D2(u, 1, 0)));
     case 14:
@@ -1011,7 +1052,9 @@ INLINE void record_row(int r, const struct fold *f, ptrdiff_t d, const struct ro
 }
 
 /* Every part of struct fold.  Each record row is written in one sweep
-   and summed while it is in cache. */
+   and summed while it is in cache, after one sweep for sqrt(rho); row 12
+   is the ledger's sum of u_x^2 of the same step, the same row summed in
+   the same order. */
 INLINE void fold_all(const struct fold *f, int exact)
 {
     ptrdiff_t n = f->n, w = f->steps;
@@ -1047,11 +1090,18 @@ INLINE void fold_all(const struct fold *f, int exact)
         for (int q = 0; q < 3; q++)
             f->extrema[q * w + j] = extreme(e[0][q], e[1][q], q == 1 ? -1 : 1);
     }
+    double *root = row + n;
     for (ptrdiff_t d = 0; d < f->records; d++) {
         ptrdiff_t j = f->due[d];
         struct rows a = column(f->rows, f->cols_a[j], n), z = column(f->rows, f->cols_b[j], n);
+        for (ptrdiff_t i = 0; i < n; i++)
+            root[i] = sqrt(a.rho[i]);
         for (int r = 0; r < 20; r++) {
-            record_row(r, f, d, &a, &z, row, exact);
+            if (r == 12) {
+                f->record[r * f->records + d] = f->ledger[j];
+                continue;
+            }
+            record_row(r, f, d, &a, &z, root, row, exact);
             f->record[r * f->records + d] = total(row, n);
         }
     }
@@ -1216,4 +1266,103 @@ ptrdiff_t format_rows(const double *values, ptrdiff_t rows, ptrdiff_t cols, ptrd
             *p++ = c + 1 < cols ? (char) sep : '\n';
         }
     return p - out;
+}
+
+
+/* ------------------------------------------------------------------------
+   Input rows.  parse_rows reads the data block of a state table, the text
+   after its header comments (tables.read_state_table), into a block of
+   rows x cols doubles, at most max_rows rows, and returns the rows read,
+   or -1 when it declines the text: the Python body of read_state_table
+   then reads it, and raises its own error where there is one.  The text is
+   lines of cols tokens separated by spaces or tabs, each line ended by a
+   newline or by the end of the text; blank lines are skipped.  A token is
+   one that format_float writes, or a bare integer such as 0:
+
+       token = "nan" | ["-"] ("inf" | digits ["." digits] ["e" sign digits])
+
+   Anything else is declined: a '#' line, a carriage return, another
+   character, "1_0", "0x1p3", "infinity", "nan(1)", "1.5e", a token longer
+   than TOKEN - 1 bytes, a row of another length.  Each token is converted
+   by strtod_l in the "C" locale, so no radix character of LC_NUMERIC
+   counts; glibc's strtod is correctly rounded (Clinger, PLDI 1990), as
+   Python's float() is, so the bits are float()'s.  strtod_l is libc, not
+   libm. */
+enum { TOKEN = 64 };
+
+/* The end of the run of decimal digits at p, p itself if there is none. */
+static const char *digits_end(const char *p, const char *end)
+{
+    while (p < end && *p >= '0' && *p <= '9')
+        p++;
+    return p;
+}
+
+/* The end of the token of the grammar above that starts at p, or NULL. */
+static const char *token_end(const char *p, const char *end)
+{
+    if (end - p >= 3 && memcmp(p, "nan", 3) == 0)
+        return p + 3;
+    if (p < end && *p == '-')
+        p++;
+    if (end - p >= 3 && memcmp(p, "inf", 3) == 0)
+        return p + 3;
+    const char *q = digits_end(p, end);
+    if (q == p)
+        return NULL;
+    if (q < end && *q == '.') {
+        p = q + 1;
+        if ((q = digits_end(p, end)) == p)
+            return NULL;
+    }
+    if (q < end && *q == 'e') {
+        p = q + 1;
+        if (p == end || (*p != '+' && *p != '-'))
+            return NULL;
+        p++;
+        if ((q = digits_end(p, end)) == p)
+            return NULL;
+    }
+    return q;
+}
+
+ptrdiff_t parse_rows(const char *text, ptrdiff_t size, ptrdiff_t cols, ptrdiff_t max_rows,
+                     double *out)
+{
+    locale_t c_locale = newlocale(LC_ALL_MASK, "C", (locale_t) 0);
+    if (c_locale == (locale_t) 0)
+        return -1;
+    const char *p = text, *end = text + size;
+    ptrdiff_t rows = 0, count = 0;  /* the rows done, the tokens of this one */
+    while (rows >= 0 && p < end) {
+        if (*p == ' ' || *p == '\t') {
+            p++;
+        } else if (*p == '\n') {
+            if (count && count != cols)
+                rows = -1;
+            else if (count)
+                rows++, count = 0;
+            p++;
+        } else {
+            const char *stop = token_end(p, end);
+            char token[TOKEN], *used;
+            if (!stop || stop - p >= TOKEN || (stop < end && *stop != ' ' && *stop != '\t'
+                                               && *stop != '\n')
+                || count == cols || rows == max_rows) {
+                rows = -1;
+                break;
+            }
+            memcpy(token, p, (size_t) (stop - p));
+            token[stop - p] = '\0';
+            out[rows * cols + count] = strtod_l(token, &used, c_locale);
+            if (used != token + (stop - p))
+                rows = -1;
+            count++;
+            p = stop;
+        }
+    }
+    if (rows >= 0 && count)  /* the last row, with no newline after it */
+        rows = count == cols ? rows + 1 : -1;
+    freelocale(c_locale);
+    return rows;
 }

@@ -18,6 +18,7 @@ numpy bodies below, which give the same bits.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from operator import attrgetter, itemgetter
@@ -320,9 +321,9 @@ def monitor_drift(records):
     for r in records:
         if r.rho_F_max < running:
             running = r.rho_F_max
-        if running > 0.0 and np.isfinite(r.rho_F_max):
+        if running > 0.0 and math.isfinite(r.rho_F_max):
             drift = max(drift, r.rho_F_max / running - 1.0)
-        elif not np.isfinite(r.rho_F_max):
+        elif not math.isfinite(r.rho_F_max):
             drift = float("inf")
     return drift
 

@@ -19,11 +19,12 @@ per checkout into __pycache__ and loaded with ctypes): step_explicit
 (stages 1-4 and the explicit part of stage 5) and conduction_solve (the
 Picard loop).  The same library holds the diagnostics fold, fold_rows,
 whose one caller is DiagnosticsAccumulator.flush, format_rows, the text of
-the output tables, and mms_table, the arithmetic of a manufactured-solution
-forcing table, whose one caller is verification.MMSCase._table.  _KERNEL
-is that library, or None when it cannot be built; step,
-conduction_update, flush, tables.format_rows and MMSCase._table test it,
-and each runs its numpy twin, with the same bits, without it.
+the output tables, parse_rows, their data rows read back, and mms_table,
+the arithmetic of a manufactured-solution forcing table, whose one caller
+is verification.MMSCase._table.  _KERNEL is that library, or None when it
+cannot be built; step, conduction_update, flush, tables.format_rows,
+tables.read_state_table and MMSCase._table test it, and each runs its
+numpy or Python twin, with the same bits, without it.
 """
 
 from __future__ import annotations
@@ -234,11 +235,13 @@ _SIZE, _DOUBLE, _POINTER = ctypes.c_ssize_t, ctypes.c_double, ctypes.c_void_p
 _SIGNATURES = {  # name: (argument types, result type), as declared in _pivot.c
     # the constants block, dt, then the arrays (the workspace is solver.step's)
     "step_explicit": ([_POINTER, _DOUBLE] + [_POINTER] * 7, _SIZE),
-    "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 3, ctypes.c_int),
+    "conduction_solve": ([_POINTER, _DOUBLE] + [_POINTER] * 4, ctypes.c_int),
     # the struct fold of a diagnostics window (_Fold)
     "fold_rows": ([_POINTER], None),
     # values, rows, columns, the separator and the text buffer
     "format_rows": ([_POINTER, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
+    # the text and its size, columns, the most rows, the values
+    "parse_rows": ([ctypes.c_char_p, _SIZE, _SIZE, _SIZE, _POINTER], _SIZE),
     # the scalars and closed forms of an MMS table, its kappa, the residuals
     "mms_table": ([_POINTER] * 3, ctypes.c_int),
 }

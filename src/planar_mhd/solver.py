@@ -35,8 +35,13 @@ two calls share one fresh workspace and read the scalars of (grid, params,
 cfg) from one block packed once.  The kernel makes the checks: scale_tol,
 the density, finiteness and temperature checks of the stages, and min(0,
 theta) of the temperature it returns (NaN if not finite), so step scans
-theta only when that says there is a clip or an error to make.  The
-forcing callables and every error message stay in Python on both paths.
+theta only when that says there is a clip or an error to make.  Beside
+that minimum it reports the wave speed of stable_dt for the new u and
+theta, which the new State keeps when theta needed no clip, so the next
+stable_dt reads it instead of computing it.  Where n is a power of two
+the kernel multiplies by the exact reciprocals of dx and 2 dx where numpy
+divides, with the same bits.  The forcing callables and every error
+message stay in Python on both paths.
 The numpy stages solve with operators.solve_flux_system, the Python loop
 that the compiled solves match; consistency_residuals runs numpy too,
 unless run's on_fold hands it a window whose residual the accumulator's
@@ -151,11 +156,16 @@ def stable_dt(state, grid, params, cfg):
 
     The sound speed is c = sqrt(gas_R * theta).  The max is floored at unit
     reference speed, so a fully at-rest cold field gets the plain advective
-    step cfl*dx instead of a division by zero.
+    step cfl*dx instead of a division by zero.  A State of the compiled step
+    carries the max from the kernel, with these bits, for the params it was
+    stepped under (_compiled_step); any other is computed here.
     """
-    speed = np.abs(state.u) + np.sqrt(params.gas_R * state.theta)
-    fastest = max(float(speed.max()), 1.0)
-    return min(cfg.dt_max, cfg.cfl * grid.dx / fastest)
+    kept = state.__dict__.get("_speed")
+    if kept is not None and kept[0] is params:
+        fastest = kept[1]
+    else:
+        fastest = float((np.abs(state.u) + np.sqrt(params.gas_R * state.theta)).max())
+    return min(cfg.dt_max, cfg.cfl * grid.dx / max(fastest, 1.0))
 
 
 def advect_density(rho, u, dt, grid):
@@ -252,8 +262,8 @@ def _numpy_solve(theta_tilde, rho, dt, grid, params, cfg):
     return theta_k, _NOT_CONVERGED, passes, change, scale
 
 
-_REPORT = 5  # the report slots that open a workspace (layout in _pivot.c)
-_PASSES, _CHANGE, _SCALE, _LOWEST, _SCALE_TOL = range(_REPORT)
+_REPORT = 6  # the report slots that open a workspace (layout in _pivot.c)
+_PASSES, _CHANGE, _SCALE, _LOWEST, _SCALE_TOL, _SPEED = range(_REPORT)
 _BOUND = (None,) * 4  # the last (grid, params, cfg) bound, and its constants
 
 
@@ -273,14 +283,15 @@ def _constants(grid, params, cfg):
     return kept[3]
 
 
-def _fresh_workspace(grid, params, cfg):
+def _fresh_workspace(grid, params, cfg, u_at=None):
     """One step's workspace (layout in _pivot.c) and the theta array that
-    conduction_solve writes: (_constants, ws, theta, and the addresses of
-    ws and theta)."""
+    conduction_solve writes: (_constants, ws, theta, the addresses of ws
+    and theta, and u_at).  u_at is the address of the step's new u, whose
+    wave speed conduction_solve then reports, or None."""
     n = grid.n_cells
-    ws, theta = np.empty(25 * n + 13), np.empty(n)
+    ws, theta = np.empty(25 * n + 14), np.empty(n)
     return (_constants(grid, params, cfg), ws, theta, operators.address(ws),
-            operators.address(theta))
+            operators.address(theta), u_at)
 
 
 def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
@@ -288,24 +299,24 @@ def _compiled_solve(theta_tilde, rho, dt, grid, params, cfg, workspace=None):
     q_exp = 2, where the kernel evaluates kappa as numpy evaluates theta **
     2.0, and one call per pass on kappa by numpy otherwise.  workspace is
     step's _fresh_workspace, whose ws holds theta_tilde and rho already;
-    without it both go into a new one.  The kernel writes the returned
-    theta, an array of its own."""
+    without it both go into a new one, and no u goes in.  The kernel writes
+    the returned theta, an array of its own."""
     kernel, n = operators._KERNEL, grid.n_cells
     if workspace is None:
         workspace = _fresh_workspace(grid, params, cfg)
         workspace[1][_PASSES] = 0.0
         np.concatenate((theta_tilde, rho), out=workspace[1][_REPORT:_REPORT + 2 * n])
-    consts, ws, theta, address, theta_at = workspace
-    if ws.size != 25 * n + 13 or theta.size != n:
-        raise ValueError(f"a workspace of {n} cells needs 25n + 13 and n values")
+    consts, ws, theta, address, theta_at, u_at = workspace
+    if ws.size != 25 * n + 14 or theta.size != n:
+        raise ValueError(f"a workspace of {n} cells needs 25n + 14 and n values")
     if params.q_exp == 2.0:
-        code = kernel.conduction_solve(consts[1], dt, None, address, theta_at)
+        code = kernel.conduction_solve(consts[1], dt, None, u_at, address, theta_at)
     else:
         theta_k = theta_tilde
         for _ in range(cfg.picard_max_iters):
             kap = kappa(np.maximum(theta_k, 0.0), params)  # held while the kernel reads it
-            code = kernel.conduction_solve(consts[1], dt, operators.address(kap), address,
-                                           theta_at)
+            code = kernel.conduction_solve(consts[1], dt, operators.address(kap), u_at,
+                                           address, theta_at)
             theta_k = theta
             if code != _NOT_CONVERGED:
                 break
@@ -432,20 +443,22 @@ def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     """step as one step_explicit call and one conduction_update in one
     fresh workspace, into which the incoming State is copied.  The new
     State owns the block step_explicit writes (rho, u, w, b) and the theta
-    conduction_solve writes.  When a check fails in step_explicit, the
-    numpy stages run again on the same terms, so the error is raised, and
-    worded, where they raise it."""
+    conduction_solve writes, and keeps, for params, the wave speed of
+    stable_dt that conduction_solve reports, unless theta was clipped.
+    When a check fails in step_explicit, the numpy stages run again on the
+    same terms, so the error is raised, and worded, where they raise it."""
     n = grid.n_cells
-    workspace = _fresh_workspace(grid, params, cfg)
-    consts, ws, theta, address, _ = workspace
     block = np.empty(6 * n)
+    block_at = operators.address(block)
+    workspace = _fresh_workspace(grid, params, cfg, block_at + 8 * n)  # u, after rho
+    consts, ws, theta, address = workspace[:4]
     np.concatenate((state.rho, state.u, state.w.ravel(), state.b.ravel(), state.theta),
                    out=ws[_REPORT + 2 * n:_REPORT + 9 * n])
     forced = [None if term is None else _as_kernel_term(term, shape)
               for term, shape in zip(terms, ((n,), (n,), (n, 2), (n, 2), (n,)))]
     clipped = kernel.step_explicit(consts[1], dt, *(None if f is None else operators.address(f)
                                                     for f in forced),
-                                   address, operators.address(block))
+                                   address, block_at)
     if clipped < 0:
         _explicit_stages(state, dt, grid, params, cfg, terms, float(ws[_SCALE_TOL]))
         raise RuntimeError("the compiled step failed a check that the numpy step passes")
@@ -453,12 +466,15 @@ def _compiled_step(kernel, state, dt, grid, params, cfg, terms):
     theta1, iters = conduction_update(ws[_REPORT:_REPORT + n], block[:n], dt, grid, params, cfg,
                                       workspace)
     # the kernel reports min(0, theta), NaN if not finite, for the theta it wrote
-    if theta1 is not theta or not ws[_LOWEST] == 0.0:
+    kept = theta1 is theta and ws[_LOWEST] == 0.0
+    if not kept:
         theta1 = _require_nonnegative(theta1, float(ws[_SCALE_TOL]),
                                       "temperature (post conduction)", "stage 5 (conduction)")
     theta1.setflags(write=False)
     pairs = block.reshape(3, n, 2)  # [1] and [2] are w and b
     new = State._trusted(state.time + dt, block[:n], block[n:2 * n], pairs[1], pairs[2], theta1)
+    if kept:
+        new.__dict__["_speed"] = (params, float(ws[_SPEED]))
     report = StepReport.__new__(StepReport)  # its __dict__ filled, as State._trusted fills one
     report.__dict__.update(dt_used=dt, picard_iters=iters, clipped_cells=clipped)
     return new, report

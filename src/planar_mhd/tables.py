@@ -3,7 +3,10 @@
 One row per cell, eight columns: x, rho, u, w1, w2, b1, b2, theta.  Values
 are written with 17 significant digits so a write/read round trip is exact.
 Lines starting with '#' are comments; one '# time = <t>' header (the
-exact key time) carries the snapshot instant, 0 without one.
+exact key time) carries the snapshot instant, 0 without one.  Where the
+compiled kernel is loaded (operators._KERNEL), format_rows writes the text
+and parse_rows reads the data rows back, each with the bits of its Python
+twin, which is the reference and the path without the kernel.
 """
 
 from __future__ import annotations
@@ -56,12 +59,25 @@ def write_state_table(path, grid, state):
         fh.write(format_rows(cols, " "))
 
 
-def read_state_table(path):
-    """Read a state table; returns (time, grid, state).
+def _header(stripped, time, path):
+    """The time after the comment line stripped: a '# time = <t>' header
+    sets it, once, to a finite number; any other comment leaves it."""
+    key, equals, value = stripped[1:].partition("=")
+    if not (equals and key.strip() == "time"):
+        return time
+    if time is not None:
+        raise ValueError(f"{path}: more than one time header")
+    try:
+        time = float(value)
+    except ValueError:
+        raise ValueError(f"{path}: time header {stripped!r} is not a number") from None
+    if not np.isfinite(time):
+        raise ValueError(f"{path}: time header must be finite, got {time!r}")
+    return time
 
-    The row count fixes the grid (at least four rows); the x column must
-    match the uniform cell centers of (0, 1), and the time must be finite.
-    """
+
+def _parse_text(path):
+    """(time, data) of the table at path, line by line in Python."""
     time = None
     rows = []
     with open(path) as fh:
@@ -70,17 +86,7 @@ def read_state_table(path):
             if not stripped:
                 continue
             if stripped.startswith("#"):
-                key, equals, value = stripped[1:].partition("=")
-                if equals and key.strip() == "time":
-                    if time is not None:
-                        raise ValueError(f"{path}: more than one time header")
-                    try:
-                        time = float(value)
-                    except ValueError:
-                        raise ValueError(f"{path}: time header {stripped!r} is not a"
-                                         " number") from None
-                    if not np.isfinite(time):
-                        raise ValueError(f"{path}: time header must be finite, got {time!r}")
+                time = _header(stripped, time, path)
                 continue
             parts = stripped.split()
             if len(parts) != len(COLUMNS):
@@ -90,10 +96,52 @@ def read_state_table(path):
             rows.append(parts)
     if not rows:
         raise ValueError(f"{path}: table contains no data rows")
-    data = np.array(rows, dtype=float)
+    return time, np.array(rows, dtype=float)
+
+
+def _parse_compiled(kernel, raw, path):
+    """(time, data) of the table whose bytes are raw: the header lines in
+    Python, as _parse_text reads and refuses them, and the data block after
+    them in one parse_rows call.  None when the text is not ASCII or holds
+    a carriage return (its lines would not be those of text mode; checked
+    before any header is read), when it has no data line, or when the
+    kernel declines the block; _parse_text then reads the table."""
+    if not raw.isascii() or b"\r" in raw:
+        return None
+    time, start = None, 0
+    while start < len(raw):
+        end = raw.find(b"\n", start) + 1 or len(raw)
+        stripped = raw[start:end].decode("ascii").strip()
+        if stripped and not stripped.startswith("#"):
+            break
+        if stripped:
+            time = _header(stripped, time, path)
+        start = end
+    block = raw[start:]
+    data = np.empty((block.count(b"\n") + 1, len(COLUMNS)))
+    rows = kernel.parse_rows(block, len(block), len(COLUMNS), data.shape[0],
+                             operators.address(data))
+    return None if rows <= 0 else (time, data[:rows])
+
+
+def read_state_table(path):
+    """Read a state table; returns (time, grid, state).
+
+    The row count fixes the grid (at least four rows); the x column must
+    match the uniform cell centers of (0, 1), and the time must be finite.
+    Where the compiled kernel is loaded (operators._KERNEL), its parse_rows
+    reads the data rows that format_float writes, with float()'s bits; any
+    other table, and every table without the kernel, is read line by line
+    in Python, which raises the errors.
+    """
+    kernel, parsed = operators._KERNEL, None
+    if kernel is not None:
+        with open(path, "rb") as fh:
+            parsed = _parse_compiled(kernel, fh.read(), path)
+    time, data = _parse_text(path) if parsed is None else parsed
     n = data.shape[0]
     grid = Grid.uniform(n)
-    if not np.allclose(data[:, 0], grid.cell_centers, rtol=0.0, atol=1e-9 * grid.dx):
+    if not (np.abs(data[:, 0] - grid.cell_centers) <= 1e-9 * grid.dx).all():
         raise ValueError(f"{path}: x column does not match uniform cell centers for n={n}")
     time = 0.0 if time is None else time
     state = State(time, data[:, 1], data[:, 2], data[:, 3:5], data[:, 5:7], data[:, 7])

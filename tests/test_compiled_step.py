@@ -583,5 +583,74 @@ def test_two_threads_stepping_at_once_give_the_bits_of_one_after_the_other():
 def test_a_workspace_of_the_wrong_size_is_refused_before_the_kernel_runs():
     grid, params, cfg = Grid(16), PhysParams(), SchemeConfig()
     small = solver._fresh_workspace(Grid(8), params, cfg)
-    with pytest.raises(ValueError, match=r"a workspace of 16 cells needs 25n \+ 13 and n values"):
+    with pytest.raises(ValueError, match=r"a workspace of 16 cells needs 25n \+ 14 and n values"):
         conduction_update(np.linspace(0.5, 2.0, 16), np.ones(16), 1e-3, grid, params, cfg, small)
+
+
+def numpy_speed(state, params):
+    """max_i(|u_i| + sqrt(gas_R theta_i)) of state by numpy."""
+    return float((np.abs(state.u) + np.sqrt(params.gas_R * state.theta)).max())
+
+
+def fresh(state):
+    """A copy of state that carries nothing kept."""
+    return State(state.time, state.rho, state.u, state.w, state.b, state.theta)
+
+
+@pytest.mark.parametrize("n", [5, 128, 2048])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_compiled_step_keeps_the_wave_speed_with_the_numpy_bits(name, n):
+    # the State of a compiled step keeps the wave speed conduction_solve
+    # reports, for the params it was stepped under, and stable_dt reads it
+    # (seeded noise stalls vacuum-pocket's Picard loop at n >= 128, so the
+    # library data itself steps too)
+    grid, cfg = Grid(n), SchemeConfig()
+    other = PhysParams(gas_R=2.3)
+    library = scenario(name, grid).to_state()
+    steps = 0
+    for params in (PhysParams(), coefficients(1.5), coefficients(2.0)):
+        for state in (library, seeded(library, seed=n)):
+            for _ in range(3):
+                try:
+                    state, _ = step(state, stable_dt(state, grid, params, cfg), grid, params,
+                                    cfg)
+                except solver.SimulationError:
+                    break
+                steps += 1
+                kept_params, speed = state.__dict__["_speed"]
+                assert kept_params is params
+                assert speed.hex() == numpy_speed(state, params).hex()
+                for under in (params, other, PhysParams(**vars(params))):
+                    assert (stable_dt(state, grid, under, cfg).hex()
+                            == stable_dt(fresh(state), grid, under, cfg).hex())
+    assert steps >= 9
+
+
+@pytest.mark.parametrize("q_exp", [1.5, 2.0])
+def test_a_clipped_temperature_keeps_no_wave_speed(q_exp):
+    # the kernel's report is of the theta before the clip, so stable_dt
+    # computes on the clipped one
+    state, grid, params = spike(GRADED_RHO, 1e-3, 3e7, q_exp)
+    cfg = SchemeConfig()
+    new_state, _ = step(state, 0.9, grid, params, cfg)
+    assert "_speed" not in new_state.__dict__
+    assert (stable_dt(new_state, grid, params, cfg).hex()
+            == stable_dt(fresh(new_state), grid, params, cfg).hex())
+
+
+def test_only_the_step_hands_conduction_solve_a_velocity(monkeypatch):
+    # a direct conduction_update call, with no workspace, passes no u and
+    # the report keeps no wave speed
+    grid, params, cfg = Grid(16), PhysParams(), SchemeConfig()
+    handed = []
+    real = operators._KERNEL.conduction_solve
+
+    def seen(*args):
+        handed.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(operators._KERNEL, "conduction_solve", seen)
+    conduction_update(np.linspace(0.5, 2.0, 16), np.ones(16), 1e-3, grid, params, cfg)
+    state = seeded(scenario("magnetic-pulse", grid).to_state(), seed=5)
+    step(state, 1e-3, grid, params, cfg)
+    assert handed[0] is None and isinstance(handed[1], int)

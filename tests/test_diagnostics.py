@@ -2,6 +2,7 @@
 
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from planar_mhd.diagnostics import (
     dissipation_ledger,
     entropy_functional,
     initial_phi,
+    monitor_drift,
     norm_suite,
     phi_momentum_residual,
     total_energy,
@@ -462,3 +464,31 @@ def test_accumulator_series_are_monotone():
 
     masses = [r.mass for r in rows]
     assert max(masses) - min(masses) < 1e-13
+
+
+def monitor_drift_with_np_isfinite(records):
+    """monitor_drift as it was written with np.isfinite, the reference."""
+    drift, running = 0.0, float("inf")
+    for r in records:
+        if r.rho_F_max < running:
+            running = r.rho_F_max
+        if running > 0.0 and np.isfinite(r.rho_F_max):
+            drift = max(drift, r.rho_F_max / running - 1.0)
+        elif not np.isfinite(r.rho_F_max):
+            drift = float("inf")
+    return drift
+
+
+def test_monitor_drift_reads_non_finite_and_numpy_monitors_as_before():
+    grid = Grid.uniform(8)
+    state = scenario("magnetic-pulse", grid).to_state()
+    overflowed = density_bound_monitor(np.full(8, 800.0), state)
+    assert overflowed == np.inf
+    cases = [([2.0, 1.0, 1.5], 0.5), ([1.0, np.nan, 1.2], np.inf), ([1.0, np.inf, 1.0], np.inf),
+             ([1.0, -np.inf], np.inf), ([1.0, 1.1, overflowed], np.inf), ([0.0, 1.0], 0.0),
+             ([np.float64(2.0), np.float64(1.0), np.float64(1.5)], 0.5),
+             ([np.float64(1.0), np.float64(np.nan)], np.inf), ([], 0.0)]
+    for values, expected in cases:
+        records = [SimpleNamespace(rho_F_max=v) for v in values]
+        drift = monitor_drift(records)
+        assert drift == expected == monitor_drift_with_np_isfinite(records)

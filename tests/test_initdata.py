@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import planar_mhd.operators as operators
+import planar_mhd.tables as tables
 from planar_mhd.diagnostics import total_energy
 from planar_mhd.initial import (
     InitialData,
@@ -19,7 +20,7 @@ from planar_mhd.initial import (
     SCENARIOS,
 )
 from planar_mhd.model import Grid, PhysParams
-from planar_mhd.tables import format_rows, read_state_table, write_state_table
+from planar_mhd.tables import format_float, format_rows, read_state_table, write_state_table
 
 
 def constant_data(n):
@@ -328,5 +329,139 @@ def test_the_compiled_formatter_ignores_the_numeric_locale():
         finally:
             locale.setlocale(locale.LC_NUMERIC, previous)
         assert compiled == python
+        return
+    pytest.skip("no locale with a decimal comma is installed")
+
+
+def parsed(text, cols=8):
+    """parse_rows of the compiled kernel on text: its rows, or None where it
+    declines the text."""
+    raw = text.encode("ascii")
+    out = np.empty((raw.count(b"\n") + 1, cols))
+    rows = operators._KERNEL.parse_rows(raw, len(raw), cols, out.shape[0],
+                                        operators.address(out))
+    return None if rows < 0 else out[:rows]
+
+
+def read_on_each_path(each_path, path):
+    """read_state_table(path) on each path (the each_path fixture): (time,
+    grid.n_cells and the field bytes), or the class and text of the
+    error."""
+    results = []
+    for _ in each_path():
+        try:
+            time, grid, state = read_state_table(path)
+        except Exception as err:
+            results.append((type(err), str(err)))
+            continue
+        results.append((time.hex(), grid.n_cells,
+                        tuple(getattr(state, f).tobytes() for f in ("rho", "u", "w", "b",
+                                                                    "theta"))))
+    return results
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+def test_the_compiled_reader_gives_the_bits_of_float():
+    rng = np.random.default_rng(29)
+    patterns = rng.integers(0, 2 ** 64, size=100_000, dtype=np.uint64).view(np.float64)
+    subnormals = rng.integers(1, 2 ** 52, size=1000, dtype=np.uint64).view(np.float64)
+    values = np.concatenate((FORMAT_CASES, -np.array(FORMAT_CASES), patterns, subnormals,
+                             -subnormals))
+    tokens = [format_float(v) for v in values.tolist()]
+    assert {"nan", "inf", "-inf", "0", "-0", "4.9406564584124654e-324",
+            "1.7976931348623157e+308"} <= set(tokens)
+    # bare integers, with leading zeros and beyond 2 ** 53
+    tokens += ["0", "-0", "7", "007", "-12", str(2 ** 53 + 1), str(10 ** 40 + 1), "9" * 63]
+    tokens += [str(v) for v in rng.integers(-10 ** 18, 10 ** 18, size=1000).tolist()]
+    tokens += ["0"] * (-len(tokens) % 8)
+    expected = np.array([float(t) for t in tokens]).view(np.uint64)
+    for sep in (" ", "\t", "  \t "):
+        text = "\n".join(sep.join(tokens[i:i + 8]) for i in range(0, len(tokens), 8))
+        for tail in ("", "\n", "\n\n  \n"):
+            rows = parsed(text + tail)
+            assert rows.shape == (len(tokens) // 8, 8)
+            assert np.array_equal(rows.ravel().view(np.uint64), expected)
+
+
+DECLINED = ["1_0", "0x1p3", "infinity", "nan(1)", "1.5e", "1e5", "1.e+05", ".5", "5.", "+1",
+            "-nan", "NaN", "1E+05", "1,5", "1e+", "--1", "x", "9" * 64]
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+@pytest.mark.parametrize("token", DECLINED)
+def test_a_token_the_reader_declines_is_read_or_refused_as_before(tmp_path, each_path, token):
+    # the kernel takes only what format_float writes and bare integers;
+    # anything else goes to the Python body, which reads or refuses it as
+    # it always has, in the x column or in another
+    assert parsed(" ".join(["1"] * 7 + [token])) is None
+    grid = Grid.uniform(8)
+    path = tmp_path / "s.dat"
+    write_state_table(path, grid, scenario("magnetic-pulse", grid).to_state())
+    lines = path.read_text().splitlines(keepends=True)
+    for row, col in ((2, 0), (5, 1), (9, 7)):
+        parts = lines[row].split()
+        parts[col] = token
+        path.write_text("".join(lines[:row]) + " ".join(parts) + "\n" + "".join(lines[row + 1:]))
+        compiled, python = read_on_each_path(each_path, path)
+        assert compiled == python
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+@pytest.mark.parametrize("change", ["comment after the data", "time after the data",
+                                    "seven columns", "nine columns", "carriage returns",
+                                    "latin-1 comment", "no newline at the end",
+                                    "blank lines", "tabs"])
+def test_a_table_the_reader_declines_or_takes_reads_as_before(tmp_path, each_path, change):
+    grid = Grid.uniform(8)
+    path = tmp_path / "s.dat"
+    write_state_table(path, grid, scenario("magnetic-pulse", grid).to_state())
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    changed = {
+        "comment after the data": text + "# end\n",
+        "time after the data": "".join(lines[1:]) + "# time = 0.5\n",
+        "seven columns": "".join(lines[:5]) + lines[5].rsplit(" ", 1)[0] + "\n"
+                         + "".join(lines[6:]),
+        "nine columns": text + lines[-1].rstrip("\n") + " 1\n",
+        "carriage returns": text.replace("\n", "\r\n"),
+        "latin-1 comment": "# \xe9t\xe9\n" + text,
+        "no newline at the end": text.rstrip("\n"),
+        "blank lines": text.replace("\n", "\n\n  \n"),
+        "tabs": text.replace(" ", "\t"),
+    }[change]
+    path.write_bytes(changed.encode("latin-1"))
+    compiled, python = read_on_each_path(each_path, path)
+    assert compiled == python
+    taken = tables._parse_compiled(operators._KERNEL, path.read_bytes(), path) is not None
+    assert taken is (change in ("no newline at the end", "blank lines", "tabs"))
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*/snapshot_t*.dat")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_a_table_reads_to_the_same_bytes_on_both_paths(each_path, path):
+    compiled, python = read_on_each_path(each_path, path)
+    assert compiled == python and isinstance(compiled[0], str)
+
+
+@pytest.mark.skipif(operators._KERNEL is None, reason="no compiled kernel")
+def test_the_compiled_reader_ignores_the_numeric_locale(tmp_path, each_path):
+    # strtod follows LC_NUMERIC; strtod_l in the "C" locale does not, so a
+    # locale with a decimal comma must not change a value
+    grid = Grid.uniform(16)
+    path = tmp_path / "s.dat"
+    write_state_table(path, grid, scenario("magnetic-pulse", grid).to_state())
+    expected = read_on_each_path(each_path, path)
+    previous = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8", "ru_RU.UTF-8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+        except locale.Error:
+            continue
+        try:
+            assert locale.localeconv()["decimal_point"] == ","
+            assert read_on_each_path(each_path, path) == expected
+        finally:
+            locale.setlocale(locale.LC_NUMERIC, previous)
         return
     pytest.skip("no locale with a decimal comma is installed")
