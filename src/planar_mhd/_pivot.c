@@ -784,7 +784,7 @@ int mms_table(const double *ws, const double *kappa, double *out)
    scratch (8n + 2 doubles: six rows, then the residual's 2 (n + 1) faces)
    and only its sum is stored, as numpy's .sum() gives it (total): row r
    of step j at part[r * steps + j], of record d at record[r * records + d]:
-   - residual, 2 rows: the squares of solver.consistency_residuals'
+   - residual, 2 rows: the squares of diagnostics.consistency_residuals'
      r_mag and r_pressure;
    - ledger, 6 rows: the integrands of diagnostics.dissipation_ledger;
    - phi, W x n: from phi0, each step's potential, the one before it plus
@@ -888,7 +888,7 @@ INLINE double onesided(const double *f, ptrdiff_t n, ptrdiff_t k, ptrdiff_t i, p
     return by(f[(m + 1) * k + c] - 2.0 * f[m * k + c] + f[(m - 1) * k + c], dx * dx, exact);
 }
 
-/* u b - w of solver.consistency_residuals at cell i (a ghost where wall
+/* u b - w of diagnostics.consistency_residuals at cell i (a ghost where wall
    is set), component c: the odd reflection negates the edge value. */
 INLINE double induction(const double *u, const double *w, const double *b, ptrdiff_t n,
                         ptrdiff_t i, ptrdiff_t c, int wall)
@@ -903,7 +903,7 @@ INLINE double induction(const double *u, const double *w, const double *b, ptrdi
 #define D2(g, k, c) onesided(g, n, k, i, c, dx, wall, exact)
 
 /* b . b_x on face j and the flux u P - (gas_R / c_v) kappa theta_x on
-   face j, as solver.consistency_residuals forms them. */
+   face j, as diagnostics.consistency_residuals forms them. */
 INLINE void residual_face(const struct fold *f, const struct rows *a, const double *kappa,
                           ptrdiff_t j, int wall, int exact, double *bbx, double *flux)
 {

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .diagnostics import check_alpha
-from .model import PhysParams, check_n_cells, check_record_every
+from .model import MIN_CELLS, PhysParams, check_whole
 from .solver import SchemeConfig
 
 
@@ -72,15 +72,14 @@ def _parse_value(key, raw, lineno):
 
 
 def _validate(cfg):
-    """Check the run-level rules here; the physical, scheme, weight,
-    grid-size and record-stride rules are checked (and worded) by
-    PhysParams, SchemeConfig, check_alpha, check_n_cells and
-    check_record_every."""
+    """Check the run-level rules here; the physical, scheme and weight
+    rules are checked (and worded) by PhysParams, SchemeConfig and
+    check_alpha, and the grid size and record stride by check_whole."""
     try:
         if cfg.alpha is not None:
             check_alpha(cfg.alpha, cfg.phys)
-        check_n_cells(cfg.n_cells)
-        check_record_every(cfg.record_every)
+        check_whole("n_cells", cfg.n_cells, MIN_CELLS)
+        check_whole("record_every", cfg.record_every, 1)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     for name in ("t_end", "delta"):

@@ -27,8 +27,19 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import operators
-from .model import DerivedFields
-from .operators import EVEN, cell_grad, column_sums, dot2, l2_columns, second_diff_onesided
+from .model import DerivedFields, mechanical_heating
+from .operators import (
+    EVEN,
+    ODD,
+    cell_grad,
+    column_sums,
+    div_faces,
+    dot2,
+    face_average,
+    face_diff,
+    l2_columns,
+    second_diff_onesided,
+)
 
 # floor used in every division by theta
 THETA_FLOOR = 1e-30
@@ -61,10 +72,10 @@ def window_length(n_cells):
 # stack's rows (_fold), which sums each integrand row as column_sums does,
 # with P, kappa, every pow, the entropy's logs and the monitor's exp from
 # numpy.  flush keeps the pass on the window's stack and hands that stack to
-# update and record, which read it; consistency_residuals reads its residual
-# when on_fold passes the window's own columns and dts (_kept).  Every other
-# call runs the numpy bodies, which give the same bits: the reference, and
-# the path without a C compiler.
+# update and record, which read it, and the pass to consistency_residuals,
+# whose values alone it hands on_fold.  No _Stack or _Columns leaves this
+# module.  Every other call runs the numpy bodies, which give the same
+# bits: the reference, and the path without a C compiler.
 
 
 class _Stack(DerivedFields):
@@ -158,26 +169,10 @@ def _fold(before, after, dts, params, alpha, phi0, due, residual):
     f.phi = address(phi)
     operators._KERNEL.fold_rows(ctypes.byref(f))
     phi.setflags(write=False)  # each row may become a mark's potential
-    return SimpleNamespace(
-        cols_b=before._cols, cols_a=after._cols, dts=dts, due=due, params=params,
-        extrema=extrema, phi=phi, residual=sums[:ends[0]].reshape(2, k) if residual else None,
-        ledger=sums[ends[0]:ends[1]].reshape(6, k), record=sums[ends[1]:].reshape(20, -1))
-
-
-def _kept(before, after, dt, params):
-    """The (2, k) residual sums of the pass that flush made on the window
-    whose columns before and after are, if it made them under params for
-    exactly these pairs and dts; else None.  on_fold, a public hook, may
-    pass on other columns or dts than the window's."""
-    if not (isinstance(before, _Columns) and isinstance(after, _Columns)):
-        return None
-    fold = after._whole._fold
-    if (fold is None or fold.residual is None or before._whole is not after._whole
-            or fold.params is not params):
-        return None
-    pairs = zip((before._cols, after._cols, np.asarray(dt, dtype=float)),
-                (fold.cols_b, fold.cols_a, fold.dts))
-    return fold.residual if all(got.tobytes() == want.tobytes() for got, want in pairs) else None
+    return SimpleNamespace(due=due, extrema=extrema, phi=phi,
+                           residual=sums[:ends[0]].reshape(2, k) if residual else None,
+                           ledger=sums[ends[0]:ends[1]].reshape(6, k),
+                           record=sums[ends[1]:].reshape(20, -1))
 
 
 def _kernel_rows(stack):
@@ -373,6 +368,54 @@ def norm_suite(state_before, state_after, dt, grid, params):
     return {name: _value(value) for name, value in norms.items()}
 
 
+def consistency_residuals(state_before, state_after, dt, grid, params, _fold=None):
+    """Discrete residuals of the two balances the state should inherit.
+
+    The evolved fields satisfy, up to discretization error, a magnetic
+    energy balance
+
+        (|b|^2/2)_t + b.(u b - w)_x = nu (b.b_x)_x - nu |b_x|^2
+
+    and an effective pressure balance
+
+        P_t + (u P)_x - (gas_R/c_v)(kappa theta_x)_x
+            = (gas_R/c_v)(lambda u_x^2 + mu |w_x|^2 + nu |b_x|^2 - P u_x).
+
+    Returns the discrete L2 norms (r_mag, r_pressure), with time derivatives
+    from the state pair and spatial terms at state_after.  The k columns of
+    two stacks take the (k,) dts of their pairs and give two (k,) arrays,
+    each entry with the bits of its pair alone.  _fold is for
+    DiagnosticsAccumulator.flush alone, passed by position: the window's
+    fold_rows pass, whose two residual sums it then reads, with the same
+    bits.  Every other call runs the numpy body below.
+    """
+    if not (np.asarray(dt) > 0.0).all():
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    dx = grid.dx
+    if _fold is not None:
+        r_mag, r_pre = np.sqrt(_fold.residual * dx)
+        return r_mag, r_pre
+    sa, sb = state_after, state_before
+    nu = params.nu_mag
+    r_over_cv = params.gas_R / params.c_v
+
+    u, w, b, th = sa.u, sa.w, sa.b, sa.theta
+    ux, bx = sa.u_x, sa.b_x
+
+    de_mag = 0.5 * (sa.b_sq - sb.b_sq) / dt
+    advect = dot2(b, cell_grad(u[..., None] * b - w, dx, ODD))
+    bbx_face = dot2(sa.b_face, face_diff(b, dx, ODD))
+    r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * dot2(bx, bx)
+
+    p_after = sa.pressure(params)
+    p_before = sb.pressure(params)
+    cond_face = face_average(sa.kappa(params), EVEN) * face_diff(th, dx, EVEN)
+    flux = sa.u_face * face_average(p_after, EVEN) - r_over_cv * cond_face
+    src = r_over_cv * (mechanical_heating(ux, sa.w_x, bx, params) - p_after * ux)
+    r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
+    return _value(l2_columns(r_mag, dx)), _value(l2_columns(r_pre, dx))
+
+
 # ---------------------------------------------------------------------------
 # records and their CSV schema
 
@@ -450,14 +493,17 @@ class DiagnosticsAccumulator:
 
     Every fold, of one step or of `window`, stacks the window's distinct
     states once, in order (the W + 1 states of a chain of steps: its first
-    before, then each after), and hands on_fold(befores, afters, dts),
-    update and record their columns of that one stack and the (W,) array
-    of the dts, so each derived field is computed once per window.  Where
-    the kernel is loaded, flush makes the window's one fold_rows pass
+    before, then each after), and hands update, record and, with an
+    on_fold, consistency_residuals their columns of that one stack and the
+    (W,) array of the dts, so each derived field is computed once per
+    window.  on_fold(r_mag, r_pressure) gets the window's residuals: two
+    (W,) float64 arrays, each entry with the bits of its step's pair alone.
+    Where the kernel is loaded, flush makes the window's one fold_rows pass
     (_fold) first and keeps it on the stack, which it hands update and
-    record as _window; they read the pass from it.  An update or record
-    called on its own stacks its own distinct states and runs the numpy
-    bodies, as every call does without the kernel.
+    record as _window, and hands it consistency_residuals as _fold; they
+    read the pass from it.  An update or record called on its own stacks
+    its own distinct states and runs the numpy bodies, as every call does
+    without the kernel.
     """
 
     def __init__(self, init, grid, params, alpha=None, on_fold=None):
@@ -484,7 +530,7 @@ class DiagnosticsAccumulator:
             window._fold = _fold(sb, sa, dt, self.params, self.alpha, self.mark[3],
                                  np.flatnonzero(dues), self.on_fold is not None)
         if self.on_fold is not None:
-            self.on_fold(sb, sa, dt)
+            self.on_fold(*consistency_residuals(sb, sa, dt, self.grid, self.params, window._fold))
         marks = self.update(befores, afters, dts, window)
         due = [(after, mark) for after, mark, d in zip(afters, marks, dues) if d]
         return self.record(*zip(*due), window) if due else []

@@ -46,19 +46,18 @@ class PhysParams:
                 raise ValueError(f"{f.name} must be {rule}, got {value!r}")
 
 
-def check_n_cells(n_cells):
-    """Every grid, configured or read from a table, has at least four cells
-    (the one-sided wall stencils of the norm suite need three)."""
-    if n_cells < 4:
-        raise ValueError(f"n_cells must be at least 4, got {n_cells!r}")
+def check_whole(name, value, minimum):
+    """The one rule of a whole-number setting (n_cells, record_every,
+    picard_max_iters): a numbers.Integral, at least minimum."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
 
 
-def check_record_every(record_every):
-    """A run records every record_every-th step: a whole number, at least 1."""
-    if not isinstance(record_every, numbers.Integral):
-        raise ValueError(f"record_every must be an integer, got {record_every!r}")
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every!r}")
+# Every grid, configured or read from a table, has at least four cells (the
+# one-sided wall stencils of the norm suite need three).
+MIN_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,9 @@ class Grid:
     cell_centers: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        check_n_cells(self.n_cells)
+        check_whole("n_cells", self.n_cells, MIN_CELLS)
+        # a numpy integer as a Python int, which the kernel's ctypes take
+        object.__setattr__(self, "n_cells", int(self.n_cells))
         object.__setattr__(self, "dx", 1.0 / self.n_cells)
         x = (np.arange(self.n_cells) + 0.5) * self.dx
         x.setflags(write=False)

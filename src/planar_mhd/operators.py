@@ -263,7 +263,8 @@ class _Rows(ctypes.Structure):
 
 class _Fold(ctypes.Structure):
     """struct fold of _pivot.c: the arguments of one fold_rows call
-    (diagnostics._fold), the residual NULL when it is skipped."""
+    (diagnostics._fold).  The residual is NULL when the accumulator has no
+    on_fold, and otherwise diagnostics.consistency_residuals reads its sums."""
 
     _fields_ = ([(name, _SIZE) for name in ("n", "steps", "records")]
                 + [(name, _DOUBLE) for name in ("dx", "lambda_", "mu", "nu", "gas_R", "c_v")]

@@ -43,9 +43,9 @@ the kernel multiplies by the exact reciprocals of dx and 2 dx where numpy
 divides, with the same bits.  The forcing callables and every error
 message stay in Python on both paths.
 The numpy stages solve with operators.solve_flux_system, the Python loop
-that the compiled solves match; consistency_residuals runs numpy too,
-unless run's on_fold hands it a window whose residual the accumulator's
-compiled fold has already summed.
+that the compiled solves match.  consistency_residuals lives in
+diagnostics, whose accumulator decides where a window's residual comes
+from; solver.consistency_residuals is the same function, imported.
 run calls step, and step conduction_update, once per step by module name,
 because perfbench's step counter, its tracer and the tests wrap them.
 """
@@ -59,19 +59,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .diagnostics import DiagnosticsAccumulator, _kept, _value
-from .model import State, VACUUM_RHO, check_record_every, kappa, mechanical_heating, pressure
+from .diagnostics import DiagnosticsAccumulator, consistency_residuals
+from .model import State, VACUUM_RHO, check_whole, kappa, mechanical_heating, pressure
 from .operators import (
     EVEN,
     ODD,
     cell_grad,
     div_faces,
-    dot2,
     face_average,
     face_couplings,
     face_diff,
     flux_laplacian,
-    l2_columns,
     solve_flux_system,
     upwind_face_flux,
 )
@@ -114,8 +112,7 @@ class SchemeConfig:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if self.picard_max_iters < 1:
-            raise ValueError("picard_max_iters must be at least 1")
+        check_whole("picard_max_iters", self.picard_max_iters, 1)
         if not 0.0 <= self.theta_floor_tol < np.inf:
             raise ValueError(
                 f"theta_floor_tol must be nonnegative and finite, got {self.theta_floor_tol!r}")
@@ -504,56 +501,6 @@ def step(state, dt, grid, params, cfg, forcing=None):
     return State(state.time + dt, rho1, u1, w1, b1, theta1), StepReport(dt, iters, clipped)
 
 
-def consistency_residuals(state_before, state_after, dt, grid, params):
-    """Discrete residuals of the two balances the state should inherit.
-
-    The evolved fields satisfy, up to discretization error, a magnetic
-    energy balance
-
-        (|b|^2/2)_t + b.(u b - w)_x = nu (b.b_x)_x - nu |b_x|^2
-
-    and an effective pressure balance
-
-        P_t + (u P)_x - (gas_R/c_v)(kappa theta_x)_x
-            = (gas_R/c_v)(lambda u_x^2 + mu |w_x|^2 + nu |b_x|^2 - P u_x).
-
-    Returns the discrete L2 norms (r_mag, r_pressure), with time derivatives
-    from the state pair and spatial terms at state_after.  The k columns of
-    a diagnostics window's stack (DiagnosticsAccumulator) take the (k,) dts
-    of their pairs and give two (k,) arrays, each entry with the bits of its
-    pair alone.  Called through run's on_fold with a window's own columns
-    and dts, it reads the two integrand sums from the fold_rows pass that
-    the accumulator's flush made, where the compiled kernel is loaded, with
-    the same bits; every other call runs the numpy body below.
-    """
-    if not (np.asarray(dt) > 0.0).all():
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    dx = grid.dx
-    kept = _kept(state_before, state_after, dt, params)
-    if kept is not None:
-        r_mag, r_pre = np.sqrt(kept * dx)
-        return r_mag, r_pre
-    sa, sb = state_after, state_before
-    nu = params.nu_mag
-    r_over_cv = params.gas_R / params.c_v
-
-    u, w, b, th = sa.u, sa.w, sa.b, sa.theta
-    ux, bx = sa.u_x, sa.b_x
-
-    de_mag = 0.5 * (sa.b_sq - sb.b_sq) / dt
-    advect = dot2(b, cell_grad(u[..., None] * b - w, dx, ODD))
-    bbx_face = dot2(sa.b_face, face_diff(b, dx, ODD))
-    r_mag = de_mag + advect - nu * div_faces(bbx_face, dx) + nu * dot2(bx, bx)
-
-    p_after = sa.pressure(params)
-    p_before = sb.pressure(params)
-    cond_face = face_average(sa.kappa(params), EVEN) * face_diff(th, dx, EVEN)
-    flux = sa.u_face * face_average(p_after, EVEN) - r_over_cv * cond_face
-    src = r_over_cv * (mechanical_heating(ux, sa.w_x, bx, params) - p_after * ux)
-    r_pre = (p_after - p_before) / dt + div_faces(flux, dx) - src
-    return _value(l2_columns(r_mag, dx)), _value(l2_columns(r_pre, dx))
-
-
 def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
         alpha=None, forcing=None, snapshot_times=(), snapshot_sink=None,
         on_step=None, on_fold=None):
@@ -575,14 +522,14 @@ def run(init, t_end, grid, params, cfg=None, sink=None, *, record_every=1,
     After each accepted step, on_step(before, after, report) gets the state
     the step started from (the previous call's after), the state it made and
     its StepReport, with after.time == before.time + report.dt_used.  With
-    a sink, on_fold(befores, afters, dts) gets each window as the
-    accumulator folds it: its befores and afters as columns of the window's
-    one stack and the (W,) array of their dts, also for a window of one
-    step (DiagnosticsAccumulator).
+    a sink, on_fold(r_mag, r_pressure) gets the consistency_residuals of
+    each window as the accumulator folds it: two (W,) float64 arrays, one
+    entry per step of the window, each with the bits of that step's pair
+    alone, also for a window of one step (DiagnosticsAccumulator).
     """
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end!r}")
-    check_record_every(record_every)
+    check_whole("record_every", record_every, 1)
     if cfg is None:
         cfg = SchemeConfig()
     state = init.to_state()

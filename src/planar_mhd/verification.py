@@ -6,7 +6,7 @@ is evaluated by fourth-order numerical differentiation of the closed-form
 fields on a dense auxiliary stencil, which keeps the forcing in lockstep
 with the closed forms by construction.  The five residuals at one (x, t) are
 one table built from 25 closed-form calls, shared by the five entries; per
-step it evaluates only time factors of kept spatial profiles (_kept) on kept
+step it evaluates only time factors of kept spatial profiles (_memo) on kept
 stencil rows (_stencil), and each time derivative reads four time rows.
 The arithmetic after those calls runs as one mms_table call of the compiled
 kernel where it is loaded (operators._KERNEL), and as the numpy body of
@@ -34,7 +34,7 @@ def _rows(x, h):
     return np.stack((x + 2 * h, x + h, x, x - h, x - 2 * h))
 
 
-def _kept(f):
+def _memo(f):
     """f(x, *args), read-only, kept per rank of x for the last x and args of
     that rank, by their exact bits.  A forced step's x of each rank (cell
     centres, x-stencil rows, nested rows) is fixed for a run, so a run keeps
@@ -55,7 +55,7 @@ def _kept(f):
 
 # the nested stencil rows of x ([j, k]: x-stencil row k + offset j, so [2] is
 # the x-stencil rows themselves), which do not depend on t
-_stencil = _kept(lambda x, h: _rows(_rows(x, h), h))
+_stencil = _memo(lambda x, h: _rows(_rows(x, h), h))
 
 
 def _d1(f, h):
@@ -111,7 +111,7 @@ class MMSCase:
     float t.  w and b return x.shape + (2,) arrays.
 
     Each form is a spatial profile times a time factor; `profiles` holds the
-    profile memos (_kept), so a form called again on the same x evaluates
+    profile memos (_memo), so a form called again on the same x evaluates
     only its time factor.  The constant case needs none."""
 
     name: str
@@ -213,13 +213,13 @@ def _smooth_wave_case():
     # dominate the O(dx^2) central-diffusion error on the documented ladder
     # (n = 64..256), or the diffusive fields would measure at order two and
     # hide a botched time discretization
-    rho_x = _kept(lambda x: 0.25 * np.cos(2.0 * np.pi * x))
-    u_x = _kept(lambda x: 0.2 * np.sin(2.0 * np.pi * x))
-    w_x = _kept(lambda x: np.stack(
+    rho_x = _memo(lambda x: 0.25 * np.cos(2.0 * np.pi * x))
+    u_x = _memo(lambda x: 0.2 * np.sin(2.0 * np.pi * x))
+    w_x = _memo(lambda x: np.stack(
         (0.15 * np.sin(np.pi * x), -0.12 * np.sin(2.0 * np.pi * x)), axis=-1))
-    b_x = _kept(lambda x: np.stack(
+    b_x = _memo(lambda x: np.stack(
         (0.2 * np.sin(np.pi * x), 0.15 * np.sin(2.0 * np.pi * x)), axis=-1))
-    theta_x = _kept(lambda x: 0.15 * np.cos(np.pi * x) ** 2)
+    theta_x = _memo(lambda x: 0.15 * np.cos(np.pi * x) ** 2)
 
     # each time factor multiplies its profile in the order of the full
     # expression, e.g. 1.0 + 0.25 * cos(2 pi x) * exp(-t), which keeps its bits

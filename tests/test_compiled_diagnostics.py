@@ -3,8 +3,8 @@
 Where the kernel is loaded, DiagnosticsAccumulator.flush, its one caller,
 takes a window's residual, ledger, phi increments, norms, mass, energy
 and entropy from one C pass over the window's stacked rows, which sums
-each integrand row in numpy's pairwise order; update, record and a
-residual passed on by on_fold read that pass.  Every other call, and
+each integrand row in numpy's pairwise order; update, record and the
+residual that flush hands on_fold read that pass.  Every other call, and
 every call with operators._KERNEL off, runs the numpy bodies, the
 reference.  Each case runs the same fold on both paths and compares every
 record field, both residuals and every update mark by .hex() or bytes:
@@ -81,9 +81,8 @@ def watched_run(monkeypatch, init, grid, params, t_end, record_every, alpha, cfg
         marks.extend(mark_hex(m) for m in out)
         return out
 
-    def fold(befores, afters, dts):
-        residuals.append([hexed(r) for r in consistency_residuals(befores, afters, dts,
-                                                                   grid, params)])
+    def fold(r_mag, r_pressure):
+        residuals.append([hexed(r_mag), hexed(r_pressure)])
 
     monkeypatch.setattr(DiagnosticsAccumulator, "update", kept_marks)
     final = run(init, t_end, grid, params, cfg, sink=records.append, record_every=record_every,
@@ -177,8 +176,8 @@ def test_lone_states_and_picked_columns_give_the_same_bits(n, q_exp):
 
 def test_the_compiled_residual_computes_no_derived_field(monkeypatch):
     # solver.consistency_residuals.busy_s then times the residual itself,
-    # not the stack's lazily computed gradients and face averages: on_fold
-    # reads the residual from the pass that flush made
+    # not the stack's lazily computed gradients and face averages: flush's
+    # call reads the residual from the pass that flush made
     grid = Grid.uniform(64)
     params = PhysParams(q_exp=1.5)
     calls = []
@@ -195,14 +194,18 @@ def test_the_compiled_residual_computes_no_derived_field(monkeypatch):
 
     def residual_calls():
         during = []
+        original = diagnostics.consistency_residuals
 
-        def on_fold(befores, afters, dts):
+        def counted(*args):
             start = len(calls)
-            consistency_residuals(befores, afters, dts, grid, params)
+            residuals = original(*args)
             during.append(calls[start:])
+            return residuals
 
+        monkeypatch.setattr(diagnostics, "consistency_residuals", counted)
         run(scenario("magnetic-pulse", grid), 0.01, grid, params, sink=lambda *records: None,
-            on_fold=on_fold)
+            on_fold=lambda r_mag, r_pressure: None)
+        monkeypatch.setattr(diagnostics, "consistency_residuals", original)
         return during
 
     compiled = residual_calls()
@@ -272,9 +275,7 @@ def test_a_flush_allocates_no_block_of_integrand_rows():
         s = states[-1]
         states.append(solver.step(s, solver.stable_dt(s, grid, params, cfg), grid, params,
                                   cfg)[0])
-    acc = DiagnosticsAccumulator(
-        init, grid, params,
-        on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
+    acc = DiagnosticsAccumulator(init, grid, params, on_fold=lambda r_mag, r_pressure: None)
     assert acc.window == 8
     held = [(b, a, a.time - b.time) for b, a in zip(states, states[1:])]
     for before, after, dt in held[:-1]:
@@ -320,7 +321,7 @@ def test_a_windowed_run_makes_one_kernel_call_per_window(monkeypatch, record_eve
     init = scenario("magnetic-pulse", grid)
     run(init, 0.5, grid, params, sink=records.append,
         record_every=record_every, on_step=lambda *step: steps.append(step),
-        on_fold=lambda b, a, dts: consistency_residuals(b, a, dts, grid, params))
+        on_fold=lambda r_mag, r_pressure: None)
     window = diagnostics.window_length(128)
     assert window == 64 and len(steps) > 2 * window and len(steps) % window
     assert counted.folds == -(-len(steps) // window)

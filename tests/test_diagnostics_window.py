@@ -4,6 +4,9 @@ and in the same order, for every window length, record stride and grid.
 The consistency residual of simulate folds by the same windows and must
 give each step pair its own floats."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -296,3 +299,69 @@ def test_a_stacked_residual_gives_each_pair_its_own_floats(name, n, q_exp):
     with pytest.raises(ValueError, match="dt must be positive"):
         consistency_residuals(diagnostics._Stack(befores), diagnostics._Stack(afters),
                               np.array(dts[:-1] + (0.0,)), grid, params)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("n,t_end", [(32, 3.98), (128, 0.25)])
+def test_on_fold_gets_the_values_of_each_windows_residuals(each_path, n, t_end, record_every):
+    # on_fold gets two (W,) float64 arrays per window, the last window here
+    # one step; together they hold one entry per step, with the bits of
+    # that step's pair alone, and no callback receives a _Stack or _Columns
+    grid, params = Grid.uniform(n), PhysParams()
+    window = diagnostics.window_length(n)
+    for _ in each_path():
+        steps, folds, received = [], [], []
+
+        def on_step(*args):
+            steps.append(args)
+            received.extend(args)
+
+        def on_fold(*args):
+            folds.append(args)
+            received.extend(args)
+
+        run(scenario("magnetic-pulse", grid), t_end, grid, params, sink=received.append,
+            record_every=record_every, on_step=on_step, on_fold=on_fold)
+        assert len(steps) > window and len(steps) % window == 1
+        for r_mag, r_pre in folds:
+            assert type(r_mag) is type(r_pre) is np.ndarray
+            assert r_mag.dtype == r_pre.dtype == np.float64
+            assert r_mag.shape == r_pre.shape == (r_mag.size,)
+        assert [r_mag.size for r_mag, _ in folds] == [window] * (len(steps) // window) + [1]
+        got = [[m.hex(), p.hex()] for r_mag, r_pre in folds
+               for m, p in zip(r_mag.tolist(), r_pre.tolist())]
+        alone = [consistency_residuals(before, after, report.dt_used, grid, params)
+                 for before, after, report in steps]
+        assert got == [[r.hex() for r in pair] for pair in alone]
+        assert not any(isinstance(x, (diagnostics._Stack, diagnostics._Columns))
+                       for x in received)
+
+
+WINDOW_PRIVATE = {"_Stack", "_Columns", "_chain", "_fold", "_kept"}
+
+
+def window_privates(source):
+    """The names of WINDOW_PRIVATE that a module's code refers to, as a
+    name or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found & WINDOW_PRIVATE
+
+
+def test_no_module_but_diagnostics_refers_to_a_windows_stack_or_fold():
+    # a window's stack, its column views and its fold stay in diagnostics,
+    # which hands every other module values; _kept is gone
+    package = Path(diagnostics.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert window_privates(sources.pop("diagnostics.py")) == WINDOW_PRIVATE - {"_kept"}
+    assert {name: window_privates(code) for name, code in sources.items()} == {
+        name: set() for name in sources}
+    # the scan finds such a reference as a name and as an attribute
+    for line, name in (("window = _chain(befores, afters)", "_chain"),
+                       ("fold = window._fold", "_fold"),
+                       ("diagnostics._kept(before, after, dt, params)", "_kept")):
+        assert window_privates(f"{sources['cli.py']}\n{line}\n") == {name}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import planar_mhd.cli as cli
+import planar_mhd.diagnostics as diagnostics
 import planar_mhd.operators as operators
 import planar_mhd.solver as solver
 from planar_mhd.initial import scenario
@@ -402,6 +403,30 @@ def test_run_rejects_a_bad_record_every_before_any_step(monkeypatch, record_ever
     assert steps == [] and rows == []
 
 
+def run_with(name, value):
+    """magnetic-pulse run briefly with the whole-number setting name at value."""
+    grid = Grid(value if name == "n_cells" else 16)
+    cfg = SchemeConfig(picard_max_iters=value) if name == "picard_max_iters" else None
+    return run(scenario("magnetic-pulse", grid), 0.01, grid, PhysParams(), cfg,
+               sink=lambda *records: None,
+               record_every=value if name == "record_every" else 1)
+
+
+@pytest.mark.parametrize("name, minimum, good", [
+    ("n_cells", 4, 16), ("record_every", 1, 3), ("picard_max_iters", 1, 50)])
+def test_whole_number_settings_share_one_rule(each_path, name, minimum, good):
+    # a numbers.Integral, at least its minimum, checked before either path
+    # runs: the kernel's pass count and numpy's range would treat a
+    # fraction differently, and a grid of 4.5 cells has no whole centres
+    for value, rule in ((minimum + 1.5, "an integer"), (float(good), "an integer"),
+                        (minimum - 1, f"at least {minimum}")):
+        raises_alike(each_path, ValueError, f"^{name} must be {rule}, got {value!r}$",
+                     run_with, name, value)
+    # a numpy integer is one, and both paths give the same bits with it
+    finals = {run_with(name, np.int64(good)).theta.tobytes() for _ in each_path()}
+    assert len(finals) == 1
+
+
 def test_run_equilibrium_is_unchanged():
     grid = Grid.uniform(24)
     final = run(scenario("uniform-rest", grid), 0.3, grid, PhysParams())
@@ -458,7 +483,7 @@ def test_consistency_residuals_run_only_inside_simulate(tmp_path, monkeypatch):
         return original(*args)
 
     # every package module that can reach it by name
-    for module in (solver, cli):
+    for module in (solver, diagnostics):
         monkeypatch.setattr(module, "consistency_residuals", counted)
     grid = Grid.uniform(32)
     params = PhysParams()
